@@ -21,9 +21,9 @@ from conftest import emit, fmt_row
 def test_fig05(benchmark, mini_dns):
     dns = mini_dns
     nu = dns.config.nu
-    stats = dns.statistics
-    u_tau = stats.friction_velocity(nu)
-    yplus, uplus = stats.wall_units(nu)
+    stats = dns.streaming
+    u_tau = stats.friction_velocity()
+    yplus, uplus = stats.wall_units()
 
     widths = (10, 10, 12, 12)
     lines = [

@@ -21,8 +21,8 @@ from conftest import emit, fmt_row
 def test_fig06(benchmark, mini_dns):
     dns = mini_dns
     nu = dns.config.nu
-    stats = dns.statistics
-    u_tau = stats.friction_velocity(nu)
+    stats = dns.streaming
+    u_tau = stats.friction_velocity()
 
     y = dns.grid.y
     half = y <= 0.0

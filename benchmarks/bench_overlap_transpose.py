@@ -23,8 +23,8 @@ Two regimes are reported:
   asserted win is >= 1.2x on the transpose cycle.
 
 The asserted floor is deliberately below the measured ~1.5x so a noisy
-shared runner does not flap; ``scripts/check_perf.py`` guards the
-pipelined cycle's absolute cost separately via the committed baseline.
+shared runner does not flap; the pipelined cycle's absolute cost is
+gated by the ``dist4_pipelined_mixed`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

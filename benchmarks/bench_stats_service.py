@@ -14,9 +14,8 @@ about:
 The store content is synthetic (law-of-wall reference curves across
 four Re_tau, :mod:`repro.serving.synthetic`) so the bench runs in
 milliseconds; the code path — load, verify, interpolate, cache — is
-exactly production's.  The warm path is perf-gated as the
-``stats_query_32`` case in ``benchmarks/results/baselines.json``
-(see ``scripts/check_perf.py``); this bench additionally asserts the
+exactly production's.  Regressions of the read path are gated by the
+``stats_serving`` workload of ``benchmarks/e2e``; this bench asserts the
 ``>= 10x`` warm/cold throughput floor from the PR-10 acceptance
 criteria.
 
@@ -47,7 +46,7 @@ SPEEDUP_FLOOR = 10.0
 
 
 def _query_mix(service: StatisticsService) -> int:
-    """One batch of 32 mixed queries (the stats_query_32 shape); returns
+    """One batch of 32 mixed queries (the reference mix); returns
     the query count."""
     y_sweep = tuple(float(y) for y in np.geomspace(1.0, 150.0, 16))
     n = 0

@@ -151,7 +151,7 @@ def test_transform_pipeline(benchmark):
         "10-step 32^3 DNS, planned vs naive backend (same seed, same dt):",
         f"  max |v - v_ref|   = {dv:.3e}",
         f"  |KE - KE_ref|     = {de:.3e}",
-        f"  counters: {dns.backend.counters.report()}",
+        f"  counters: {dns.transforms.counters.report()}",
     ]
 
     best = min(times.values())

@@ -50,5 +50,6 @@ def mini_dns():
     dns = ChannelDNS(cfg)
     dns.initialize()
     dns.run(900)  # breakdown of the initial perturbations into turbulence
-    dns.run(600, sample_every=10)
+    dns.attach_streaming(every=10)  # read back as dns.streaming
+    dns.run(600)
     return dns

@@ -33,9 +33,10 @@ def main() -> None:
     print(f"initial kinetic energy: {dns.kinetic_energy():.4f}\n")
 
     nsteps = 50
+    stats = dns.attach_streaming(every=2)  # sampled inside the step loop
     t0 = time.perf_counter()
     for chunk in range(5):
-        dns.run(nsteps // 5, sample_every=2)
+        dns.run(nsteps // 5)
         print(
             f"step {dns.step_count:4d}  t = {dns.state.time:.4f}  "
             f"KE = {dns.kinetic_energy():8.4f}  CFL = {dns.cfl_number():.3f}  "
@@ -45,11 +46,10 @@ def main() -> None:
     elapsed = time.perf_counter() - t0
     print(f"\n{nsteps} steps in {elapsed:.2f} s ({elapsed / nsteps * 1e3:.1f} ms/step)")
 
-    stats = dns.statistics
     print(f"\nstatistics from {stats.nsamples} samples:")
     print(f"  bulk velocity      : {stats.bulk_velocity():.3f}")
-    print(f"  friction velocity  : {stats.friction_velocity(config.nu):.3f}")
-    yplus, uplus = stats.wall_units(config.nu)
+    print(f"  friction velocity  : {stats.friction_velocity():.3f}")
+    yplus, uplus = stats.wall_units()
     print("  mean profile (wall units):")
     for i in range(0, len(yplus), max(1, len(yplus) // 8)):
         print(f"    y+ = {yplus[i]:7.2f}   U+ = {uplus[i]:6.2f}")

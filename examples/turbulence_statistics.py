@@ -40,16 +40,16 @@ def main(nsteps: int = 400) -> None:
     t0 = time.perf_counter()
     dns.run(warmup)
     print(f"sampling over {nsteps - warmup} steps ...")
-    dns.run(nsteps - warmup, sample_every=5)
-    print(f"done in {time.perf_counter() - t0:.1f} s; {dns.statistics.nsamples} samples\n")
+    stats = dns.attach_streaming(every=5)
+    dns.run(nsteps - warmup)
+    print(f"done in {time.perf_counter() - t0:.1f} s; {stats.nsamples} samples\n")
 
-    stats = dns.statistics
     nu = config.nu
-    u_tau = stats.friction_velocity(nu)
+    u_tau = stats.friction_velocity()
     re_tau_actual = u_tau / nu
     print(f"measured u_tau = {u_tau:.4f}, actual Re_tau = {re_tau_actual:.1f}\n")
 
-    yplus, uplus = stats.wall_units(nu)
+    yplus, uplus = stats.wall_units()
     print("=== Fig. 5: mean velocity profile (wall units) ===")
     print(f"{'y+':>8} {'U+ (DNS)':>9} {'y+ (visc)':>10} {'Reichardt':>10}")
     for i in range(1, len(yplus), max(1, len(yplus) // 12)):

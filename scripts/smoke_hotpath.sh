@@ -40,7 +40,7 @@ div = dns.divergence_norm()
 print(f"max |v - v_ref| = {dv:.3e}")
 print(f"|KE - KE_ref|   = {de:.3e}")
 print(f"divergence norm = {div:.3e}")
-print(dns.backend.counters.report())
+print(dns.transforms.counters.report())
 assert dv == 0.0, "planned pipeline diverged from the naive trajectory"
 assert de == 0.0, "kinetic energy diverged"
 assert div < 1e-12, "velocity field not solenoidal"
@@ -101,7 +101,7 @@ for name in ("v", "omega_y", "u00", "w00"):
     a = getattr(fused.state, name)
     b = getattr(unfused.state, name)
     assert np.array_equal(a, b), f"{name} diverged between fused and unfused solves"
-t = fused.stepper.timers
+t = fused.timers
 print(t.report())
 assert t.elapsed[t.SOLVE] > 0.0, "SOLVE section never timed"
 print("trajectory identity OK")

@@ -25,11 +25,12 @@ Quickstart::
     from repro import ChannelConfig, ChannelDNS
     dns = ChannelDNS(ChannelConfig(nx=32, ny=33, nz=32, re_tau=180.0, dt=2e-4))
     dns.initialize()
-    dns.run(100, sample_every=10)
-    yplus, uplus = dns.statistics.wall_units(dns.config.nu)
+    stats = dns.attach_streaming(every=10)
+    dns.run(100)
+    yplus, uplus = stats.wall_units()
 """
 
-from repro.core import ChannelConfig, ChannelDNS, ChannelGrid, RunningStatistics
+from repro.core import ChannelConfig, ChannelDNS, ChannelGrid
 from repro.mpi import run_spmd
 from repro.pencil import P3DFFTBaseline, PencilTransforms
 from repro.pencil.distributed import DistributedChannelDNS
@@ -45,7 +46,6 @@ __all__ = [
     "P3DFFTBaseline",
     "PencilTransforms",
     "RunRecorder",
-    "RunningStatistics",
     "TelemetryConfig",
     "run_spmd",
     "__version__",

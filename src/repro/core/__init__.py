@@ -12,7 +12,6 @@ Public entry point: :class:`~repro.core.solver.ChannelDNS` configured by
 from repro.core.grid import ChannelGrid
 from repro.core.health import DivergedError, HealthMonitor, UnstableError
 from repro.core.solver import ChannelConfig, ChannelDNS
-from repro.core.statistics import RunningStatistics
 from repro.core.supervisor import RunSupervisor, SupervisorPolicy
 from repro.core.timestepper import SMR91
 
@@ -23,7 +22,6 @@ __all__ = [
     "DivergedError",
     "HealthMonitor",
     "RunSupervisor",
-    "RunningStatistics",
     "SMR91",
     "SupervisorPolicy",
     "UnstableError",

@@ -53,10 +53,11 @@ from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.timestepper import SMR91, ChannelState
 
 #: current writer version and the lineage of versions this reader accepts.
-#: v1: bare ``savez`` without manifest/checksums (legacy); v2: manifest
-#: with per-array CRC32, scheme fingerprint and runtime (dt, forcing).
+#: v2: manifest with per-array CRC32, scheme fingerprint and runtime (dt,
+#: forcing).  A manifest-less file (the v1 layout) cannot be verified and
+#: is refused as unsupported.
 FORMAT_VERSION = 2
-FORMAT_HISTORY = (1, 2)
+FORMAT_HISTORY = (2,)
 
 #: grid/discretization keys that must match between a checkpoint and an
 #: explicitly supplied config.
@@ -179,25 +180,16 @@ def _read_npz(path: pathlib.Path, verify: bool = True) -> tuple[dict, dict[str, 
     try:
         with np.load(path, allow_pickle=False) as data:
             keys = set(data.files)
-            # the explicit key is authoritative when present (v1 layout, or
-            # a file whose version was deliberately rewritten)
+            manifest = json.loads(str(data["manifest_json"])) if "manifest_json" in keys else {}
+            # an explicit key is authoritative when present (a manifest-less
+            # legacy layout, or a file whose version was deliberately rewritten)
             if "format_version" in keys:
                 version = int(data["format_version"])
-            elif "manifest_json" in keys:
-                version = None  # decided by the manifest below
+            elif manifest:
+                version = int(manifest.get("format_version", -1))
             else:
                 raise CheckpointCorruptError(f"{path.name}: no checkpoint header")
-            if "manifest_json" not in keys:
-                if version != 1:
-                    raise ValueError(
-                        f"unsupported checkpoint format {version}; "
-                        f"this build reads versions {FORMAT_HISTORY}"
-                    )
-                return _read_v1(data)
-            manifest = json.loads(str(data["manifest_json"]))
-            if version is None:
-                version = int(manifest.get("format_version", -1))
-            if version not in FORMAT_HISTORY or version == 1:
+            if version not in FORMAT_HISTORY or not manifest:
                 raise ValueError(
                     f"unsupported checkpoint format {version}; "
                     f"this build reads versions {FORMAT_HISTORY}"
@@ -218,21 +210,6 @@ def _read_npz(path: pathlib.Path, verify: bool = True) -> tuple[dict, dict[str, 
         raise
     except Exception as exc:  # truncated/garbled container, missing keys, IO error
         raise CheckpointCorruptError(f"{path.name}: unreadable checkpoint ({exc})") from exc
-
-
-def _read_v1(data) -> tuple[dict, dict[str, np.ndarray]]:
-    """Adapt a legacy v1 file (no manifest, no checksums) to the v2 shape."""
-    manifest = {
-        "format_version": 1,
-        "format_history": [1],
-        "kind": "serial",
-        "config": json.loads(str(data["config_json"])),
-        "time": float(data["time"]),
-        "step_count": int(data["step_count"]),
-        "runtime": None,
-    }
-    arrays = {k: data[k].copy() for k in ("v", "omega_y", "u00", "w00")}
-    return manifest, arrays
 
 
 def verify_checkpoint(path: str | pathlib.Path) -> tuple[bool, str]:
@@ -355,12 +332,19 @@ def load_checkpoint(
         w00=arrays["w00"],
         time=float(manifest["time"]),
     )
+    return _serial_driver(config, state, manifest, restore_runtime)
+
+
+def _serial_driver(config, state: ChannelState, manifest: dict, restore_runtime) -> ChannelDNS:
+    """A ready-to-run serial driver continuing ``state`` at the manifest's
+    step (restore-by-construction: the serial rotation and the ``1 x 1``
+    resharding reader both end here)."""
     dns = ChannelDNS(config)
     dns.initialize(state)
     dns.step_count = int(manifest["step_count"])
     runtime = manifest.get("runtime")
     if restore_runtime and runtime is not None:
-        dns.stepper.set_dt(float(runtime["dt"]))
+        dns.set_dt(float(runtime["dt"]))
         dns.stepper.forcing = float(runtime["forcing"])
     return dns
 
@@ -432,7 +416,7 @@ class CheckpointRotation:
         # a streaming-statistics sidecar rides along with every snapshot
         # (written before the pointer moves, so `latest` never names a
         # snapshot whose sidecar is missing mid-crash) — see repro.serving
-        streaming = getattr(dns, "streaming", None)
+        streaming = dns.streaming
         if streaming is not None and streaming.total_samples > 0:
             streaming.save_to(self.directory, dns.step_count)
         _atomic_write_text(self.directory / self.POINTER, path.name)
@@ -582,7 +566,7 @@ class ShardedCheckpointRotation:
         # streaming-statistics sidecar (collective merge, rank-0 write)
         # lands inside the step dir before the manifest/pointer name it,
         # so a restorable snapshot always carries its accumulated samples
-        streaming = getattr(ddns, "streaming", None)
+        streaming = ddns.streaming
         if streaming is not None and streaming.total_samples > 0:
             streaming.save_to(snap)
         if comm.rank == 0:
@@ -703,7 +687,7 @@ class ShardedCheckpointRotation:
             # sidecars hold *global* sums, so the restore is decomposition-
             # agnostic for free: any layout (including post-shrink/grow)
             # reloads the same base.  Missing sidecar -> start from zero.
-            streaming = getattr(ddns, "streaming", None)
+            streaming = ddns.streaming
             if streaming is not None:
                 streaming.restore_from(snap)
             return snap
@@ -830,16 +814,9 @@ class ShardedCheckpointRotation:
             state = ChannelState(
                 v=v, omega_y=omega_y, u00=u00, w00=w00, time=float(manifest["time"])
             )
-            dns = ChannelDNS(config)
-            dns.initialize(state)
-            dns.step_count = int(manifest["step_count"])
-            runtime = manifest.get("runtime")
-            if restore_runtime and runtime is not None:
-                dns.stepper.set_dt(float(runtime["dt"]))
-                dns.stepper.forcing = float(runtime["forcing"])
             if self.counters is not None:
                 self.counters.reshard_restores += 1
-            return dns
+            return _serial_driver(config, state, manifest, restore_runtime)
         raise CheckpointUnrecoverableError(
             self.directory, tried, kind="sharded checkpoint"
         )

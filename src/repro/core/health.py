@@ -17,11 +17,10 @@ configurable threshold, every ``every`` steps:
   supervisor that *dt reduction*, not just a retry, is the fix.
 
 The monitor follows the controller protocol (a callable applied after
-each step), so it plugs into ``dns.run(n, controllers=[monitor])`` and
-works unchanged on :class:`~repro.core.solver.ChannelDNS` and
-:class:`~repro.pencil.distributed.DistributedChannelDNS` (whose
+each step), so it plugs into ``dns.run(n, controllers=[monitor])`` on
+any layout of :class:`~repro.core.solver.ChannelDNS`: the driver's
 ``state_finite``/``divergence_norm``/``cfl_number`` are global
-reductions, so every rank trips together).
+reductions on a decomposed run, so every rank trips together.
 """
 
 from __future__ import annotations

@@ -45,6 +45,14 @@ class ModeSet:
         return (1j * self.kz)[None, :, None]
 
     @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Plane-average weights of this block, broadcastable over state
+        arrays: with the x reality condition ``kx > 0`` counts twice."""
+        w = np.full(self.shape, 2.0)
+        w[self.kx == 0.0, :] = 1.0
+        return w[..., None]
+
+    @cached_property
     def mean_index(self) -> tuple[int, int] | None:
         """Local (i, j) of the kx = kz = 0 mode, or None if not owned."""
         ix = np.nonzero(self.kx == 0.0)[0]

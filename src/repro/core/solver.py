@@ -1,14 +1,15 @@
-"""High-level channel DNS driver (serial reference implementation).
+"""High-level channel DNS driver: one step loop for every layout.
 
 :class:`ChannelDNS` ties together the grid, the RK3 IMEX stepper, initial
-conditions, statistics and diagnostics behind the public API used by the
-examples:
+conditions, streaming statistics and diagnostics behind the public API
+used by the examples:
 
 >>> from repro.core import ChannelConfig, ChannelDNS
 >>> dns = ChannelDNS(ChannelConfig(nx=32, ny=33, nz=32, re_tau=180.0, dt=2e-4))
 >>> dns.initialize()
+>>> stats = dns.attach_streaming(every=2)
 >>> dns.run(10)
->>> dns.statistics.bulk_velocity()  # doctest: +SKIP
+>>> stats.bulk_velocity()  # doctest: +SKIP
 
 Units: lengths in channel half-widths, velocities in friction velocity
 (the driving pressure gradient is 1, so ``u_tau = 1`` and
@@ -23,10 +24,10 @@ import numpy as np
 
 from repro.core.grid import ChannelGrid
 from repro.core.initial import perturbed_state
-from repro.core.statistics import RunningStatistics
 from repro.core.timestepper import ChannelState, IMEXStepper, SMR91
 from repro.core.transforms import SerialTransformBackend
-from repro.core.velocity import divergence
+from repro.core.velocity import divergence, recover_uw
+from repro.instrument import SectionTimers
 
 
 @dataclass
@@ -73,8 +74,22 @@ class ChannelConfig:
         return float(np.sqrt(self.forcing)) / self.re_tau
 
 
+def _elementwise_max(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
 class ChannelDNS:
-    """Serial spectral channel DNS (Kim–Moin–Moser formulation).
+    """Spectral channel DNS (Kim–Moin–Moser formulation): the one driver.
+
+    The step loop and every diagnostic are written against a *layout* —
+    ``transforms`` (spectral <-> physical), ``modes`` (the wavenumber
+    block this process advances) and ``comm`` — and serial is simply the
+    layout without a communicator: full mode set, in-process transforms,
+    ``comm is None``.  :class:`~repro.pencil.distributed.DistributedChannelDNS`
+    substitutes the pencil layout (:meth:`_layout`) and inherits the rest.
+    Global quantities go through :meth:`_reduce`, which returns its
+    argument when there is no communicator, so a serial run constructs
+    no communicator and issues no collective.
 
     ``telemetry`` enables structured run recording (see
     :mod:`repro.telemetry`): pass a directory path or a
@@ -97,11 +112,13 @@ class ChannelDNS:
             degree=config.degree,
             stretch=config.stretch,
         )
-        self.backend = SerialTransformBackend(
-            self.grid,
-            backend=config.fft_backend,
-            workers=config.fft_workers,
-            planning=config.fft_planning,
+        #: the run's only section timers, shared with the stepper and the
+        #: transforms (the pencil pipeline times transpose/fft into them)
+        self.timers = SectionTimers()
+        self.comm, self.decomp, self.transforms = self._layout()
+        d = self.decomp
+        self.modes = (
+            self.grid.modes if d is None else self.grid.modes.slab(d.x_slice, d.z_spec_slice)
         )
         self.stepper = IMEXStepper(
             self.grid,
@@ -109,9 +126,11 @@ class ChannelDNS:
             dt=config.dt,
             forcing=config.forcing,
             scheme=config.scheme,
-            backend=self.backend,
+            modes=self.modes,
+            backend=self.transforms,
+            reduce_max=lambda speeds: self._reduce(speeds, _elementwise_max),
+            timers=self.timers,
         )
-        self.statistics = RunningStatistics(self.grid)
         self.state: ChannelState | None = None
         self.step_count = 0
         self.recorder = None
@@ -120,13 +139,40 @@ class ChannelDNS:
         if telemetry is not None:
             from repro.telemetry import RunRecorder
 
-            rec = telemetry if isinstance(telemetry, RunRecorder) else RunRecorder(telemetry)
-            rec.attach(self)
+            if not isinstance(telemetry, RunRecorder):
+                rank, nranks = (0, 1) if self.comm is None else (self.comm.rank, self.comm.size)
+                telemetry = RunRecorder(telemetry, rank=rank, nranks=nranks)
+            telemetry.attach(self)
+
+    def _layout(self):
+        """``(comm, decomp, transforms)`` of this run — serial here: no
+        communicator, no decomposition, the planned in-process pipeline."""
+        cfg = self.config
+        transforms = SerialTransformBackend(
+            self.grid,
+            backend=cfg.fft_backend,
+            workers=cfg.fft_workers,
+            planning=cfg.fft_planning,
+        )
+        return None, None, transforms
+
+    def _reduce(self, value, op=None):
+        """Global reduction of a rank-local ``value`` (``op=None`` sums);
+        the value itself when there is no communicator."""
+        if self.comm is None:
+            return value
+        return self.comm.allreduce(value, op=op)
 
     # ------------------------------------------------------------------
 
+    def scatter_state(self, full: ChannelState) -> ChannelState:
+        """This layout's part of a full state — all of it, when serial."""
+        return full
+
     def initialize(self, state: ChannelState | None = None) -> None:
-        """Set the initial condition (default: perturbed mean profile)."""
+        """Set the initial condition from a full (serial-layout) state
+        (default: the seeded perturbed mean profile, generated
+        identically on every rank of a decomposed run)."""
         if state is None:
             cfg = self.config
             state = perturbed_state(
@@ -138,12 +184,10 @@ class ChannelDNS:
                 base=cfg.init_base,
                 forcing=cfg.forcing,
             )
-        # populate the derived velocity cache
-        from repro.core.velocity import recover_uw
-
-        if state.u is None or state.w is None:
+        state = self.scatter_state(state)
+        if state.u is None or state.w is None:  # the derived velocity cache
             state.u, state.w = recover_uw(
-                self.grid.modes, self.stepper.ops, state.v, state.omega_y, state.u00, state.w00
+                self.modes, self.stepper.ops, state.v, state.omega_y, state.u00, state.w00
             )
         self.state = state
 
@@ -153,8 +197,10 @@ class ChannelDNS:
         Every ``every`` steps, :meth:`step` folds the fresh state into
         the accumulator under the ``stats`` timer section (see
         :mod:`repro.serving`).  ``stats=None`` builds a fresh
-        :class:`~repro.serving.StreamingStatistics`.  Returns the
-        attached accumulator.
+        :class:`~repro.serving.StreamingStatistics`.  On a decomposed run
+        this is collective: every rank attaches with the same ``every``
+        and holds its own partial sums, merged through the communicator
+        when read.  Returns the attached accumulator.
         """
         if stats is None:
             from repro.serving import StreamingStatistics
@@ -166,12 +212,13 @@ class ChannelDNS:
 
     def step(self) -> None:
         """Advance one timestep."""
-        if self.state is None:
-            raise RuntimeError("call initialize() first")
-        self.state = self.stepper.step(self.state)
+        # the stepper shares self.timers: ns_advance covers the implicit
+        # solves, nonlinear_products the whole dealiased evaluation, and a
+        # pencil layout adds its fft/transpose sections
+        self.state = self.stepper.step(self._require_state())
         self.step_count += 1
         if self.streaming is not None and self.step_count % self._streaming_every == 0:
-            with self.stepper.timers.section(self.stepper.timers.STATS):
+            with self.timers.section(self.timers.STATS):
                 self.streaming.sample(self.state)
         if self.recorder is not None:
             self.recorder.record_step(self)
@@ -185,56 +232,50 @@ class ChannelDNS:
         """Change the timestep (refactors the implicit banded systems)."""
         self.stepper.set_dt(dt)
 
-    def run(self, nsteps: int, sample_every: int = 0, callback=None, controllers=()) -> None:
-        """Advance ``nsteps``; optionally sample statistics every k steps.
+    def run(self, nsteps: int, callback=None, controllers=()) -> None:
+        """Advance ``nsteps``.
 
         ``controllers`` are callables applied after every step (e.g.
         :class:`~repro.core.control.CFLController`,
         :class:`~repro.core.control.MassFluxController`, or a
         :class:`~repro.core.health.HealthMonitor`, whose typed exceptions
-        propagate to the caller — the supervised run loop catches them).
+        propagate to the caller — the supervised run loop catches them;
+        its checks reduce globally, so every rank trips together), then
+        ``callback(dns)``.
         """
         for _ in range(nsteps):
             self.step()
             for ctrl in controllers:
                 ctrl(self)
-            if sample_every and self.step_count % sample_every == 0:
-                self.statistics.sample(self.state)
             if callback is not None:
                 callback(self)
 
     # ------------------------------------------------------------------
-    # diagnostics
+    # diagnostics (global: every rank of a decomposed run gets the same value)
     # ------------------------------------------------------------------
 
     def physical_velocity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) on the dealiased quadrature grid ``(nxq, nzq, ny)``."""
+        """(u, v, w) on (this rank's part of) the dealiased quadrature
+        grid ``(nxq, nzq, ny)``."""
         s = self._require_state()
-        ops = self.stepper.ops
-        up, vp, wp = self.backend.to_physical_many(
-            (ops.values(s.u), ops.values(s.v), ops.values(s.w))
-        )
-        return up, vp, wp
+        return self.stepper.nonlinear.physical_velocity(s.u, s.v, s.w)
 
     def divergence_norm(self) -> float:
         """Max collocated spectral divergence (machine-zero for this scheme)."""
         s = self._require_state()
-        div = divergence(self.grid.modes, self.stepper.ops, s.u, s.v, s.w)
-        return float(np.abs(div).max())
+        div = divergence(self.modes, self.stepper.ops, s.u, s.v, s.w)
+        return self._reduce(float(np.abs(div).max()), max)
 
     def kinetic_energy(self) -> float:
         """Volume-averaged kinetic energy (including the mean flow)."""
         s = self._require_state()
         ops = self.stepper.ops
-        g = self.grid
-        w2 = np.full((g.mx, g.mz), 2.0)
-        w2[0, :] = 1.0
-        e_y = np.zeros(g.ny)
+        e_y = np.zeros(self.grid.ny)
         for f in (s.u, s.v, s.w):
             vals = ops.values(f)
-            e_y += (np.abs(vals) ** 2 * w2[..., None]).sum(axis=(0, 1))
-        wq = g.basis.collocation_weights
-        return float(wq @ e_y) / 2.0 / 2.0  # /2 for KE, /2 for volume (Ly = 2)
+            e_y += (np.abs(vals) ** 2 * self.modes.parseval_weights).sum(axis=(0, 1))
+        wq = self.grid.basis.collocation_weights
+        return float(wq @ self._reduce(e_y)) / 2.0 / 2.0  # /2 for KE, /2 for volume (Ly = 2)
 
     def cfl_number(self) -> float:
         return self.stepper.cfl_number()
@@ -242,16 +283,19 @@ class ChannelDNS:
     def state_finite(self) -> bool:
         """True when every prognostic array is finite (watchdog hook)."""
         s = self._require_state()
-        for arr in (s.v, s.omega_y, s.u00, s.w00):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                return False
-        return True
+        local = all(
+            arr is None or np.all(np.isfinite(arr)) for arr in (s.v, s.omega_y, s.u00, s.w00)
+        )
+        return bool(self._reduce(int(local), min))
 
     def wall_shear_velocity(self) -> float:
         """Instantaneous friction velocity from the mean profile."""
         s = self._require_state()
-        d_lo, d_up = self.stepper.ops.wall_derivatives(s.u00)
-        return float(np.sqrt(self.config.nu * 0.5 * (abs(d_lo) + abs(d_up))))
+        local = 0.0  # the mean-owning block carries the profile
+        if self.modes.owns_mean:
+            d_lo, d_up = self.stepper.ops.wall_derivatives(s.u00)
+            local = float(np.sqrt(self.config.nu * 0.5 * (abs(d_lo) + abs(d_up))))
+        return self._reduce(local, max)
 
     def _require_state(self) -> ChannelState:
         if self.state is None:

@@ -1,10 +1,16 @@
-"""Running turbulence statistics (paper §6, Figs. 5-6).
+"""Plane-averaged statistics of one snapshot (paper §6, Figs. 5-6).
 
 The channel is statistically stationary and homogeneous in x and z, so
 statistics are averages over horizontal planes accumulated in time.  In
 spectral space a plane average of a quadratic quantity is a weighted sum
 over modes (Parseval): with the x reality condition, modes with
 ``kx > 0`` count twice.
+
+These are the *batch* helpers over a full serial-layout snapshot — the
+oracle of :mod:`repro.core.budget` and the tests.  Time averages inside
+a run come from :class:`repro.serving.StreamingStatistics`
+(``dns.attach_streaming()``), which applies the same weighting block by
+block.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.grid import ChannelGrid
-from repro.core.operators import WallNormalOps
-from repro.core.timestepper import ChannelState
 
 
 def mode_weights(grid: ChannelGrid) -> np.ndarray:
@@ -34,63 +38,3 @@ def plane_covariance(
     prod = np.real(f_vals * np.conj(g_vals)) * w
     prod[0, 0] = 0.0
     return prod.sum(axis=(0, 1))
-
-
-class RunningStatistics:
-    """Accumulates time-averaged profiles from DNS states."""
-
-    PROFILES = ("U", "uu", "vv", "ww", "uv")
-
-    def __init__(self, grid: ChannelGrid) -> None:
-        self.grid = grid
-        self.ops = WallNormalOps(grid)
-        self.nsamples = 0
-        self._sums = {name: np.zeros(grid.ny) for name in self.PROFILES}
-
-    def sample(self, state: ChannelState) -> None:
-        """Add one state snapshot to the time average."""
-        g, ops = self.grid, self.ops
-        u_vals = ops.values(state.u)
-        v_vals = ops.values(state.v)
-        w_vals = ops.values(state.w)
-        self._sums["U"] += u_vals[0, 0].real
-        self._sums["uu"] += plane_covariance(g, u_vals, u_vals)
-        self._sums["vv"] += plane_covariance(g, v_vals, v_vals)
-        self._sums["ww"] += plane_covariance(g, w_vals, w_vals)
-        self._sums["uv"] += plane_covariance(g, u_vals, v_vals)
-        self.nsamples += 1
-
-    # ------------------------------------------------------------------
-
-    def profile(self, name: str) -> np.ndarray:
-        """Time-averaged profile over the collocation points."""
-        if self.nsamples == 0:
-            raise RuntimeError("no samples accumulated")
-        return self._sums[name] / self.nsamples
-
-    def mean_velocity(self) -> np.ndarray:
-        return self.profile("U")
-
-    def reynolds_stress(self) -> np.ndarray:
-        """``-<u'v'>`` (positive in the lower half where production lives)."""
-        return -self.profile("uv")
-
-    def friction_velocity(self, nu: float) -> float:
-        """``u_tau = sqrt(nu |dU/dy|_wall)`` averaged over both walls."""
-        a = self.grid.basis.interpolate(self.mean_velocity())
-        d_lo, d_up = WallNormalOps(self.grid).wall_derivatives(a)
-        return float(np.sqrt(nu * 0.5 * (abs(d_lo) + abs(d_up))))
-
-    def wall_units(self, nu: float) -> tuple[np.ndarray, np.ndarray]:
-        """(y+, U+) of the lower half-channel, wall-distance ordered."""
-        u_tau = self.friction_velocity(nu)
-        y = self.grid.y
-        half = y <= 0.0
-        yplus = (1.0 + y[half]) * u_tau / nu
-        uplus = self.mean_velocity()[half] / u_tau
-        return yplus, uplus
-
-    def bulk_velocity(self) -> float:
-        """Volume-averaged streamwise velocity (mass flux / area / 2)."""
-        w = self.grid.basis.collocation_weights
-        return float(w @ self.mean_velocity()) / 2.0

@@ -140,22 +140,20 @@ class RunSupervisor:
         self.monitor = monitor
         self.policy = policy or SupervisorPolicy()
         self.controllers = tuple(controllers)
-        self.timers = timers if timers is not None else getattr(
-            dns, "timers", None
-        ) or dns.stepper.timers
+        self.timers = timers if timers is not None else dns.timers
         self.counters = counters or RecoveryCounters()
-        if getattr(rotation, "counters", None) is None:
+        if rotation.counters is None:
             rotation.counters = self.counters
         self.log: list[RecoveryEvent] = []
         self._sleep = sleep
         # jitter draws come from the run seed, so a job's retry schedule is
         # reproducible while co-scheduled jobs (different seeds) desynchronize
         self._jitter_rng = (
-            random.Random(getattr(getattr(dns, "config", None), "seed", 0))
+            random.Random(dns.config.seed)
             if self.policy.backoff_jitter > 0.0
             else None
         )
-        self.recorder = recorder if recorder is not None else getattr(dns, "recorder", None)
+        self.recorder = recorder if recorder is not None else dns.recorder
         if self.recorder is not None:
             self.recorder.set_recovery_counters(self.counters)
 

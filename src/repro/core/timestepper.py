@@ -103,7 +103,7 @@ class IMEXStepper:
         scheme: SMR91 | None = None,
         modes: ModeSet | None = None,
         backend=None,
-        reduce_max: Callable[[float], float] | None = None,
+        reduce_max: Callable[[tuple], tuple] | None = None,
         timers=None,
         fused_solves: bool = True,
     ) -> None:
@@ -258,12 +258,15 @@ class IMEXStepper:
         return total
 
     def cfl_number(self) -> float:
-        """Advective CFL of the last substep's velocity field (global max
-        when a ``reduce_max`` is wired in)."""
+        """Advective CFL of the last substep's velocity field.
+
+        The three component maxima pass through ``reduce_max`` (the
+        elementwise global max on a decomposed run) *before* they are
+        combined, so the value is the same whichever rank holds which
+        maximum."""
         g = self.grid
-        umax, vmax, wmax = self.last_cfl_speeds
+        umax, vmax, wmax = self.reduce_max(self.last_cfl_speeds)
         dx = g.lx / g.nxq
         dz = g.lz / g.nzq
         dy_min = float(np.diff(g.y).min())
-        local = umax / dx + vmax / dy_min + wmax / dz
-        return self.dt * self.reduce_max(local)
+        return self.dt * (umax / dx + vmax / dy_min + wmax / dz)

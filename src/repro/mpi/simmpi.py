@@ -363,13 +363,15 @@ class MessageStats:
 
     messages: int = 0
     bytes: int = 0
+    #: every member's rank thread records here, and ``+=`` is not atomic
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def record(self, payload: Any) -> None:
-        if isinstance(payload, (list, tuple)):
-            self.messages += len(payload)
-        else:
-            self.messages += 1
-        self.bytes += _payload_bytes(payload)
+        count = len(payload) if isinstance(payload, (list, tuple)) else 1
+        nbytes = _payload_bytes(payload)
+        with self._lock:
+            self.messages += count
+            self.bytes += nbytes
 
 
 def _payload_bytes(payload: Any) -> int:
@@ -542,6 +544,22 @@ class _Context:
             if key not in self.queues:
                 self.queues[key] = queue.Queue()
             return self.queues[key]
+
+    def take(self, src: int, dst: int, tag: Any, timeout: float | None = None) -> Any:
+        """Consume the single item of a sequence-tagged nonblocking
+        channel and drop the channel (raises :class:`queue.Empty` when
+        nothing arrived within ``timeout``; None: do not block).
+
+        Each ``("__nb__"|"__nback__", ..., seq)`` channel carries exactly
+        one payload or ack, so once that is consumed nobody will look the
+        channel up again — without the drop every exchange would leave
+        its queues behind for the life of the communicator.
+        """
+        q = self.queue_for(src, dst, tag)
+        item = q.get_nowait() if timeout is None else q.get(timeout=timeout)
+        with self.lock:
+            del self.queues[(src, dst, tag)]
+        return item
 
     def next_seq(self, rank: int, key: Any) -> int:
         seq = self._nb_seq[rank].get(key, 0)
@@ -716,9 +734,8 @@ class _AlltoallRequest(Request):
         me = self._comm.rank
         arrived = 0
         for src in tuple(self._missing):
-            q = ctx.queue_for(src, me, ("__nb__", self._op, self._seq))
             try:
-                self._got[src] = q.get_nowait()
+                self._got[src] = ctx.take(src, me, ("__nb__", self._op, self._seq))
             except queue.Empty:
                 continue
             self._missing.discard(src)
@@ -739,11 +756,10 @@ class _AlltoallRequest(Request):
             time.sleep(seconds)
             return
         src = next(iter(self._missing))
-        q = self._comm._ctx.queue_for(
-            src, self._comm.rank, ("__nb__", self._op, self._seq)
-        )
         try:
-            self._got[src] = q.get(timeout=seconds)
+            self._got[src] = self._comm._ctx.take(
+                src, self._comm.rank, ("__nb__", self._op, self._seq), timeout=seconds
+            )
             self._missing.discard(src)
         except queue.Empty:
             pass
@@ -772,9 +788,8 @@ class _AlltoallRequest(Request):
         while self._acks_missing:
             self._check_abort()
             for dst in tuple(self._acks_missing):
-                q = ctx.queue_for(dst, comm.rank, ("__nback__", self._op, self._seq))
                 try:
-                    q.get_nowait()
+                    ctx.take(dst, comm.rank, ("__nback__", self._op, self._seq))
                     self._acks_missing.discard(dst)
                 except queue.Empty:
                     pass
@@ -783,9 +798,13 @@ class _AlltoallRequest(Request):
             if time.monotonic() >= deadline:
                 raise self._timeout_fail(timeout)
             dst = next(iter(self._acks_missing))
-            q = ctx.queue_for(dst, comm.rank, ("__nback__", self._op, self._seq))
             try:
-                q.get(timeout=min(_POLL_S, max(deadline - time.monotonic(), 0.0)))
+                ctx.take(
+                    dst,
+                    comm.rank,
+                    ("__nback__", self._op, self._seq),
+                    timeout=min(_POLL_S, max(deadline - time.monotonic(), 0.0)),
+                )
                 self._acks_missing.discard(dst)
             except queue.Empty:
                 pass
@@ -810,14 +829,16 @@ class _SendRequest(Request):
             return
         if timeout is None:
             timeout = ctx.domain.timeout
-        q = ctx.queue_for(
-            self._dest, comm.rank, ("__nback__", "p2p", self._tag, self._seq)
-        )
         deadline = time.monotonic() + timeout
         while True:
             self._check_abort()
             try:
-                q.get(timeout=min(_POLL_S, max(deadline - time.monotonic(), 0.0)))
+                ctx.take(
+                    self._dest,
+                    comm.rank,
+                    ("__nback__", "p2p", self._tag, self._seq),
+                    timeout=min(_POLL_S, max(deadline - time.monotonic(), 0.0)),
+                )
                 self._acked = True
                 return
             except queue.Empty:
@@ -841,12 +862,10 @@ class _RecvRequest(Request):
     def _progress(self) -> bool:
         if self._have:
             return True
-        ctx = self._comm._ctx
-        q = ctx.queue_for(
-            self._source, self._comm.rank, ("__nb__", "p2p", self._tag, self._seq)
-        )
         try:
-            self._entry = q.get_nowait()
+            self._entry = self._comm._ctx.take(
+                self._source, self._comm.rank, ("__nb__", "p2p", self._tag, self._seq)
+            )
             self._have = True
         except queue.Empty:
             pass
@@ -860,11 +879,13 @@ class _RecvRequest(Request):
         if self._have:
             time.sleep(seconds)
             return
-        q = self._comm._ctx.queue_for(
-            self._source, self._comm.rank, ("__nb__", "p2p", self._tag, self._seq)
-        )
         try:
-            self._entry = q.get(timeout=seconds)
+            self._entry = self._comm._ctx.take(
+                self._source,
+                self._comm.rank,
+                ("__nb__", "p2p", self._tag, self._seq),
+                timeout=seconds,
+            )
             self._have = True
         except queue.Empty:
             pass

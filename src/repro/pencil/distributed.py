@@ -17,19 +17,25 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.grid import ChannelGrid
-from repro.core.initial import perturbed_state
-from repro.core.solver import ChannelConfig
-from repro.core.timestepper import ChannelState, IMEXStepper
+from repro.core.solver import ChannelConfig, ChannelDNS
+from repro.core.timestepper import ChannelState
 from repro.core.velocity import recover_uw
 from repro.instrument import SectionTimers
 from repro.mpi.simmpi import Communicator
+from repro.pencil.decomp import block_range
 from repro.pencil.parallel_fft import PencilTransforms
 from repro.pencil.transpose import TransposeMethod
 
 
-class DistributedChannelDNS:
-    """Per-rank distributed DNS driver (construct inside an SPMD function).
+class DistributedChannelDNS(ChannelDNS):
+    """The pencil layout of :class:`~repro.core.solver.ChannelDNS`, one
+    per rank (construct inside an SPMD function).
+
+    The step loop, the diagnostics and the streaming hook are the base
+    driver's; this class holds only what a decomposed run has and a
+    serial one does not — the cartesian communicator and
+    :class:`PencilTransforms`, scatter/gather of full states, and the
+    sharded checkpoint entry points.
 
     Parameters
     ----------
@@ -68,57 +74,26 @@ class DistributedChannelDNS:
     ) -> None:
         if pa * pb != comm.size:
             raise ValueError(f"{pa} x {pb} != {comm.size} ranks")
-        self.comm = comm
-        self.config = config
-        self.timers = SectionTimers()
         self.cart = comm.cart_create((pa, pb))
-        self.grid = ChannelGrid(
-            config.nx,
-            config.ny,
-            config.nz,
-            lx=config.lx,
-            lz=config.lz,
-            degree=config.degree,
-            stretch=config.stretch,
-        )
-        self.transforms = PencilTransforms(
+        self._layout_args = (comm, method, wire_precision)
+        super().__init__(config, telemetry)
+
+    def _layout(self):
+        """The pencil layout: the world communicator, this rank's pencil
+        decomposition and the transposing transforms (collective)."""
+        comm, method, wire = self._layout_args
+        cfg = self.config
+        transforms = PencilTransforms(
             self.cart,
-            config.nx,
-            config.ny,
-            config.nz,
+            cfg.nx,
+            cfg.ny,
+            cfg.nz,
             dealias=True,
             method=method,
             timers=self.timers,
-            wire=wire_precision,
+            wire=wire,
         )
-        d = self.transforms.decomp
-        self.decomp = d
-        self.modes = self.grid.modes.slab(d.x_slice, d.z_spec_slice)
-        self.stepper = IMEXStepper(
-            self.grid,
-            nu=config.nu,
-            dt=config.dt,
-            forcing=config.forcing,
-            scheme=config.scheme,
-            modes=self.modes,
-            backend=self.transforms,
-            reduce_max=lambda x: self.comm.allreduce(x, op=max),
-            timers=self.timers,
-        )
-        self.state: ChannelState | None = None
-        self.step_count = 0
-        self.recorder = None
-        self.streaming = None
-        self._streaming_every = 0
-        if telemetry is not None:
-            from repro.telemetry import RunRecorder
-
-            rec = (
-                telemetry
-                if isinstance(telemetry, RunRecorder)
-                else RunRecorder(telemetry, rank=comm.rank, nranks=comm.size)
-            )
-            rec.attach(self)
+        return comm, transforms.decomp, transforms
 
     # ------------------------------------------------------------------
 
@@ -134,77 +109,9 @@ class DistributedChannelDNS:
             time=full.time,
         )
 
-    def initialize(self, full_state: ChannelState | None = None) -> None:
-        """Scatter an initial condition (default: the seeded perturbed state,
-        generated identically on every rank)."""
-        if full_state is None:
-            cfg = self.config
-            full_state = perturbed_state(
-                self.grid,
-                nu=cfg.nu,
-                amplitude=cfg.init_amplitude,
-                modes=cfg.init_modes,
-                seed=cfg.seed,
-                base=cfg.init_base,
-                forcing=cfg.forcing,
-            )
-        state = self.scatter_state(full_state)
-        state.u, state.w = recover_uw(
-            self.modes, self.stepper.ops, state.v, state.omega_y, state.u00, state.w00
-        )
-        self.state = state
-
-    def attach_streaming(self, stats=None, *, every: int = 1):
-        """Attach a streaming-statistics accumulator (collective: every
-        rank must attach with the same ``every`` — sampling reduces).
-
-        See :meth:`repro.core.solver.ChannelDNS.attach_streaming`; here
-        the accumulator holds this rank's partial sums, merged through
-        the communicator on publish/checkpoint.  Returns the accumulator.
-        """
-        if stats is None:
-            from repro.serving import StreamingStatistics
-
-            stats = StreamingStatistics(self)
-        self.streaming = stats
-        self._streaming_every = max(1, int(every))
-        return stats
-
-    def step(self) -> None:
-        if self.state is None:
-            raise RuntimeError("call initialize() first")
-        # the stepper shares self.timers: ns_advance covers the implicit
-        # solves, fft/transpose come from the pencil pipeline, and
-        # nonlinear_products spans the whole dealiased evaluation
-        self.state = self.stepper.step(self.state)
-        self.step_count += 1
-        if self.streaming is not None and self.step_count % self._streaming_every == 0:
-            with self.timers.section(self.timers.STATS):
-                self.streaming.sample(self.state)
-        if self.recorder is not None:
-            self.recorder.record_step(self)
-
-    def finalize_telemetry(self) -> None:
-        """Close the attached recorder (summary record + final trace)."""
-        if self.recorder is not None:
-            self.recorder.close()
-
-    def run(self, nsteps: int, controllers=()) -> None:
-        """Advance ``nsteps``; ``controllers`` follow the serial protocol
-        (e.g. a :class:`~repro.core.health.HealthMonitor` — its checks
-        reduce globally, so every rank trips together)."""
-        for _ in range(nsteps):
-            self.step()
-            for ctrl in controllers:
-                ctrl(self)
-
-    # ------------------------------------------------------------------
-
     def gather_state(self) -> ChannelState | None:
         """Reassemble the full state on world rank 0 (None elsewhere)."""
-        s = self.state
-        if s is None:
-            raise RuntimeError("call initialize() first")
+        s = self._require_state()
         pieces = self.comm.gather(
             (self.decomp.a, self.decomp.b, s.v, s.omega_y, s.u00, s.w00)
         )
@@ -214,8 +121,6 @@ class DistributedChannelDNS:
         full_v = np.zeros(g.spectral_shape, complex)
         full_o = np.zeros(g.spectral_shape, complex)
         u00 = w00 = None
-        from repro.pencil.decomp import block_range
-
         for a, b, v, o, pu, pw in pieces:
             xs = slice(*block_range(self.transforms.mx, self.transforms.pa, a))
             zs = slice(*block_range(self.transforms.mz, self.transforms.pb, b))
@@ -224,40 +129,8 @@ class DistributedChannelDNS:
             if pu is not None:
                 u00, w00 = pu, pw
         full = ChannelState(v=full_v, omega_y=full_o, u00=u00, w00=w00, time=s.time)
-        ops = self.stepper.ops
-        full.u, full.w = recover_uw(g.modes, ops, full.v, full.omega_y, u00, w00)
+        full.u, full.w = recover_uw(g.modes, self.stepper.ops, full.v, full.omega_y, u00, w00)
         return full
-
-    def divergence_norm(self) -> float:
-        """Global max collocated divergence."""
-        from repro.core.velocity import divergence
-
-        s = self.state
-        if s is None:
-            raise RuntimeError("call initialize() first")
-        local = float(
-            np.abs(divergence(self.modes, self.stepper.ops, s.u, s.v, s.w)).max()
-        )
-        return self.comm.allreduce(local, op=max)
-
-    def cfl_number(self) -> float:
-        return self.stepper.cfl_number()
-
-    def set_dt(self, dt: float) -> None:
-        """Change the timestep (refactors the implicit banded systems)."""
-        self.stepper.set_dt(dt)
-
-    def state_finite(self) -> bool:
-        """Global finiteness of the prognostic arrays (watchdog hook)."""
-        s = self.state
-        if s is None:
-            raise RuntimeError("call initialize() first")
-        local = True
-        for arr in (s.v, s.omega_y, s.u00, s.w00):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                local = False
-                break
-        return bool(self.comm.allreduce(int(local), op=min))
 
     # ------------------------------------------------------------------
     # sharded checkpointing
@@ -534,6 +407,18 @@ def run_supervised_spmd(
     cur_n, cur_pa, cur_pb = nranks, pa, pb
     attempt = 0
     restarts_used = 0
+
+    def _event(kind: str, step: int, detail: str, info: dict, in_log: bool = True) -> None:
+        """One decision of this loop: into the job-level telemetry stream
+        and — unless it ends the job (complete / giving up) — the
+        returned recovery log."""
+        if in_log:
+            log.append(
+                RecoveryEvent(step=step, kind=kind, detail=detail, attempt=attempt, info=info)
+            )
+        if job_rec is not None:
+            job_rec.record_event(kind, step=step, detail=detail, attempt=attempt, info=info)
+
     try:
         while True:
             plan = fault_plans[attempt] if attempt < len(fault_plans) else None
@@ -546,14 +431,13 @@ def run_supervised_spmd(
                     elastic=elastic,
                     integrity=integrity,
                 )
-                if job_rec is not None:
-                    job_rec.record_event(
-                        "complete",
-                        step=n_steps,
-                        detail=f"finished on {cur_n} ranks ({cur_pa}x{cur_pb})",
-                        attempt=attempt,
-                        info={"ranks": cur_n, "restarts": restarts_used},
-                    )
+                _event(
+                    "complete",
+                    n_steps,
+                    f"finished on {cur_n} ranks ({cur_pa}x{cur_pb})",
+                    {"ranks": cur_n, "restarts": restarts_used},
+                    in_log=False,
+                )
                 return results[0], log
             except ShrinkRequired as exc:
                 nsurv = len(exc.survivors)
@@ -562,121 +446,71 @@ def run_supervised_spmd(
                 if on_shrink is not None:
                     on_shrink(exc.dead, exc.survivors)
                 if nsurv < min_ranks:
-                    if job_rec is not None:
-                        job_rec.record_event(
-                            "giving_up",
-                            step=-1,
-                            detail=f"{nsurv} survivors < min_ranks={min_ranks}",
-                            attempt=attempt,
-                            info={"ranks": nsurv},
-                        )
+                    _event(
+                        "giving_up",
+                        -1,
+                        f"{nsurv} survivors < min_ranks={min_ranks}",
+                        {"ranks": nsurv},
+                        in_log=False,
+                    )
                     raise
                 with timers.section(SectionTimers.ELASTIC):
                     new_pa, new_pb = choose_grid(nsurv, mx, mz, config.ny)
-                detail = (
-                    f"{exc}; re-planned {cur_pa}x{cur_pb} -> "
-                    f"{new_pa}x{new_pb} on {nsurv} ranks"
+                _event(
+                    "shrink",
+                    -1,
+                    f"{exc}; re-planned {cur_pa}x{cur_pb} -> {new_pa}x{new_pb} on {nsurv} ranks",
+                    {"ranks": nsurv, "pa": new_pa, "pb": new_pb},
                 )
-                log.append(
-                    RecoveryEvent(
-                        step=-1,
-                        kind="shrink",
-                        detail=detail,
-                        attempt=attempt,
-                        info={"ranks": nsurv, "pa": new_pa, "pb": new_pb},
-                    )
-                )
-                if job_rec is not None:
-                    job_rec.record_event(
-                        "shrink",
-                        step=-1,
-                        detail=detail,
-                        attempt=attempt,
-                        info={"ranks": nsurv, "pa": new_pa, "pb": new_pb},
-                    )
                 if counters is not None:
                     counters.shrinks += 1
                 cur_n, cur_pa, cur_pb = nsurv, new_pa, new_pb
                 attempt += 1
             except GrowRequired as exc:
                 with timers.section(SectionTimers.ELASTIC):
+                    # a concurrent job may have won the free ranks between
+                    # probe and commit: then resume at the current size, no event
                     claimed = grow_source.claim(exc.ranks - cur_n)
                     if claimed:
                         new_n = exc.ranks
                         new_pa, new_pb = choose_grid(new_n, mx, mz, config.ny)
-                    else:
-                        # a concurrent job won the free ranks between probe
-                        # and commit: resume at the current size, no event
-                        new_n, new_pa, new_pb = cur_n, cur_pa, cur_pb
                 if claimed:
-                    detail = (
-                        f"{exc}; re-planned {cur_pa}x{cur_pb} -> "
-                        f"{new_pa}x{new_pb} on {new_n} ranks"
+                    _event(
+                        "grow",
+                        -1,
+                        f"{exc}; re-planned {cur_pa}x{cur_pb} -> {new_pa}x{new_pb} "
+                        f"on {new_n} ranks",
+                        {"ranks": new_n, "pa": new_pa, "pb": new_pb},
                     )
-                    log.append(
-                        RecoveryEvent(
-                            step=-1,
-                            kind="grow",
-                            detail=detail,
-                            attempt=attempt,
-                            info={"ranks": new_n, "pa": new_pa, "pb": new_pb},
-                        )
-                    )
-                    if job_rec is not None:
-                        job_rec.record_event(
-                            "grow",
-                            step=-1,
-                            detail=detail,
-                            attempt=attempt,
-                            info={"ranks": new_n, "pa": new_pa, "pb": new_pb},
-                        )
                     if counters is not None:
                         counters.grows += 1
-                cur_n, cur_pa, cur_pb = new_n, new_pa, new_pb
+                    cur_n, cur_pa, cur_pb = new_n, new_pa, new_pb
                 attempt += 1
             except PreemptRequired as exc:
-                detail = f"PreemptRequired: {exc}"
-                log.append(
-                    RecoveryEvent(
-                        step=exc.step, kind="preempted", detail=detail, attempt=attempt
-                    )
+                _event(
+                    "preempted",
+                    exc.step,
+                    f"PreemptRequired: {exc}",
+                    {"ranks": cur_n, "reason": exc.reason},
                 )
-                if job_rec is not None:
-                    job_rec.record_event(
-                        "preempted",
-                        step=exc.step,
-                        detail=detail,
-                        attempt=attempt,
-                        info={"ranks": cur_n, "reason": exc.reason},
-                    )
                 raise
             except (SimMPIError, RankFailure, HealthCheckError) as exc:
                 step = getattr(exc, "step", None) or -1
                 detail = f"{type(exc).__name__}: {exc}"
-                log.append(
-                    RecoveryEvent(step=step, kind="restart", detail=detail, attempt=attempt)
-                )
                 if counters is not None:
                     counters.restarts += 1
                 restarts_used += 1
+                info = {"restarts": restarts_used, "max_restarts": max_restarts}
                 if restarts_used > max_restarts:
-                    if job_rec is not None:
-                        job_rec.record_event(
-                            "giving_up",
-                            step=step,
-                            detail=f"restart budget exhausted after {detail}",
-                            attempt=attempt,
-                            info={"restarts": restarts_used, "max_restarts": max_restarts},
-                        )
-                    raise
-                if job_rec is not None:
-                    job_rec.record_event(
-                        "restart",
-                        step=step,
-                        detail=detail,
-                        attempt=attempt,
-                        info={"restarts": restarts_used, "max_restarts": max_restarts},
+                    _event(
+                        "giving_up",
+                        step,
+                        f"restart budget exhausted after {detail}",
+                        info,
+                        in_log=False,
                     )
+                    raise
+                _event("restart", step, detail, info)
                 attempt += 1
     finally:
         if job_rec is not None:

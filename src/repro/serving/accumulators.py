@@ -4,8 +4,9 @@ The paper's deliverable is statistics — the law-of-wall profile
 (Fig. 5), the velocity variances and Reynolds shear stress (Fig. 6) and
 the 1-D energy spectra (Fig. 9) — but the batch helpers in
 :mod:`repro.stats` and :mod:`repro.core.statistics` need the full
-snapshot in hand.  :class:`StreamingStatistics` computes the same
-quantities in a single pass *during* the run:
+snapshot in hand.  :class:`StreamingStatistics` — the repo's only
+accumulator — computes the same quantities in a single pass *during*
+the run:
 
 * **Single-pass accumulation** — per y-plane sums of the mean profile,
   the velocity covariances (``uu``, ``vv``, ``ww``, ``uv``) and the
@@ -63,18 +64,17 @@ def sidecar_name(step: int | None = None) -> str:
 class StreamingStatistics:
     """Single-pass statistics accumulator for a (possibly distributed) DNS.
 
-    Works against any driver exposing ``grid``, ``stepper.ops`` and a
-    state — the serial :class:`~repro.core.solver.ChannelDNS` and the
-    per-rank :class:`~repro.pencil.distributed.DistributedChannelDNS`
-    both qualify.  In distributed runs every rank must construct one
-    (the merge is collective).
+    Works against a :class:`~repro.core.solver.ChannelDNS` in any
+    layout: it accumulates over ``dns.modes`` and merges through
+    ``dns.comm`` (no merge traffic when that is None).  In decomposed
+    runs every rank must construct one — every read is collective.
 
     Accumulated quantities, all per y collocation plane:
 
     * ``U`` — mean streamwise velocity profile,
     * ``uu``/``vv``/``ww``/``uv`` — velocity covariances (fluctuations,
-      mean mode excluded), identical weighting to
-      :class:`~repro.core.statistics.RunningStatistics`,
+      mean mode excluded), the Parseval weighting of
+      :func:`~repro.core.statistics.plane_covariance`,
     * ``spec_x[c]`` — streamwise 1-D energy spectra ``E_c(kx, y)`` for
       ``c`` in ``u, v, w`` (reality factor applied at merge time),
     * ``spec_z[c]`` — spanwise spectra, accumulated signed over ``kz``
@@ -88,12 +88,12 @@ class StreamingStatistics:
 
     def __init__(self, dns) -> None:
         self.dns = dns
-        self.comm = getattr(dns, "comm", None)
+        self.comm = dns.comm
         self.grid = dns.grid
-        self.modes = getattr(dns, "modes", None) or dns.grid.modes
+        self.modes = dns.modes
         self.counters = StatsCounters()
         g = self.grid
-        decomp = getattr(dns, "decomp", None)
+        decomp = dns.decomp
         #: global index offsets of this rank's (kx, kz) block
         self._x0 = decomp.x_slice.start if decomp is not None else 0
         self._z0 = decomp.z_spec_slice.start if decomp is not None else 0
@@ -105,10 +105,7 @@ class StreamingStatistics:
         #: restored merged sums (present only on the mean-owning rank so
         #: the reduction counts them exactly once)
         self._base: np.ndarray | None = None
-        # Parseval weights of this rank's block: kx > 0 counts twice
-        w = np.full(self.modes.shape, 2.0)
-        w[self.modes.kx == 0.0, :] = 1.0
-        self._weights = w[..., None]
+        self._weights = self.modes.parseval_weights
 
     # ------------------------------------------------------------------
     # accumulation
@@ -166,6 +163,14 @@ class StreamingStatistics:
             packed = packed + self._base
         return packed
 
+    def _merged_packed(self) -> np.ndarray:
+        """The packed global sums: one allreduce (none when serial)."""
+        packed = self._pack()
+        if self.comm is not None:
+            packed = self.comm.allreduce(packed)
+        self.counters.merges += 1
+        return packed
+
     def _unpack(self, packed: np.ndarray) -> dict[str, np.ndarray]:
         g = self.grid
         out: dict[str, np.ndarray] = {}
@@ -195,11 +200,7 @@ class StreamingStatistics:
         """
         if self.total_samples == 0:
             raise RuntimeError("no samples accumulated")
-        packed = self._pack()
-        if self.comm is not None:
-            packed = self.comm.allreduce(packed)
-        self.counters.merges += 1
-        return self._unpack(packed)
+        return self._unpack(self._merged_packed())
 
     def result(self) -> dict:
         """Time-averaged global statistics, ready to publish (collective).
@@ -241,6 +242,39 @@ class StreamingStatistics:
         return float(np.sqrt(nu * 0.5 * (abs(d_lo) + abs(d_up))))
 
     # ------------------------------------------------------------------
+    # profile reads (each one merge — collective on a decomposed run)
+    # ------------------------------------------------------------------
+
+    def profile(self, name: str) -> np.ndarray:
+        """Time-averaged global profile over the collocation points."""
+        return self.merged()[name] / self.total_samples
+
+    def mean_velocity(self) -> np.ndarray:
+        return self.profile("U")
+
+    def reynolds_stress(self) -> np.ndarray:
+        """``-<u'v'>`` (positive in the lower half where production lives)."""
+        return -self.profile("uv")
+
+    def friction_velocity(self) -> float:
+        """Measured ``u_tau`` of the time-averaged mean profile."""
+        return self._friction_velocity(self.mean_velocity())
+
+    def wall_units(self) -> tuple[np.ndarray, np.ndarray]:
+        """(y+, U+) of the lower half-channel, wall-distance ordered."""
+        nu = self.dns.config.nu
+        mean = self.mean_velocity()
+        u_tau = self._friction_velocity(mean)
+        y = self.grid.y
+        half = y <= 0.0
+        return (1.0 + y[half]) * u_tau / nu, mean[half] / u_tau
+
+    def bulk_velocity(self) -> float:
+        """Volume-averaged streamwise velocity (mass flux / area / 2)."""
+        w = self.grid.basis.collocation_weights
+        return float(w @ self.mean_velocity()) / 2.0
+
+    # ------------------------------------------------------------------
     # checkpoint sidecar (resumability)
     # ------------------------------------------------------------------
 
@@ -257,10 +291,7 @@ class StreamingStatistics:
 
         if self.total_samples == 0:
             return None
-        packed = self._pack()
-        if self.comm is not None:
-            packed = self.comm.allreduce(packed)
-        self.counters.merges += 1
+        packed = self._merged_packed()
         if self.comm is not None and self.comm.rank != 0:
             return None
         path = pathlib.Path(directory) / sidecar_name(step)

@@ -7,7 +7,7 @@ law-of-wall profiles, velocity variances, 1-D energy spectra — at
 * **y+ interpolation** — responses are linearly interpolated onto the
   requested wall coordinates from the stored lower-half-channel profile
   (``y+ = (1 + y) u_tau / nu`` for ``y <= 0``, matching
-  :meth:`repro.core.statistics.RunningStatistics.wall_units`).
+  :meth:`repro.serving.StreamingStatistics.wall_units`).
 * **Re_tau interpolation** — profile queries between two stored Re_tau
   interpolate linearly in ``log(Re_tau)`` between the bracketing
   entries; spectra (whose wavenumber grids differ across runs) answer
@@ -16,8 +16,8 @@ law-of-wall profiles, velocity variances, 1-D energy spectra — at
   full query tuple, and loaded store files in a second small LRU, both
   with hit/miss counters (:meth:`StatisticsService.cache_info`).  A warm
   cache answers from memory with no disk I/O — the ≥10x cold-vs-warm
-  ratio is measured by ``benchmarks/bench_stats_service.py`` and gated
-  as ``stats_query_32`` in ``benchmarks/results/baselines.json``.
+  ratio is measured by ``benchmarks/bench_stats_service.py``; the
+  ``stats_serving`` workload of ``benchmarks/e2e`` gates the read path.
 
 Every response field is documented in ``docs/statistics_service.md``,
 enforced against :data:`QUERY_FIELDS` by ``tests/serving/test_docs.py``.

@@ -1,4 +1,4 @@
-"""Unified run observability: structured records, traces, perf baselines.
+"""Unified run observability: structured records, traces, reports.
 
 The paper tells its whole optimisation story through measurements
 (Tables 2-4, 7-10); this package turns the repo's in-process
@@ -13,11 +13,10 @@ artefacts:
   ``trace_event`` export, fed automatically by every
   :class:`~repro.instrument.SectionTimers`;
 * :mod:`repro.telemetry.report` — Table-9/10-style breakdowns
-  regenerated from a recorded stream;
-* :mod:`repro.telemetry.baseline` — the perf-regression harness behind
-  ``scripts/check_perf.py``.
+  regenerated from a recorded stream.
 
-Operator's guide: ``docs/observability.md``.  Design: DESIGN.md §6f.
+Performance is gated from outside the package, by the end-to-end
+benchmark in ``benchmarks/e2e`` (the only gate).  Operator's guide: ``docs/observability.md``.  Design: DESIGN.md §6f.
 """
 
 from repro.telemetry.manifest import build_manifest, read_manifest, write_manifest

@@ -169,20 +169,17 @@ class RunRecorder:
         """
         self._dns = dns
         dns.recorder = self
-        self._timers = getattr(dns, "timers", None) or dns.stepper.timers
-        backend = getattr(dns, "backend", None) or getattr(dns, "transforms", None)
-        self._transforms = getattr(backend, "counters", None)
-        self._overlap = getattr(backend, "overlap_counters", None)
-        self._precision = getattr(backend, "precision_counters", None)
-        self._solve_fn = getattr(dns.stepper, "solve_counters", None)
-        comm = getattr(dns, "comm", None)
-        self._mpi_stats = getattr(comm, "stats", None)
-        grid = None
-        if comm is not None:
-            d = getattr(dns, "decomp", None)
-            if d is not None:
-                grid = (getattr(dns.transforms, "pa", 0), getattr(dns.transforms, "pb", 0))
-        self.open(config=getattr(dns, "config", None), grid=grid)
+        self._timers = dns.timers
+        # the two transform layers account different things: the serial
+        # pipeline its planned FFTs, the pencil one overlap / wire precision
+        transforms = dns.transforms
+        self._transforms = getattr(transforms, "counters", None)
+        self._overlap = getattr(transforms, "overlap_counters", None)
+        self._precision = getattr(transforms, "precision_counters", None)
+        self._solve_fn = dns.stepper.solve_counters
+        self._mpi_stats = None if dns.comm is None else dns.comm.stats
+        grid = None if dns.decomp is None else (dns.decomp.pa, dns.decomp.pb)
+        self.open(config=dns.config, grid=grid)
         if self.config.trace and self.trace is None:
             self.trace = TraceWriter(
                 pid=max(self.rank, 0),
@@ -229,7 +226,7 @@ class RunRecorder:
             self._baseline_counts("overlap", self._overlap.snapshot())
         if self._precision is not None:
             self._baseline_counts("precision", self._precision.snapshot())
-        streaming = getattr(self._dns, "streaming", None)
+        streaming = self._dns.streaming
         if streaming is not None:
             self._baseline_counts("stats", streaming.counters.snapshot())
 
@@ -304,7 +301,7 @@ class RunRecorder:
             rec["precision"] = self._count_deltas("precision", self._precision.snapshot())
         # late-bound on purpose: streaming statistics may be attached after
         # telemetry (attach_streaming has no ordering contract with attach)
-        streaming = getattr(dns, "streaming", None)
+        streaming = dns.streaming
         if streaming is not None:
             rec["stats"] = self._count_deltas("stats", streaming.counters.snapshot())
         self._write(rec)

@@ -120,6 +120,28 @@ class TestRoundTrip:
             load_checkpoint(ckpt_path)
 
 
+    def test_v1_layout_is_no_longer_read(self, ckpt_path):
+        """A legacy v1 file (bare savez: no manifest, no checksums) is
+        refused with the supported lineage named, not adapted."""
+        dns = ChannelDNS(CFG)
+        dns.initialize()
+        s = dns.state
+        np.savez_compressed(
+            ckpt_path,
+            format_version=1,
+            config_json=json.dumps({"nx": CFG.nx, "ny": CFG.ny, "nz": CFG.nz}),
+            time=0.0,
+            step_count=0,
+            v=s.v,
+            omega_y=s.omega_y,
+            u00=s.u00,
+            w00=s.w00,
+        )
+        assert FORMAT_HISTORY == (2,)
+        with pytest.raises(ValueError, match=r"unsupported checkpoint format 1.*\(2,\)"):
+            load_checkpoint(ckpt_path)
+
+
 class TestSuffixHandling:
     """Paths with or without ``.npz`` must agree between save and load."""
 

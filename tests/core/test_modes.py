@@ -47,6 +47,17 @@ class TestSlabs:
             np.concatenate([top.ksq, bottom.ksq], axis=0), full.ksq
         )
 
+    def test_parseval_weights_tile_the_batch_oracle(self, small_grid):
+        """Block weights (kx > 0 counts twice) tile ``mode_weights``."""
+        from repro.core.statistics import mode_weights
+
+        full = small_grid.modes
+        top = full.slab(slice(0, 4), slice(None))
+        bottom = full.slab(slice(4, None), slice(None))
+        tiled = np.concatenate([top.parseval_weights, bottom.parseval_weights], axis=0)
+        np.testing.assert_array_equal(tiled[..., 0], mode_weights(small_grid))
+        assert np.all(bottom.parseval_weights == 2.0)
+
     def test_negative_kz_mean_detection(self):
         """A slab containing kz=0 but kx only > 0 does not own the mean."""
         g = ChannelGrid(nx=16, ny=12, nz=16)

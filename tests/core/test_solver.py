@@ -73,3 +73,33 @@ class TestDiagnostics:
         dns.run(2)
         assert np.isfinite(dns.kinetic_energy())
         assert dns.kinetic_energy() < 10 * e0 + 10
+
+
+class TestSerialLayout:
+    def test_serial_run_constructs_no_communicator(self, tmp_path, monkeypatch):
+        """Serial is the layout *without* a communicator: the whole public
+        loop — telemetry, streaming statistics, watchdog, checkpoint
+        round trip, supervisor — must never build one."""
+        from repro.core import HealthMonitor, RunSupervisor
+        from repro.core.checkpoint import CheckpointRotation
+        from repro.mpi.simmpi import Communicator
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a serial run constructed a Communicator")
+
+        monkeypatch.setattr(Communicator, "__init__", refuse)
+        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.4, seed=6)
+        dns = ChannelDNS(cfg, telemetry=tmp_path / "tel")
+        assert dns.comm is None and dns.decomp is None
+        assert dns.modes is dns.grid.modes
+        dns.initialize()
+        stats = dns.attach_streaming(every=1)
+        dns.run(2, controllers=[HealthMonitor()])
+        rotation = CheckpointRotation(tmp_path / "ckpt")
+        dns = RunSupervisor(dns, rotation, monitor=HealthMonitor()).run(2)
+        assert dns.step_count == 4 and stats.total_samples == 4
+        assert np.isfinite([dns.kinetic_energy(), dns.wall_shear_velocity()]).all()
+        assert stats.bulk_velocity() > 0.0
+        restored = rotation.load_latest(cfg)
+        assert restored.comm is None and restored.step_count == 4
+        dns.finalize_telemetry()

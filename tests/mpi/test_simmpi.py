@@ -340,6 +340,31 @@ class TestInstrumentation:
         assert msgs == 4 * 3  # off-diagonal chunks only
         assert byts == 4 * 3 * 10 * 8
 
+    def test_accounting_is_exact_under_concurrent_records(self):
+        """All rank threads record into one shared MessageStats; the
+        totals are compared for equality elsewhere, so no update may be
+        lost: 4 ranks x 500 alltoalls give the closed form, every time."""
+        rounds = 500
+
+        def prog(comm):
+            chunks = [np.zeros(1)] * comm.size
+            for _ in range(rounds):
+                comm.alltoall(chunks)
+            comm.barrier()
+            return comm.stats.messages, comm.stats.bytes
+
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches inside record()
+        try:
+            for _ in range(10):
+                for msgs, byts in run_spmd(4, prog):
+                    assert msgs == rounds * 4 * 3
+                    assert byts == rounds * 4 * 3 * 8
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_timeout_guard(self):
         def prog(comm):
             if comm.rank == 0:

@@ -197,6 +197,34 @@ class TestPipelinedKernel:
         assert all(run_spmd(4, prog))
 
 
+    def test_pipelined_cycles_leak_no_queues(self):
+        """Every nonblocking exchange uses fresh sequence-tagged channels;
+        each is dropped once its payload and ack are consumed, so the
+        contexts hold the same number of queues after 5 cycles as after 200."""
+        grid = ChannelGrid(NX, NY, NZ)
+        spec = make_spectral(grid, seed=3)
+
+        def prog(comm):
+            cart = comm.cart_create((2, 2))
+            tr = PencilTransforms(
+                cart, NX, NY, NZ, dealias=False, method=TransposeMethod.PIPELINED
+            )
+            d = tr.decomp
+            local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
+            contexts = [c._ctx for c in (comm, cart, tr.comm_a, tr.comm_b)]
+            counts = []
+            for ncycles in (5, 195):
+                for _ in range(ncycles):
+                    tr.fft_cycle(local)
+                comm.barrier()  # every rank drained its payloads and acks
+                counts.append([len(ctx.queues) for ctx in contexts])
+                comm.barrier()
+            return counts
+
+        for after_5, after_200 in run_spmd(4, prog):
+            assert after_5 == after_200
+
+
 class TestP3DFFTBaseline:
     def test_cycle_identity_with_nyquist_kept(self):
         grid = ChannelGrid(NX, NY, NZ)

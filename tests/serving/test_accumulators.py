@@ -1,11 +1,13 @@
-"""Streaming-vs-batch statistics identity, including restart and shrink.
+"""The one statistics accumulator: batch oracle, reads, restart and shrink.
 
 The acceptance property of the streaming accumulator: a streamed run's
 profiles and spectra match the batch ``stats/`` functions — bit-for-bit
 in serial (identical operations in identical order), and to the
 documented :data:`repro.serving.REDUCTION_RTOL` across ranks (the
 allreduce regroups the floating-point sums) — and the match survives a
-mid-run kill/restart and an elastic shrink with no samples lost.
+mid-run kill/restart and an elastic shrink with no samples lost.  The
+batch oracle itself (``mode_weights`` / ``plane_covariance``) and the
+profile read helpers are pinned here too.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from repro.core import ChannelConfig, ChannelDNS
 from repro.core.checkpoint import CheckpointRotation
+from repro.core.statistics import mode_weights, plane_covariance
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
 from repro.serving import REDUCTION_RTOL, StatsStore, StreamingStatistics
@@ -37,22 +40,53 @@ def _assert_matches(result: dict, ref: dict, rtol: float, names=None):
         )
 
 
+class TestBatchOracle:
+    def test_kx0_counts_once(self, small_grid):
+        w = mode_weights(small_grid)
+        assert np.all(w[0, :] == 1.0)
+        assert np.all(w[1:, :] == 2.0)
+
+    def test_covariance_matches_physical_average(self, small_grid, rng):
+        """Spectral covariance equals the physical plane average (Parseval)."""
+        from tests.core.test_transforms import random_spectral
+        from repro.core.transforms import to_quadrature_grid
+
+        g = small_grid
+        f = random_spectral(g, rng)
+        cov = plane_covariance(g, f, f)
+        phys = to_quadrature_grid(f, g)
+        mean = phys.mean(axis=(0, 1))
+        expected = (phys**2).mean(axis=(0, 1)) - mean**2
+        np.testing.assert_allclose(cov, expected, rtol=1e-8, atol=1e-12)
+
+
 class TestSerialIdentity:
-    def test_profiles_bit_identical_to_running_statistics(self):
-        """Streamed profiles == the batch accumulator, bit for bit: both
-        sum the same per-plane weighted products in the same order."""
-        dns, stream = _serial_reference(4)
-        batch = ChannelDNS(CFG)
-        batch.initialize()
-        batch.run(4, sample_every=1)
+    def test_profiles_bit_identical_to_batch_oracle(self):
+        """Streamed profiles == per-snapshot ``plane_covariance`` sums, bit
+        for bit: both sum the same per-plane weighted products in the
+        same order."""
+        dns = ChannelDNS(CFG)
+        dns.initialize()
+        stream = dns.attach_streaming(every=1)
+        batch = {name: np.zeros(CFG.ny) for name in stream.PROFILES}
+
+        def accumulate(d):
+            g, ops, s = d.grid, d.stepper.ops, d.state
+            u, v, w = ops.values(s.u), ops.values(s.v), ops.values(s.w)
+            batch["U"] += u[0, 0].real
+            batch["uu"] += plane_covariance(g, u, u)
+            batch["vv"] += plane_covariance(g, v, v)
+            batch["ww"] += plane_covariance(g, w, w)
+            batch["uv"] += plane_covariance(g, u, v)
+
+        dns.run(4, callback=accumulate)
         res = stream.result()
         for name in ("uu", "vv", "ww", "uv"):
-            np.testing.assert_array_equal(res[name], batch.statistics.profile(name))
+            np.testing.assert_array_equal(res[name], batch[name] / 4)
+            np.testing.assert_array_equal(stream.profile(name), batch[name] / 4)
         # U differs only by the summation route (values-of-sum vs
         # sum-of-values); both are exact to one ulp
-        np.testing.assert_allclose(
-            res["U"], batch.statistics.profile("U"), rtol=0, atol=1e-14
-        )
+        np.testing.assert_allclose(res["U"], batch["U"] / 4, rtol=0, atol=1e-14)
 
     def test_spectra_match_batch_functions(self):
         """A single streamed sample reproduces energy_spectrum_x/z at
@@ -84,7 +118,8 @@ class TestSerialIdentity:
 
     def test_stats_timer_section_accumulates(self):
         dns, stream = _serial_reference(3)
-        timers = dns.stepper.timers
+        timers = dns.timers
+        assert timers is dns.stepper.timers  # one set of timers per run
         assert timers.calls.get(timers.STATS) == 3
         assert timers.elapsed[timers.STATS] > 0.0
         assert stream.counters.sample_seconds > 0.0
@@ -95,6 +130,64 @@ class TestSerialIdentity:
         stream = dns.attach_streaming()
         with pytest.raises(RuntimeError, match="no samples"):
             stream.result()
+        with pytest.raises(RuntimeError, match="no samples"):
+            stream.profile("U")
+
+
+class TestProfileReads:
+    """The read helpers on a short sampled run (physical sanity)."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=5)
+        dns = ChannelDNS(cfg)
+        dns.initialize()
+        stats = dns.attach_streaming(every=2)
+        dns.run(4)
+        return stats
+
+    def test_sample_count(self, sampled):
+        assert sampled.nsamples == 2
+
+    def test_variances_nonnegative(self, sampled):
+        for name in ("uu", "vv", "ww"):
+            assert np.all(sampled.profile(name) >= -1e-14)
+
+    def test_variances_vanish_at_walls(self, sampled):
+        for name in ("uu", "vv", "ww", "uv"):
+            prof = sampled.profile(name)
+            assert abs(prof[0]) < 1e-12 and abs(prof[-1]) < 1e-12
+
+    def test_reynolds_stress_is_minus_uv(self, sampled):
+        np.testing.assert_array_equal(sampled.reynolds_stress(), -sampled.profile("uv"))
+
+    def test_friction_velocity_near_unity(self, sampled):
+        """With forcing = 1 the equilibrium friction velocity is 1."""
+        assert 0.5 < sampled.friction_velocity() < 2.0
+        assert sampled.friction_velocity() == sampled.result()["u_tau"]
+
+    def test_wall_units_monotone(self, sampled):
+        yplus, uplus = sampled.wall_units()
+        assert yplus[0] < 1e-12
+        assert np.all(np.diff(yplus) > 0)
+        assert abs(uplus[0]) < 1e-10
+
+    def test_bulk_velocity_positive(self, sampled):
+        assert sampled.bulk_velocity() > 0.0
+
+    def test_mean_profile_symmetric_for_symmetric_ic(self):
+        """A z-independent symmetric start stays symmetric in the mean."""
+        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.0, seed=0)
+        dns = ChannelDNS(cfg)
+        dns.initialize()
+        stats = dns.attach_streaming(every=1)
+        dns.run(3)
+        u = stats.mean_velocity()
+        # evaluate on a symmetric sampling grid to compare halves
+        yy = np.linspace(-0.9, 0.9, 19)
+        a = dns.grid.basis.interpolate(u)
+        prof = dns.grid.basis.evaluate(a, yy)
+        np.testing.assert_allclose(prof, prof[::-1], atol=1e-8)
 
 
 class TestSerialSidecar:
@@ -177,6 +270,40 @@ class TestDistributedIdentity:
             )
         assert res["nsamples"] == 4
         np.testing.assert_allclose(res["u_tau"], ref["u_tau"], rtol=REDUCTION_RTOL)
+
+    @pytest.mark.parametrize("pa,pb", [(2, 2), (4, 1)])
+    def test_reads_match_serial(self, pa, pb):
+        """Every rank's profile reads and u_tau equal the serial
+        accumulator's (sampling every other step, read on every rank)."""
+        _, ref = _serial_reference(4, every=2)
+
+        def prog(comm):
+            dns = DistributedChannelDNS(comm, CFG, pa=pa, pb=pb)
+            dns.initialize()
+            stats = dns.attach_streaming(every=2)
+            dns.run(4)
+            out = {name: stats.profile(name) for name in stats.PROFILES}
+            out["u_tau"] = stats.friction_velocity()
+            return out
+
+        for res in run_spmd(pa * pb, prog):
+            for name in StreamingStatistics.PROFILES:
+                np.testing.assert_allclose(
+                    res[name], ref.profile(name), atol=1e-12, err_msg=name
+                )
+            assert res["u_tau"] == pytest.approx(ref.friction_velocity(), abs=1e-12)
+
+    def test_no_samples_raises_on_every_rank(self):
+        def prog(comm):
+            dns = DistributedChannelDNS(comm, CFG, pa=2, pb=1)
+            dns.initialize()
+            stats = dns.attach_streaming()
+            with pytest.raises(RuntimeError):
+                stats.profile("uu")
+            comm.barrier()
+            return True
+
+        assert all(run_spmd(2, prog))
 
     def test_supervised_restart_preserves_samples(self, tmp_path):
         """A mid-run rank kill -> full restart: published statistics match
