@@ -23,6 +23,7 @@ from repro.bsplines.collocation import (
 )
 from repro.bsplines.knots import channel_breakpoints, clamped_knots, uniform_breakpoints
 from repro.bsplines.quadrature import spline_quadrature
+from repro.linalg.panels import PanelSolve
 
 
 class BSplineBasis:
@@ -93,10 +94,9 @@ class BSplineBasis:
         return cache[deriv]
 
     @cached_property
-    def _interp_banded(self) -> tuple[tuple[int, int], np.ndarray]:
-        kl, ku = self.bandwidths
-        ab = to_scipy_banded(self.colloc_matrix(0), kl, ku)
-        return (kl, ku), ab
+    def _interp_solve(self) -> PanelSolve:
+        """The collocation matrix, factored once for :meth:`interpolate`."""
+        return PanelSolve(self.colloc_matrix(0), *self.bandwidths)
 
     # ------------------------------------------------------------------
     # transforms between collocated values and spline coefficients
@@ -105,22 +105,12 @@ class BSplineBasis:
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         """Spline coefficients whose collocated values equal ``values``.
 
-        ``values`` may be batched with y on the last axis; complex input is
-        handled by solving the real collocation system against a complex
-        right-hand side (the matrix is real — the same structure the
-        paper's custom solver exploits).
+        ``values`` may be batched with y on the last axis; real input
+        gives real coefficients, complex input is swept against the same
+        real factors (the matrix is real — the structure the paper's
+        custom solver exploits).
         """
-        values = np.asarray(values)
-        (kl, ku), ab = self._interp_banded
-        flat = np.moveaxis(values, -1, 0).reshape(self.n, -1)
-        if np.iscomplexobj(flat):
-            re = scipy.linalg.solve_banded((kl, ku), ab, np.ascontiguousarray(flat.real))
-            im = scipy.linalg.solve_banded((kl, ku), ab, np.ascontiguousarray(flat.imag))
-            sol = re + 1j * im
-        else:
-            sol = scipy.linalg.solve_banded((kl, ku), ab, flat)
-        sol = sol.reshape((self.n,) + values.shape[:-1])
-        return np.moveaxis(sol, 0, -1)
+        return self._interp_solve.solve(values)
 
     def values_at_collocation(self, coeffs: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Collocated values (or derivative values) of spline coefficients.
@@ -170,7 +160,7 @@ class BSplineBasis:
         ``w @ f(colloc_points)`` integrates the interpolating spline of
         ``f`` exactly: ``w = basis_integrals @ inv(B)``.
         """
-        (kl, ku), ab = self._interp_banded
+        kl, ku = self.bandwidths
         # Solve B^T w = basis_integrals: transpose banded system.
         bt = to_scipy_banded(self.colloc_matrix(0).T, ku, kl)
         return scipy.linalg.solve_banded((ku, kl), bt, self.basis_integrals)

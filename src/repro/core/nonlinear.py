@@ -92,20 +92,24 @@ class NonlinearTerms:
         p4 = up * wp
         p5 = vp * wp
 
-        # step (h): Galerkin projection back to spectral space, then
-        # y-expand — the 5-product stack goes through the backend in one
-        # batched call when it supports it.
+        # step (h): Galerkin projection back to spectral space — the
+        # 5-product stack goes through the backend in one batched call
+        # when it supports it.
         products = (p1, p2, p3, p4, p5)
         if hasattr(be, "from_physical_many"):
             specs = be.from_physical_many(products)
         else:
             specs = [be.from_physical(p) for p in products]
-        a1, a2, a3, a4, a5 = (ops.coeffs(s) for s in specs)
+        # The spectra *are* collocated values, so the undifferentiated
+        # terms use them as they come (values(coeffs(s)) == s); only the
+        # three fields under d/dy are expanded into spline space.
+        s1, s2, s3, s4, s5 = specs
+        a2, a3, a5 = ops.coeffs(s2), ops.coeffs(s3), ops.coeffs(s5)
 
         ikx, ikz = m.ikx, m.ikz
-        h1 = -(ikx * ops.values(a1) + ops.dvalues(a3) + ikz * ops.values(a4))
-        h2 = -(ikx * ops.values(a3) + ops.dvalues(a2) + ikz * ops.values(a5))
-        h3 = -(ikx * ops.values(a4) + ops.dvalues(a5))
+        h1 = -(ikx * s1 + ops.dvalues(a3) + ikz * s4)
+        h2 = -(ikx * s3 + ops.dvalues(a2) + ikz * s5)
+        h3 = -(ikx * s4 + ops.dvalues(a5))
 
         hg = ikz * h1 - ikx * h3
 

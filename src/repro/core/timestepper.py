@@ -163,6 +163,7 @@ class IMEXStepper:
         ny = self.grid.ny
         dt, nu = self.dt, self.nu
         mean = m.mean_index
+        ksq = m.ksq[..., None]
         state = state.copy()
         if state.u is None or state.w is None:
             state.u, state.w = recover_uw(m, ops, state.v, state.omega_y, state.u00, state.w00)
@@ -174,10 +175,9 @@ class IMEXStepper:
 
             with self.timers.section(self.timers.ADVANCE):
                 # -- omega_y advance -------------------------------------------------
-                lap_omega = ops.laplacian_values(state.omega_y, m.ksq)
-                rhs_w = ops.values(state.omega_y) + dt * (
-                    sch.alpha[i] * nu * lap_omega + sch.gamma[i] * nl.hg
-                )
+                omega_vals = ops.values(state.omega_y)
+                lap_omega = ops.d2values(state.omega_y) - ksq * omega_vals
+                rhs_w = omega_vals + dt * (sch.alpha[i] * nu * lap_omega + sch.gamma[i] * nl.hg)
                 if zeta_nl is not None:
                     rhs_w += dt * sch.zeta[i] * zeta_nl.hg
                 rhs_w = rhs_w.reshape(-1, ny)
@@ -185,7 +185,8 @@ class IMEXStepper:
                 # -- phi / v advance (influence matrix) ------------------------------
                 phi_vals = ops.laplacian_values(state.v, m.ksq)
                 a_phi = ops.coeffs(phi_vals)
-                lap_phi = ops.laplacian_values(a_phi, m.ksq)
+                # a_phi interpolates phi_vals: its values are already in hand
+                lap_phi = ops.d2values(a_phi) - ksq * phi_vals
                 rhs_phi = phi_vals + dt * (sch.alpha[i] * nu * lap_phi + sch.gamma[i] * nl.hv)
                 if zeta_nl is not None:
                     rhs_phi += dt * sch.zeta[i] * zeta_nl.hv

@@ -40,7 +40,7 @@ def recover_uw(
     ``w00`` are the mean-mode coefficient vectors, required exactly when
     this mode set owns the (0,0) mode.
     """
-    dv = v @ ops.D1.T
+    dv = ops.dvalues(v)
     # Work in coefficient space throughout: the derivative of a spline is
     # not in the same spline space, so re-expand the collocated dv/dy.
     dv_coeffs = ops.coeffs(dv)

@@ -17,11 +17,15 @@ batched over the wavenumber axis.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.bsplines import BSplineBasis
 from repro.linalg.custom import FoldedLU
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
+
+if TYPE_CHECKING:  # repro.bsplines imports repro.linalg.panels: no cycle at run time
+    from repro.bsplines import BSplineBasis
 
 
 class HelmholtzOperator:

@@ -143,3 +143,30 @@ def solve_padded_split(
         sol = scipy.linalg.solve_banded((klp, kup), ab, stacked)
         out[b] = sol[:, 0] + 1j * sol[:, 1]
     return out
+
+
+# ----------------------------------------------------------------------
+# Dense wall-normal oracles: what repro.linalg.panels replaced
+# ----------------------------------------------------------------------
+
+
+def apply_dense(dense: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y-last ``x @ A.T`` as one dense product — the oracle of ``PanelApply``."""
+    return np.matmul(x, dense.T, out=out)
+
+
+def interpolate_banded(dense: np.ndarray, kl: int, ku: int, values: np.ndarray) -> np.ndarray:
+    """y-last solve of ``A x = values`` through LAPACK ``gbsv`` — the oracle
+    of ``PanelSolve``: factors afresh on every call, pivots, moves y to the
+    front and splits a complex right-hand side into two real solves."""
+    values = np.asarray(values)
+    n = dense.shape[0]
+    ab = to_diagonal_ordered(dense, kl, ku)
+    flat = np.moveaxis(values, -1, 0).reshape(n, -1)
+    if np.iscomplexobj(flat):
+        re = scipy.linalg.solve_banded((kl, ku), ab, np.ascontiguousarray(flat.real))
+        im = scipy.linalg.solve_banded((kl, ku), ab, np.ascontiguousarray(flat.imag))
+        sol = re + 1j * im
+    else:
+        sol = scipy.linalg.solve_banded((kl, ku), ab, flat)
+    return np.moveaxis(sol.reshape((n,) + values.shape[:-1]), 0, -1)
