@@ -14,8 +14,13 @@ classical decomposition (Kim–Moin–Moser 1987) solves it as the paper's
 
 All solves are the custom banded solver batched over the local block of
 wavenumbers (the full grid in serial, one pencil block per rank in
-parallel).  Within a substep the solves are *fused*: omega_y shares the
-Helmholtz factors with phi, so :meth:`InfluenceSolver.advance` sweeps
+parallel), against factor sets that hold one row per distinct ``k²``.
+The Poisson set holds no implicit weight, so the stepper factors it once
+and hands it to all three substeps' solvers; within one substep the
+Green's functions depend on ``k²`` alone, so they are solved once per
+distinct value and expanded per mode.  Within a substep the solves are
+*fused*: omega_y shares the Helmholtz factors with phi, so
+:meth:`InfluenceSolver.advance` sweeps
 both right-hand sides in one blocked pass of the solve engine, and the
 Green's-function setup batches its two Helmholtz and two Poisson solves
 the same way.  Fixed-width sweeps make the fused results bit-for-bit
@@ -27,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.operators import WallNormalOps
+from repro.linalg.custom import FoldedLU
 from repro.linalg.helmholtz import HelmholtzOperator
 
 
@@ -39,8 +45,11 @@ class InfluenceSolver:
         Cached collocation matrices of the wall-normal basis.
     helm:
         Shared Helmholtz assembly factory.
-    ksq:
-        ``k²`` values of the local wavenumber block (any shape; flattened).
+    poisson_lu:
+        The factored Poisson pencil of the local wavenumber block.  It
+        does not depend on the implicit weight, so one set serves every
+        substep; its :attr:`~repro.linalg.custom.FoldedLU.rows` (the
+        distinct-``k²`` map) is reused for the Helmholtz factors.
     c:
         Implicit weight ``beta_i * nu * dt`` of this substep.
     """
@@ -49,31 +58,34 @@ class InfluenceSolver:
         self,
         ops: WallNormalOps,
         helm: HelmholtzOperator,
-        ksq: np.ndarray,
+        poisson_lu: FoldedLU,
         c: float,
     ) -> None:
         self.ops = ops
         self.c = float(c)
         self.ny = helm.basis.n
-        ksq = np.asarray(ksq, dtype=float).ravel()
-        self.nmodes = ksq.size
+        rows = poisson_lu.rows
+        self.nmodes = rows.nbatch
 
-        self.helm_lu = helm.factor_helmholtz(ksq, self.c)
-        self.poisson_lu = helm.factor_poisson(ksq)
+        self.helm_lu = helm.factor_helmholtz(rows, self.c)
+        self.poisson_lu = poisson_lu
 
-        # Green's functions: unit phi at the upper (+) / lower (-) wall.
-        # The two Helmholtz solves ride one multi-RHS sweep, as do the
-        # two Poisson solves that follow.
-        rhs = np.zeros((self.nmodes, self.ny, 2))
+        # Green's functions: unit phi at the upper (+) / lower (-) wall,
+        # solved once per distinct k² and expanded per mode.  The two
+        # Helmholtz solves ride one multi-RHS sweep, as do the two
+        # Poisson solves that follow.
+        rhs = np.zeros((rows.nrows, self.ny, 2))
         rhs[:, -1, 0] = 1.0  # plus wall
         rhs[:, 0, 1] = 1.0  # minus wall
-        a_phi = self.helm_lu.solve_many(rhs)
+        a_phi = self.helm_lu.engine().solve_rows(rhs)
         phi_vals = ops.values(np.ascontiguousarray(a_phi.transpose(2, 0, 1)))
         phi_vals[:, :, 0] = 0.0
         phi_vals[:, :, -1] = 0.0
-        a_v = self.poisson_lu.solve_many(np.ascontiguousarray(phi_vals.transpose(1, 2, 0)))
-        self.a_v_plus = np.ascontiguousarray(a_v[:, :, 0])
-        self.a_v_minus = np.ascontiguousarray(a_v[:, :, 1])
+        a_v = self.poisson_lu.engine().solve_rows(np.ascontiguousarray(phi_vals.transpose(1, 2, 0)))
+        # The wall stencils below are GEMVs, whose kernels may depend on
+        # the batch length, so they run per mode, as the steps' do.
+        self.a_v_plus = a_v[rows.members, :, 0]
+        self.a_v_minus = a_v[rows.members, :, 1]
 
         dplus_lo, dplus_up = ops.wall_derivatives(self.a_v_plus)
         dminus_lo, dminus_up = ops.wall_derivatives(self.a_v_minus)

@@ -34,7 +34,6 @@ from repro.core.modes import ModeSet
 from repro.core.nonlinear import NonlinearResult, NonlinearTerms
 from repro.core.operators import WallNormalOps
 from repro.core.velocity import recover_uw
-from repro.linalg.custom import FoldedLU
 from repro.linalg.helmholtz import HelmholtzOperator
 
 
@@ -88,10 +87,13 @@ class ChannelState:
 class IMEXStepper:
     """One full RK3 IMEX timestep of the KMM system.
 
-    Factors every banded system once at construction (three implicit
-    coefficients x {Helmholtz for omega/phi, Poisson for v, mean-mode
-    Helmholtz}), then reuses the factors every step — the production
-    pattern the paper's custom solver is built for.
+    Factors every banded system once at construction — one Helmholtz set
+    for omega/phi and one mean-mode Helmholtz set per implicit
+    coefficient (three of each), plus one Poisson set for v that no
+    coefficient enters — then reuses the factors every step, the
+    production pattern the paper's custom solver is built for.  Each set
+    holds one factor row per distinct ``k²`` of the block; :meth:`set_dt`
+    refactors only the coefficient-dependent sets.
     """
 
     def __init__(
@@ -126,29 +128,29 @@ class IMEXStepper:
         self.timers = timers if timers is not None else SectionTimers()
         self.nonlinear = NonlinearTerms(self.modes, self.ops, backend)
         self._helm = HelmholtzOperator(grid.basis)
+        # D2 - k²B holds no dt: one Poisson set, over the distinct k² of
+        # the block, serves all three substeps and survives set_dt
+        self._poisson_lu = self._helm.factor_poisson(self.modes.ksq)
         self._build_solvers()
 
         self._prev_nl: NonlinearResult | None = None
         self.last_cfl_speeds: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def _build_solvers(self) -> None:
-        """Factor the implicit systems for the current dt (one LU set per
-        RK implicit coefficient)."""
+        """Factor the dt-dependent implicit systems: one Helmholtz set per
+        RK implicit coefficient, with its Green's functions."""
         helm = self._helm
         self._influence = []
-        self._omega_lu = []
         self._mean_lu = []
         for i in range(3):
             c = self.scheme.beta[i] * self.nu * self.dt
-            self._influence.append(InfluenceSolver(self.ops, helm, self.modes.ksq, c))
-            # omega_y shares the Helmholtz operator/factors of phi
-            self._omega_lu.append(self._influence[i].helm_lu)
+            self._influence.append(InfluenceSolver(self.ops, helm, self._poisson_lu, c))
             if self.modes.owns_mean:
                 # mean modes: k² = 0 Helmholtz, batched over (u00, w00)
-                self._mean_lu.append(FoldedLU(helm.assemble_helmholtz(np.zeros(2), c)))
+                self._mean_lu.append(helm.factor_helmholtz(np.zeros(2), c))
 
     def set_dt(self, dt: float) -> None:
-        """Change the time step, refactoring the implicit systems."""
+        """Change the time step, refactoring the dt-dependent systems."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if dt != self.dt:
@@ -201,7 +203,7 @@ class IMEXStepper:
                     rhs_w[:, 0] = 0.0
                     rhs_w[:, -1] = 0.0
                     with self.timers.section(self.timers.SOLVE):
-                        new_omega = self._omega_lu[i].solve(rhs_w)
+                        new_omega = self._influence[i].helm_lu.solve(rhs_w)
                         new_v = self._influence[i].solve(rhs_phi)
                     new_omega = new_omega.reshape(state.omega_y.shape)
 
@@ -239,10 +241,11 @@ class IMEXStepper:
 
     def solve_counters(self) -> dict:
         """Aggregated :class:`~repro.instrument.SolveCounters` snapshot
-        over every solve engine built by this stepper's factorizations
-        (the omega/phi Helmholtz LUs and, where owned, the mean-mode
-        LUs).  Reads only engines that already exist, so it never
-        allocates — safe to call from the telemetry hot path."""
+        over the engines of the omega/phi Helmholtz LUs and, where owned,
+        the mean-mode LUs.  The shared Poisson LU's sweeps are left out
+        (the ``linalg.solve`` spans see them; these counters never have).
+        Reads only engines that already exist, so it never allocates —
+        safe to call from the telemetry hot path."""
         total = {
             "workspace_bytes": 0,
             "workspace_allocs": 0,

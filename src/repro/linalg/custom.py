@@ -21,6 +21,11 @@ The original one-row-at-a-time sweeps survive as
 :meth:`FoldedLU.solve_reference` (the like-for-like baseline of the
 Table 1 benchmark and the engine's cross-check oracle).
 
+A factor set stores each *distinct* matrix of its batch once
+(:class:`~repro.linalg.structure.SharedRows` says which member uses
+which), so factoring, panel building and the panel bytes every sweep
+streams scale with the distinct count, not the batch.
+
 No pivoting is performed: B-spline collocation matrices of the
 (shifted) Helmholtz operators are strongly diagonally dominant within the
 band, the same property the paper's custom solver relies on.  A growth
@@ -32,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg.engine import BandedSolveEngine, default_block
-from repro.linalg.structure import BandedSystemSpec, FoldedBanded
+from repro.linalg.structure import BandedSystemSpec, FoldedBanded, SharedRows
 
 
 class FoldedLU:
@@ -43,15 +48,38 @@ class FoldedLU:
     every substep).  The first solve builds the blocked sweep engine
     from the factors; subsequent solves reuse it with zero workspace
     allocations.
+
+    ``matrix`` holds the *distinct* matrices; ``rows`` says which of them
+    each batch member uses (:class:`~repro.linalg.structure.SharedRows`,
+    which :class:`~repro.linalg.helmholtz.HelmholtzOperator` derives from
+    ``k²``).  Only the distinct matrices are factored; every solve entry
+    point takes and returns one row per *member*.  Without ``rows`` each
+    matrix is its own member.
     """
 
-    def __init__(self, matrix: FoldedBanded, check: bool = False, block: int | str | None = None) -> None:
+    def __init__(
+        self,
+        matrix: FoldedBanded,
+        check: bool = False,
+        block: int | str | None = None,
+        rows: SharedRows | None = None,
+    ) -> None:
         self.spec = matrix.spec
         self.jlo = matrix.spec.jlo
         self.data = matrix.data.copy()
+        self.rows = rows if rows is not None else SharedRows(np.arange(matrix.nbatch))
+        if self.rows.nrows != matrix.nbatch:
+            raise ValueError(
+                f"rows name {self.rows.nrows} distinct matrices, the matrix holds {matrix.nbatch}"
+            )
         self._block = block
         self._engines: dict[int, BandedSolveEngine] = {}
         self._factor(check=check)
+
+    @property
+    def nbatch(self) -> int:
+        """Batch members solved per call (stored matrices may be fewer)."""
+        return self.rows.nbatch
 
     # ------------------------------------------------------------------
 
@@ -129,6 +157,11 @@ class FoldedLU:
         must be able to read counters without allocating workspace)."""
         return tuple(self._engines.values())
 
+    def nbytes(self) -> int:
+        """Bytes this factor set holds: the folded factors plus every
+        built engine's panels and workspace."""
+        return self.data.nbytes + sum(e.panel_bytes() + e.workspace_bytes() for e in self.engines())
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for each batch member.
 
@@ -154,16 +187,16 @@ class FoldedLU:
         spec = self.spec
         n = spec.n
         jlo = self.jlo
-        data = self.data
+        data = self.data[self.rows.members]
         mdiag = self._mdiag
 
         rhs = np.asarray(rhs)
         squeeze = rhs.ndim == 1
         if squeeze:
             rhs = rhs[None, :]
-        if rhs.shape != (data.shape[0], n):
+        if rhs.shape != (self.nbatch, n):
             raise ValueError(
-                f"rhs shape {rhs.shape} does not match (nbatch={data.shape[0]}, n={n})"
+                f"rhs shape {rhs.shape} does not match (nbatch={self.nbatch}, n={n})"
             )
         dtype = np.result_type(rhs.dtype, data.dtype)
         x = rhs.astype(dtype, copy=True)

@@ -24,8 +24,16 @@ engine extracts, per panel,
   batched ``matmul`` against a contiguous row slice.
 
 A solve is then ``2·ceil(n/block)`` Python iterations of one batched
-``matmul`` (plus a panel copy-back) each, instead of ``2·n`` einsum
-rows.
+``matmul`` per multiplicity class (plus a panel copy-back) each, instead
+of ``2·n`` einsum rows.
+
+**Shared factors.**  Panels exist once per *stored* matrix
+(:attr:`FoldedLU.rows`: members with equal ``k²`` share one), while the
+workspace keeps one row per member, grouped so the sharers of a matrix
+are adjacent.  A panel step is one ``matmul`` per multiplicity class
+with the class's panels broadcast (stride 0) over its sharers, so each
+member still runs its own fixed-shape GEMM and the result is bit for bit
+that of a private factor copy.
 
 **Real factors, complex right-hand sides, one fixed sweep width.**
 The factors are real; complex right-hand sides are swept as (re, im)
@@ -87,13 +95,15 @@ class BandedSolveEngine:
         self.lu = lu
         self.spec = spec
         self.n = spec.n
-        self.nbatch = int(lu.data.shape[0])
+        self.rows = lu.rows
+        self.nbatch = self.rows.nbatch
         self.block = int(block) if block else default_block(spec.n)
         if self.block < 1:
             raise ValueError(f"block must be positive, got {self.block}")
         self.counters = counters if counters is not None else SolveCounters()
         self._build_panels(lu.data)
         self._alloc_workspace()
+        self._plan_sweeps()
 
     # ------------------------------------------------------------------
     # construction
@@ -102,18 +112,19 @@ class BandedSolveEngine:
     def _build_panels(self, data: np.ndarray) -> None:
         """Extract per-panel dense blocks from the folded factors.
 
-        ``data[b, i, m]`` holds L strictly below the diagonal
+        ``data[r, i, m]`` holds L strictly below the diagonal
         (``m < mdiag[i]``) and U on/above it, exactly as
-        :meth:`FoldedLU._factor` leaves them.
+        :meth:`FoldedLU._factor` leaves them — one row ``r`` per
+        *stored* matrix, so shared matrices get one panel set.
         """
         spec = self.spec
         n, W, b = spec.n, spec.window, self.block
         jlo = spec.jlo
         cw = spec.coupling_width
-        nbatch = self.nbatch
+        nrows = data.shape[0]
 
-        fwd = []  # (s, e, [-L⁻¹Lc | L⁻¹], lo) in sweep order; reads x[lo:e]
-        bwd = []  # (s, e, [U⁻¹ | -U⁻¹Uc], hi) in reverse order; reads x[s:hi]
+        fwd = []  # (s, e, [-L⁻¹Lc | L⁻¹], s - cwk, e) in sweep order
+        bwd = []  # (s, e, [U⁻¹ | -U⁻¹Uc], s, e + cuk) in reverse order
         for s in range(0, n, b):
             e = min(s + b, n)
             bk = e - s
@@ -124,21 +135,21 @@ class BandedSolveEngine:
             vals = data[:, s:e, :]
             is_lower = jj < rr  # strict-lower window slots hold L
 
-            ldiag = np.zeros((nbatch, bk, bk))
+            ldiag = np.zeros((nrows, bk, bk))
             ldiag[:, np.arange(bk), np.arange(bk)] = 1.0
             sel = is_lower & (jj >= s)
             ldiag[:, rloc[sel], jj[sel] - s] = vals[:, sel]
             cwk = min(cw, s)
-            lcouple = np.zeros((nbatch, bk, cwk))
+            lcouple = np.zeros((nrows, bk, cwk))
             if cwk:
                 sel = is_lower & (jj < s)
                 lcouple[:, rloc[sel], jj[sel] - (s - cwk)] = vals[:, sel]
 
-            udiag = np.zeros((nbatch, bk, bk))
+            udiag = np.zeros((nrows, bk, bk))
             sel = ~is_lower & (jj < e)
             udiag[:, rloc[sel], jj[sel] - s] = vals[:, sel]
             cuk = min(cw, n - e)
-            ucouple = np.zeros((nbatch, bk, cuk))
+            ucouple = np.zeros((nrows, bk, cuk))
             if cuk:
                 sel = ~is_lower & (jj >= e)
                 ucouple[:, rloc[sel], jj[sel] - e] = vals[:, sel]
@@ -147,17 +158,18 @@ class BandedSolveEngine:
             uinv = np.linalg.inv(udiag)
             lmat = np.concatenate([-(linv @ lcouple), linv], axis=2) if cwk else linv
             umat = np.concatenate([uinv, -(uinv @ ucouple)], axis=2) if cuk else uinv
-            fwd.append((s, e, np.ascontiguousarray(lmat), s - cwk))
-            bwd.append((s, e, np.ascontiguousarray(umat), e + cuk))
-        self._fwd = fwd
-        self._bwd = bwd[::-1]
+            fwd.append((s, e, np.ascontiguousarray(lmat), s - cwk, e))
+            bwd.append((s, e, np.ascontiguousarray(umat), s, e + cuk))
+        self._panels = fwd + bwd[::-1]
 
     #: fixed sweep width: two (re, im) pairs per blocked pass
     WIDTH = 4
 
     def _alloc_workspace(self) -> None:
         """Persistent sweep scratch: the solve-major RHS stack ``X`` and
-        the panel temporary ``T``, both at the fixed sweep width."""
+        the panel temporary ``T``, both at the fixed sweep width and one
+        row per *member*, laid out in :attr:`SharedRows.order` (the
+        sharers of a stored matrix adjacent)."""
         nbatch, n, b = self.nbatch, self.n, min(self.block, self.n)
         self._x = np.zeros((nbatch, n, self.WIDTH))
         self._t = np.empty((nbatch, b, self.WIDTH))
@@ -166,14 +178,69 @@ class BandedSolveEngine:
         self._clear = [True] * self.WIDTH
         for arr in (self._x, self._t):
             self.counters.count_workspace(arr)
+        # the mode permutation rides the load/unload copies: member b
+        # sits at row pos[b] of X, row p of X holds member order[p]; an
+        # unpermuted batch keeps plain slice copies
+        order = self.rows.order
+        if np.array_equal(order, np.arange(nbatch)):
+            self._order = self._pos = slice(None)
+        else:
+            self._order = order
+            self._pos = np.empty_like(order)
+            self._pos[order] = np.arange(nbatch)
+
+    def _plan_sweeps(self) -> None:
+        """Pre-slice the panel GEMMs of both sweep layouts.
+
+        Each plan step is ``(gemms, dst, src)``: the ``np.matmul(mat,
+        x_in, out=t_out)`` calls of one panel, then the copy of the panel
+        temporary back into ``X``.  In the *member* layout a panel is one
+        matmul per multiplicity class: the class's stored panels, shaped
+        ``(K, 1, b, b+cw)``, broadcast with stride 0 over the ``(K, m,
+        b+cw, 4)`` rows of its ``m`` sharers — no gather copy, and every
+        member runs exactly the ``(b, b+cw) @ (b+cw, 4)`` GEMM it would
+        run against a private copy of its panel, so sharing changes no
+        bit.  The *row* layout sweeps the first ``nrows`` rows of ``X``
+        once per stored matrix (:meth:`solve_rows`).
+        """
+        x, t = self._x, self._t
+        n, width, b = self.n, self.WIDTH, t.shape[1]
+        nrows = self.rows.nrows
+        classes = []
+        for r0, r1, m, p0 in self.rows.classes:
+            p1 = p0 + (r1 - r0) * m
+            xc = x[p0:p1].reshape(r1 - r0, m, n, width)
+            tc = t[p0:p1].reshape(r1 - r0, m, b, width)
+            classes.append((r0, r1, xc, tc))
+        self._member_plan = [
+            (
+                [(mat[r0:r1, None], xc[:, :, lo:hi], tc[:, :, : e - s]) for r0, r1, xc, tc in classes],
+                x[:, s:e],
+                t[:, : e - s],
+            )
+            for s, e, mat, lo, hi in self._panels
+        ]
+        self._row_plan = [
+            ([(mat, x[:nrows, lo:hi], t[:nrows, : e - s])], x[:nrows, s:e], t[:nrows, : e - s])
+            for s, e, mat, lo, hi in self._panels
+        ]
 
     def workspace_bytes(self) -> int:
         """Bytes of engine-owned persistent sweep scratch."""
         return self._x.nbytes + self._t.nbytes
 
+    def panel_bytes(self) -> int:
+        """Bytes of the pre-inverted panels (one set per stored matrix)."""
+        return sum(mat.nbytes for _, _, mat, _, _ in self._panels)
+
     def _load_col(self, c: int, values) -> None:
-        self._x[:, :, c] = values
+        self._x[self._pos, :, c] = values
         self._clear[c] = False
+
+    def _store_col(self, dst: np.ndarray, c: int) -> None:
+        # one column at a time: numpy copies a trailing (re, im) pair of
+        # a complex view several times slower than two strided columns
+        dst[self._order] = self._x[:, :, c]
 
     def _zero_col(self, c: int) -> None:
         if not self._clear[c]:
@@ -184,23 +251,14 @@ class BandedSolveEngine:
     # the blocked sweeps
     # ------------------------------------------------------------------
 
-    def _sweep(self) -> np.ndarray:
-        """One forward+backward blocked pass over ``X`` in place.
-
-        Returns the workspace stack ``X`` (shape ``(nbatch, n, WIDTH)``)
-        that the caller packed before and unpacks after.
-        """
-        x, t = self._x, self._t
+    def _sweep(self, plan) -> None:
+        """One forward+backward blocked pass over ``X`` in place, in the
+        layout of ``plan`` (member or row, see :meth:`_plan_sweeps`)."""
         self.counters.sweeps += 1
-        for s, e, mat, lo in self._fwd:
-            tb = t[:, : e - s]
-            np.matmul(mat, x[:, lo:e], out=tb)
-            x[:, s:e] = tb
-        for s, e, mat, hi in self._bwd:
-            tb = t[:, : e - s]
-            np.matmul(mat, x[:, s:hi], out=tb)
-            x[:, s:e] = tb
-        return x
+        for gemms, dst, src in plan:
+            for mat, x_in, t_out in gemms:
+                np.matmul(mat, x_in, out=t_out)
+            dst[...] = src
 
     # ------------------------------------------------------------------
     # public entry points
@@ -225,24 +283,25 @@ class BandedSolveEngine:
             rhs = rhs[None, :]
         self._check_rhs(rhs)
         self.counters.solves += 1
-        x = self._x
         if np.iscomplexobj(rhs):
             self._load_col(0, rhs.real)
             self._load_col(1, rhs.imag)
             for c in range(2, self.WIDTH):
                 self._zero_col(c)
-            self._sweep()
+            self._sweep(self._member_plan)
             self.counters.columns += 2
             out = np.empty((self.nbatch, self.n), dtype=complex)
-            out.view(np.float64).reshape(self.nbatch, self.n, 2)[...] = x[:, :, :2]
+            pair = out.view(np.float64).reshape(self.nbatch, self.n, 2)
+            self._store_col(pair[:, :, 0], 0)
+            self._store_col(pair[:, :, 1], 1)
         else:
             self._load_col(0, rhs)
             for c in range(1, self.WIDTH):
                 self._zero_col(c)
-            self._sweep()
+            self._sweep(self._member_plan)
             self.counters.columns += 1
             out = np.empty((self.nbatch, self.n))
-            out[...] = x[:, :, 0]
+            self._store_col(out, 0)
         return out[0] if squeeze else out
 
     def solve_many(self, cols: np.ndarray) -> np.ndarray:
@@ -266,15 +325,46 @@ class BandedSolveEngine:
         self.counters.solves += 1
         k = cols.shape[2]
         out = np.empty((self.nbatch, self.n, k))
-        x = self._x
         for j in range(0, k, self.WIDTH):
             take = min(self.WIDTH, k - j)
             for c in range(take):
                 self._load_col(c, cols[:, :, j + c])
             for c in range(take, self.WIDTH):
                 self._zero_col(c)
-            self._sweep()
-            out[:, :, j : j + take] = x[:, :, :take]
+            self._sweep(self._member_plan)
+            for c in range(take):
+                self._store_col(out[:, :, j + c], c)
+            self.counters.columns += take
+        return out
+
+    def solve_rows(self, cols: np.ndarray) -> np.ndarray:
+        """Solve a real stack ``(nrows, n, k)`` once per *stored* matrix.
+
+        Row ``r`` of the result is bit for bit what every member sharing
+        stored matrix ``r`` gets from :meth:`solve_many` on the same
+        columns (the same panel GEMMs at the same width).  Set-up work
+        that depends only on the matrix — the influence solver's Green's
+        functions — runs once per distinct matrix this way.
+        """
+        cols = np.asarray(cols, dtype=float)
+        nrows = self.rows.nrows
+        if cols.ndim != 3 or cols.shape[:2] != (nrows, self.n):
+            raise ValueError(
+                f"cols shape {cols.shape} does not match (nrows={nrows}, n={self.n}, k)"
+            )
+        self.counters.solves += 1
+        k = cols.shape[2]
+        out = np.empty((nrows, self.n, k))
+        x = self._x
+        for j in range(0, k, self.WIDTH):
+            take = min(self.WIDTH, k - j)
+            x[:nrows, :, :take] = cols[:, :, j : j + take]
+            for c in range(take):
+                self._clear[c] = False
+            for c in range(take, self.WIDTH):
+                self._zero_col(c)
+            self._sweep(self._row_plan)
+            out[:, :, j : j + take] = x[:nrows, :, :take]
             self.counters.columns += take
         return out
 
@@ -313,7 +403,6 @@ class BandedSolveEngine:
             np.empty((self.nbatch, self.n), dtype=complex if np.iscomplexobj(p) else float)
             for p in parts
         ]
-        x = self._x
         for g in range(0, len(slots), self.WIDTH):
             group = slots[g : g + self.WIDTH]
             for c in range(self.WIDTH):
@@ -325,16 +414,16 @@ class BandedSolveEngine:
                 p = parts[idx]
                 self._load_col(c, (p.real, p.imag)[comp] if np.iscomplexobj(p) else p)
                 self.counters.columns += 1
-            self._sweep()
+            self._sweep(self._member_plan)
             for c, slot in enumerate(group):
                 if slot is None:
                     continue
                 idx, comp = slot
                 if np.iscomplexobj(outs[idx]):
                     view = outs[idx].view(np.float64).reshape(self.nbatch, self.n, 2)
-                    view[:, :, comp] = x[:, :, c]
+                    self._store_col(view[:, :, comp], c)
                 else:
-                    outs[idx][...] = x[:, :, c]
+                    self._store_col(outs[idx], c)
         return outs
 
 
@@ -379,13 +468,14 @@ def measure_block(
     if len(usable) == 1:
         return usable[0]
     wisdom = wisdom if wisdom is not None else default_store()
-    key = [spec.n, spec.window, int(lu.data.shape[0]), str(lu.data.dtype), usable]
+    # keyed and timed on the per-member batch every sweep runs over
+    key = [spec.n, spec.window, lu.nbatch, str(lu.data.dtype), usable]
     if wisdom is not None:
         hit = wisdom.lookup("solve_block", key)
         if hit is not None and hit.get("block") in usable:
             return int(hit["block"])
     rng = np.random.default_rng(0)
-    rhs = rng.standard_normal((lu.data.shape[0], spec.n))
+    rhs = rng.standard_normal((lu.nbatch, spec.n))
     timings: dict[str, float] = {}
     import time
 

@@ -12,7 +12,11 @@ the operators become banded matrix pencils of the collocation matrices
 ``B`` (values) and ``D2`` (second derivatives); the first and last rows
 are replaced by boundary-condition rows.  Everything is assembled
 directly in the folded banded storage and factored by the custom solver,
-batched over the wavenumber axis.
+batched over the wavenumber axis.  Both pencils depend on the mode only
+through ``k²``, so only the distinct values are assembled and factored;
+a :class:`~repro.linalg.structure.SharedRows` maps every mode back to
+its factor row (exact equality: each factor row is bit for bit the one
+the mode would have had alone).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.linalg.custom import FoldedLU
-from repro.linalg.structure import BandedSystemSpec, FoldedBanded
+from repro.linalg.structure import BandedSystemSpec, FoldedBanded, SharedRows
 
 if TYPE_CHECKING:  # repro.bsplines imports repro.linalg.panels: no cycle at run time
     from repro.bsplines import BSplineBasis
@@ -83,14 +87,30 @@ class HelmholtzOperator:
         return FoldedBanded(self.spec, data)
 
     def factor_helmholtz(
-        self, ksq: np.ndarray, c: float | np.ndarray, block: int | None = None
+        self, ksq: np.ndarray | SharedRows, c: float | np.ndarray, block: int | None = None
     ) -> FoldedLU:
-        """Factored eq.-(3) pencil; ``block`` fixes the engine panel height."""
-        return FoldedLU(self.assemble_helmholtz(ksq, c), block=block)
+        """Factored eq.-(3) pencil; ``block`` fixes the engine panel height.
 
-    def factor_poisson(self, ksq: np.ndarray, block: int | None = None) -> FoldedLU:
-        """Factored eq.-(4) pencil; ``block`` fixes the engine panel height."""
-        return FoldedLU(self.assemble_poisson(ksq), block=block)
+        Only distinct ``k²`` (distinct ``(k², c)`` pairs when ``c`` varies
+        per mode) are factored; ``ksq`` may be a :class:`SharedRows` built
+        from ``k²`` already, so several factor sets share one map.
+        """
+        if not np.ndim(c):
+            rows = _shared(ksq)
+            return FoldedLU(self.assemble_helmholtz(rows.keys, c), block=block, rows=rows)
+        rows = SharedRows(np.stack(np.broadcast_arrays(np.ravel(ksq), np.ravel(c)), axis=-1))
+        matrix = self.assemble_helmholtz(rows.keys[:, 0], rows.keys[:, 1])
+        return FoldedLU(matrix, block=block, rows=rows)
+
+    def factor_poisson(self, ksq: np.ndarray | SharedRows, block: int | None = None) -> FoldedLU:
+        """Factored eq.-(4) pencil over the distinct ``k²``; ``block``
+        fixes the engine panel height."""
+        rows = _shared(ksq)
+        return FoldedLU(self.assemble_poisson(rows.keys), block=block, rows=rows)
+
+
+def _shared(ksq: np.ndarray | SharedRows) -> SharedRows:
+    return ksq if isinstance(ksq, SharedRows) else SharedRows(np.ravel(ksq))
 
 
 def helmholtz_system(

@@ -5,6 +5,9 @@ bandwidth ``kl`` and upper bandwidth ``ku``, except that the first and
 last ``corner_rows`` rows may extend ``corner`` extra columns beyond the
 band (boundary-condition rows of collocation systems).
 
+:class:`SharedRows` maps the members of a batch onto the distinct
+matrices among them, so a factor set stores each distinct matrix once.
+
 :class:`FoldedBanded` stores such a (batch of) matrices in the *folded
 row-window* layout: every row occupies a fixed-width window
 
@@ -177,3 +180,59 @@ class FoldedBanded:
 
     def copy(self) -> "FoldedBanded":
         return FoldedBanded(self.spec, self.data.copy())
+
+
+class SharedRows:
+    """Which stored matrix each member of a batch uses.
+
+    Members whose keys are exactly equal (``np.unique`` equality: one
+    float per member, or one row of floats) are the same matrix, so they
+    share one stored row of a factor set.  The wall-normal pencils are
+    keyed by ``k²``; on a 96 x 96 grid 4 560 modes have 1 598 distinct
+    values, every one shared by 1 to 12 modes.
+
+    Stored rows are ordered by ascending multiplicity, so each
+    multiplicity class is a contiguous run of rows, and :attr:`order`
+    lays the members out grouped by stored row: the ``m`` sharers of row
+    ``r`` sit next to each other.  :attr:`classes` lists the runs as
+    ``(r0, r1, m, p0)``: rows ``r0:r1`` are each shared by ``m``
+    members, which occupy positions ``p0 : p0 + (r1 - r0) * m`` of the
+    layout.
+
+    Attributes
+    ----------
+    keys:
+        The distinct key of every stored row, in stored order.
+    members:
+        ``(nbatch,)`` stored row of each member.
+    order:
+        ``(nbatch,)`` the member at each layout position.
+    """
+
+    def __init__(self, keys) -> None:
+        keys = np.asarray(keys, dtype=float)
+        uniq, inverse, counts = np.unique(
+            keys, axis=0 if keys.ndim > 1 else None, return_inverse=True, return_counts=True
+        )
+        rank = np.argsort(counts, kind="stable")  # stored row -> unique index
+        row_of = np.empty_like(rank)
+        row_of[rank] = np.arange(rank.size)
+        self.keys = uniq[rank]
+        self.members = row_of[inverse.ravel()]
+        self.order = np.argsort(self.members, kind="stable")
+        counts = counts[rank]
+        self.classes: list[tuple[int, int, int, int]] = []
+        r0 = p0 = 0
+        ends = (np.flatnonzero(np.diff(counts)) + 1).tolist() + [counts.size]
+        for r1 in ends if counts.size else []:
+            m = int(counts[r0])
+            self.classes.append((r0, r1, m, p0))
+            r0, p0 = r1, p0 + (r1 - r0) * m
+
+    @property
+    def nbatch(self) -> int:
+        return self.members.size
+
+    @property
+    def nrows(self) -> int:
+        return len(self.keys)

@@ -67,8 +67,11 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     ),
     "solve": (
         False,
-        "aggregated SolveCounters deltas over every built solve engine (solves, sweeps, "
-        "columns, workspace_bytes, workspace_allocs); absent when the stepper exposes none",
+        "aggregated SolveCounters deltas over the engines of the omega/phi Helmholtz and "
+        "mean-mode factor sets (solves, sweeps, columns, workspace_bytes, workspace_allocs); "
+        "the Poisson v-from-phi sweeps (one per substep) are not counted, so solves reads 6 "
+        "of the 9 engine solves of a serial step; "
+        "absent when the stepper exposes none",
     ),
     "recovery": (
         False,

@@ -151,6 +151,53 @@ class TestFusedSolves:
         ))
 
 
+class TestFactorSets:
+    """One Poisson set per stepper, one Helmholtz set per substep, every
+    set over the distinct k² of the block only."""
+
+    def test_three_helmholtz_one_poisson_over_distinct_ksq(self):
+        from repro.linalg.custom import FoldedLU
+
+        cfg = ChannelConfig(nx=48, ny=17, nz=48, dt=2e-4)
+        st = ChannelDNS(cfg).stepper
+        ksq = st.modes.ksq.ravel()
+        distinct = np.unique(ksq).size
+        poisson = st._poisson_lu
+        helms = [inf.helm_lu for inf in st._influence]
+        assert len({id(h) for h in helms}) == 3
+        assert all(inf.poisson_lu is poisson for inf in st._influence)
+        for lu in [poisson, *helms]:
+            assert lu.data.shape[0] == distinct < lu.nbatch == ksq.size
+            assert lu.rows is poisson.rows
+
+        # factor bytes against the per-mode layout (a Helmholtz and a
+        # Poisson set per substep, every mode its own factor row)
+        per_mode = 0
+        for i in range(3):
+            c = st.scheme.beta[i] * st.nu * st.dt
+            for matrix in (st._helm.assemble_helmholtz(ksq, c), st._helm.assemble_poisson(ksq)):
+                lu = FoldedLU(matrix)
+                lu.engine()
+                per_mode += lu.nbytes()
+        assert sum(lu.nbytes() for lu in [poisson, *helms]) <= 0.35 * per_mode
+
+    def test_set_dt_keeps_poisson_and_equals_fresh_stepper(self):
+        cfg = ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, init_amplitude=0.3, seed=6)
+        dns = ChannelDNS(cfg)
+        dns.initialize()
+        dns.run(2)
+        poisson = dns.stepper._poisson_lu
+        fresh = ChannelDNS(ChannelConfig(nx=16, ny=17, nz=16, dt=1.3e-4))
+        fresh.initialize(dns.state.copy())
+        dns.set_dt(1.3e-4)
+        assert dns.stepper._poisson_lu is poisson
+        assert all(inf.poisson_lu is poisson for inf in dns.stepper._influence)
+        dns.run(3)
+        fresh.run(3)
+        for name in ("v", "omega_y", "u00", "w00", "u", "w"):
+            assert np.array_equal(getattr(dns.state, name), getattr(fresh.state, name)), name
+
+
 class TestTemporalConvergence:
     def test_third_order_in_time(self):
         """Richardson: halving dt shrinks the error by ~2³ (allow >= 2²)."""

@@ -15,7 +15,7 @@ import scipy.linalg
 from repro.instrument import SolveCounters
 from repro.linalg.custom import FoldedLU
 from repro.linalg.engine import BandedSolveEngine, default_block
-from repro.linalg.structure import BandedSystemSpec, FoldedBanded
+from repro.linalg.structure import BandedSystemSpec, FoldedBanded, SharedRows
 
 from tests.linalg.test_structure import corner_banded_matrix
 
@@ -152,6 +152,124 @@ class TestZeroAllocation:
         eng.solve(rng.standard_normal((4, 32)))
         rep = eng.counters.report()
         assert "workspace=" in rep and "solves=" in rep
+
+
+def shared_lu(rng, mults=range(1, 13), n=40, block=None):
+    """A factor set of ``len(mults)`` distinct matrices, matrix ``d``
+    shared by ``mults[d]`` members in shuffled order, beside the per-member
+    oracle: the same matrices copied out one per member, nothing shared."""
+    a, spec = corner_banded_matrix(rng, n=n, kl=3, ku=3, corner=2, nbatch=len(mults))
+    keys = rng.permutation(np.repeat(np.arange(len(mults)) * 0.5, list(mults)))
+    rows = SharedRows(keys)
+    distinct = np.rint(rows.keys * 2).astype(int)  # stored row -> matrix
+    shared = FoldedLU(FoldedBanded.from_dense(a[distinct], spec), block=block, rows=rows)
+    per_member = FoldedLU(FoldedBanded.from_dense(a[np.rint(keys * 2).astype(int)], spec), block=block)
+    return shared, per_member
+
+
+class TestSharedRows:
+    def test_layout_groups_sharers_by_multiplicity(self, rng):
+        keys = rng.permutation(np.repeat([3.0, 1.0, 2.0, 7.0], [2, 5, 2, 1]))
+        rows = SharedRows(keys)
+        assert (rows.nbatch, rows.nrows) == (10, 4)
+        np.testing.assert_array_equal(rows.keys[rows.members], keys)
+        assert [(r0, r1, m) for r0, r1, m, _ in rows.classes] == [(0, 1, 1), (1, 3, 2), (3, 4, 5)]
+        for r0, r1, m, p0 in rows.classes:
+            at = rows.members[rows.order[p0 : p0 + (r1 - r0) * m]]
+            np.testing.assert_array_equal(at, np.repeat(np.arange(r0, r1), m))
+
+    def test_row_keys_and_exact_equality(self):
+        pairs = np.array([[4.0, 0.1], [4.0, 0.2], [4.0, 0.1], [np.nextafter(4.0, 5.0), 0.1]])
+        rows = SharedRows(pairs)
+        assert rows.nrows == 3
+        assert rows.members[0] == rows.members[2] != rows.members[1]
+
+    def test_helmholtz_factors_distinct_ksq_only(self, basis):
+        from repro.linalg.helmholtz import HelmholtzOperator
+
+        ksq = np.array([4.0, 1.0, 4.0, 9.0, 1.0, 4.0])
+        helm = HelmholtzOperator(basis)
+        lu = helm.factor_helmholtz(ksq, 0.01)
+        assert lu.nbatch == 6 and lu.data.shape[0] == 3
+        assert helm.factor_poisson(lu.rows).rows is lu.rows
+        # per-mode c keys on (k², c): equal k² with another c is another matrix
+        assert helm.factor_helmholtz(ksq, np.full(6, 0.01)).data.shape[0] == 3
+        assert helm.factor_helmholtz(ksq, np.arange(6.0)).data.shape[0] == 6
+
+
+class TestSharedFactors:
+    """Members sharing a stored matrix get exactly the bits a private
+    factor copy gives them: each still runs its own fixed-shape GEMM,
+    against a stride-0 broadcast of the shared panel."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_every_entry_point_bit_identical(self, rng, block):
+        shared, oracle = shared_lu(rng, block=block)
+        nb, n = oracle.nbatch, oracle.spec.n
+        assert len(shared.rows.classes) == 12
+        rr = rng.standard_normal((nb, n))
+        rc = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
+        assert np.array_equal(shared.solve(rr), oracle.solve(rr))
+        assert np.array_equal(shared.solve(rc), oracle.solve(rc))
+        cols = rng.standard_normal((nb, n, 6))
+        assert np.array_equal(shared.solve_many(cols), oracle.solve_many(cols))
+        got = shared.engine().solve_stack([rc, rr, rc.conj()])
+        want = oracle.engine().solve_stack([rc, rr, rc.conj()])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_single_vector_and_no_sharing_paths(self, rng):
+        shared, oracle = shared_lu(rng, mults=[1, 1, 1])
+        rhs = rng.standard_normal((3, 40))
+        assert np.array_equal(shared.solve(rhs), oracle.solve(rhs))
+        one, one_oracle = shared_lu(rng, mults=[2])
+        x = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+        assert np.array_equal(one.solve(x), one_oracle.solve(x))
+
+    def test_solve_rows_is_what_every_sharer_gets(self, rng):
+        shared, _ = shared_lu(rng)
+        rows = shared.rows
+        cols = rng.standard_normal((rows.nrows, 40, 3))
+        per_row = shared.engine().solve_rows(cols)
+        per_member = shared.solve_many(cols[rows.members])
+        assert np.array_equal(per_row[rows.members], per_member)
+
+    def test_matches_dense_and_reference(self, rng):
+        shared, oracle = shared_lu(rng, mults=[3, 1, 4])
+        rhs = rng.standard_normal((8, 40))
+        np.testing.assert_allclose(shared.solve(rhs), shared.solve_reference(rhs), atol=1e-11)
+        np.testing.assert_array_equal(shared.solve_reference(rhs), oracle.solve_reference(rhs))
+
+    def test_nbatch_counts_members_not_stored_matrices(self, rng):
+        shared, oracle = shared_lu(rng)
+        assert shared.nbatch == oracle.nbatch == 78
+        assert shared.engine().nbatch == 78
+        assert shared.data.shape[0] == 12
+        with pytest.raises(ValueError):
+            shared.solve(rng.standard_normal((12, 40)))
+
+    def test_workspace_frozen_and_factors_shrink(self, rng):
+        shared, oracle = shared_lu(rng)
+        counters = SolveCounters()
+        eng = BandedSolveEngine(shared, counters=counters)
+        assert counters.workspace_allocs == 2
+        assert eng.workspace_bytes() == oracle.engine().workspace_bytes()  # per member
+        assert eng.panel_bytes() * 78 == oracle.engine().panel_bytes() * 12
+        snap = counters.snapshot()
+        rhc = rng.standard_normal((78, 40)) + 1j * rng.standard_normal((78, 40))
+        for _ in range(3):
+            eng.solve(rhc)
+            eng.solve_many(rng.standard_normal((78, 40, 5)))
+            eng.solve_stack([rhc, rhc.real])
+            eng.solve_rows(rng.standard_normal((12, 40, 2)))
+        after = counters.snapshot()
+        assert after["workspace_allocs"] == snap["workspace_allocs"]
+        assert after["workspace_bytes"] == snap["workspace_bytes"]
+
+    def test_rows_must_match_the_matrix(self, rng):
+        a, spec = corner_banded_matrix(rng, n=20, nbatch=3)
+        with pytest.raises(ValueError):
+            FoldedLU(FoldedBanded.from_dense(a, spec), rows=SharedRows([1.0, 2.0, 1.0]))
 
 
 class TestValidation:
