@@ -39,6 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.chaos import alltoalls_per_step  # noqa: E402
 from repro.core import ChannelConfig, ChannelDNS  # noqa: E402
 from repro.core.jobs import JobManager, JobSpec  # noqa: E402
 from repro.mpi.pool import RankPool  # noqa: E402
@@ -86,7 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     cfg_b = dataclasses.replace(CFG_A, seed=21)
     pool = RankPool(5)
     mgr = JobManager(pool, directory=out / "manager", prober=lambda _r: True)
-    plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+    # pool rank 1 dies past three steps' worth of alltoalls (alpha runs 2x2)
+    kill_call = 3 * alltoalls_per_step(CFG_A, 2, 2) + 6
+    plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=kill_call)])
     mgr.submit(JobSpec("alpha", CFG_A, n_steps=10, ranks=4, min_ranks=2,
                        checkpoint_every=5, fault_plans=[plan]))
     mgr.submit(JobSpec("beta", cfg_b, n_steps=6, ranks=2, min_ranks=2,

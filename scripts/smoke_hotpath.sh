@@ -133,6 +133,7 @@ import tempfile
 
 import numpy as np
 
+from repro.chaos import alltoalls_per_step
 from repro.core import ChannelConfig, ChannelDNS, HealthMonitor, RunSupervisor, SupervisorPolicy
 from repro.core.checkpoint import CheckpointRotation
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
@@ -179,7 +180,9 @@ def straight_dist(comm):
     return d.gather_state()
 
 ref = run_spmd(4, straight_dist)[0]
-plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+# past three steps' worth of rank 1's alltoalls, counted by a dry run
+kill_call = 3 * alltoalls_per_step(cfg, 2, 2) + 6
+plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=kill_call)])
 full, log = run_supervised_spmd(
     4, cfg, pa=2, pb=2, n_steps=10, checkpoint_dir=workdir / "sharded",
     checkpoint_every=5, fault_plans=[plan],

@@ -7,6 +7,8 @@ hand-placed fault but a stream of randomized ones.  This module provides
 * :func:`random_fault_plan` — a seeded generator of
   :class:`~repro.mpi.simmpi.FaultPlan` schedules (kill / corrupt / drop /
   delay at random collectives on random ranks, deterministic per seed),
+* :func:`alltoalls_per_step` — a dry run counting rank 1's alltoalls
+  per step, so a hand-placed kill lands inside the step it names,
 * :func:`run_chaos_soak` — a driver that runs N schedules through the
   elastic supervisor (:func:`~repro.pencil.distributed.run_supervised_spmd`
   with ``elastic=True, integrity=True``) and classifies every run,
@@ -122,6 +124,30 @@ def random_fault_plan(
             )
         )
     return FaultPlan(events, seed=seed)
+
+
+def alltoalls_per_step(config: ChannelConfig, pa: int, pb: int) -> int:
+    """Fault-free dry run: the alltoall calls rank 1 makes in one step.
+
+    A :class:`~repro.mpi.simmpi.FaultEvent` names its victim's n-th
+    matching call, so this count places a kill inside a chosen step
+    without assuming how many transposes a step makes.  The calls are
+    counted by the matcher a kill goes through: a plan whose one event
+    never fires.
+    """
+    from repro.mpi.simmpi import run_spmd
+    from repro.pencil.distributed import DistributedChannelDNS
+
+    plan = FaultPlan([FaultEvent("delay", rank=1, op="alltoall", call=2**62, delay=0.0)])
+
+    def program(comm):
+        dns = DistributedChannelDNS(comm, config, pa, pb)
+        dns.initialize()
+        before = plan.seen()
+        dns.step()
+        return plan.seen() - before
+
+    return run_spmd(pa * pb, program, fault_plan=plan)[1]
 
 
 def resolve_transpose_method(

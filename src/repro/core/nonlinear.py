@@ -68,65 +68,78 @@ class NonlinearTerms:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Velocity on (this worker's part of) the quadrature grid.
 
-        Backends exposing the batched ``to_physical_many`` entry point
-        (the planned serial pipeline) get the whole 3-velocity stack in
-        one call; others (the pencil path) are driven per field.
+        One field at a time: its collocated values are formed and
+        transformed before the next component's, so at most one spectral
+        value array is alive beside the physical fields.  The returned
+        arrays are fresh and owned by the caller.
         """
         ops, be = self.ops, self.backend
-        vals = (ops.values(u), ops.values(v), ops.values(w))
-        if hasattr(be, "to_physical_many"):
-            up, vp, wp = be.to_physical_many(vals)
-            return up, vp, wp
-        return tuple(be.to_physical(f) for f in vals)
+        up, vp, wp = (be.to_physical(ops.values(f)) for f in (u, v, w))
+        return up, vp, wp
 
     def compute(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> NonlinearResult:
-        """Evaluate h_g, h_v and mean sources from velocity coefficients."""
+        """Evaluate h_g, h_v and mean sources from velocity coefficients.
+
+        The working set is the three physical velocities plus one product
+        buffer: each product is formed and projected (steps (g)-(h))
+        before the next one overwrites it, ``ww`` then lands in ``w``'s
+        buffer and ``uu - ww``/``vv - ww`` in the velocity buffers.  The
+        spectral sources are assembled in place in the projected spectra.
+        Every expression keeps the operand order of its out-of-place
+        form, so the results are the same bits.
+        """
         m, ops, be = self.modes, self.ops, self.backend
         up, vp, wp = self.physical_velocity(u, v, w)
+        # max|x| without an |x| temporary; NaN or ±inf still comes through
+        speeds = tuple(float(max(x.max(), -x.min())) for x in (up, vp, wp))
 
-        # step (g): five quadratic products on the dealiased grid
-        ww = wp * wp
-        p1 = up * up - ww
-        p2 = vp * vp - ww
-        p3 = up * vp
-        p4 = up * wp
-        p5 = vp * wp
+        # steps (g)-(h): P3 = uv, P4 = uw, P5 = vw in one buffer laid out
+        # like the velocities (the backend's contiguous transform path)
+        prod = np.empty_like(up)
+        s3 = be.from_physical(np.multiply(up, vp, out=prod))
+        s4 = be.from_physical(np.multiply(up, wp, out=prod))
+        s5 = be.from_physical(np.multiply(vp, wp, out=prod))
+        del prod
+        ww = np.multiply(wp, wp, out=wp)
+        p1 = np.multiply(up, up, out=up)
+        s1 = be.from_physical(np.subtract(p1, ww, out=p1))
+        p2 = np.multiply(vp, vp, out=vp)
+        s2 = be.from_physical(np.subtract(p2, ww, out=p2))
+        del up, vp, wp, ww, p1, p2
 
-        # step (h): Galerkin projection back to spectral space — the
-        # 5-product stack goes through the backend in one batched call
-        # when it supports it.
-        products = (p1, p2, p3, p4, p5)
-        if hasattr(be, "from_physical_many"):
-            specs = be.from_physical_many(products)
-        else:
-            specs = [be.from_physical(p) for p in products]
         # The spectra *are* collocated values, so the undifferentiated
         # terms use them as they come (values(coeffs(s)) == s); only the
         # three fields under d/dy are expanded into spline space.
-        s1, s2, s3, s4, s5 = specs
-        a2, a3, a5 = ops.coeffs(s2), ops.coeffs(s3), ops.coeffs(s5)
-
         ikx, ikz = m.ikx, m.ikz
-        h1 = -(ikx * s1 + ops.dvalues(a3) + ikz * s4)
-        h2 = -(ikx * s3 + ops.dvalues(a2) + ikz * s5)
-        h3 = -(ikx * s4 + ops.dvalues(a5))
+        d = ops.dvalues(ops.coeffs(s3))  # then scratch for one term at a time
+        # H1 = -(i kx P1 + d/dy P3 + i kz P4), in s1
+        h1 = np.multiply(ikx, s1, out=s1)
+        h1 += d
+        h1 += np.multiply(ikz, s4, out=d)
+        np.negative(h1, out=h1)
+        # H2 = -(i kx P3 + d/dy P2 + i kz P5), in s3
+        h2 = np.multiply(ikx, s3, out=s3)
+        h2 += ops.dvalues(ops.coeffs(s2), out=d)
+        h2 += np.multiply(ikz, s5, out=d)
+        np.negative(h2, out=h2)
+        # H3 = -(i kx P4 + d/dy P5), in s4
+        h3 = np.multiply(ikx, s4, out=s4)
+        h3 += ops.dvalues(ops.coeffs(s5), out=d)
+        np.negative(h3, out=h3)
 
-        hg = ikz * h1 - ikx * h3
+        hg = np.multiply(ikz, h1, out=s2)
+        hg -= np.multiply(ikx, h3, out=d)
 
         # h_v = -k² H2 - d/dy(i kx H1 + i kz H3); the y-derivative needs a
         # re-expansion of the collocated combination into spline space.
-        comb = ikx * h1 + ikz * h3
-        dcomb = ops.dvalues(ops.coeffs(comb))
-        hv = -m.ksq[..., None] * h2 - dcomb
+        comb = np.multiply(ikx, h1, out=d)
+        comb += np.multiply(ikz, h3, out=s5)
+        hv = np.multiply(-m.ksq[..., None], h2, out=h2)
+        hv -= ops.dvalues(ops.coeffs(comb), out=d)
 
         if m.owns_mean:
             h1_mean = h1[m.mean_index].real.copy()
             h3_mean = h3[m.mean_index].real.copy()
         else:
             h1_mean = h3_mean = None
-        speeds = (
-            float(np.abs(up).max()),
-            float(np.abs(vp).max()),
-            float(np.abs(wp).max()),
-        )
         return NonlinearResult(hg=hg, hv=hv, h1_mean=h1_mean, h3_mean=h3_mean, cfl_speeds=speeds)

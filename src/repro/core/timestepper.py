@@ -23,7 +23,7 @@ the serial and the distributed solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -160,82 +160,118 @@ class IMEXStepper:
     # ------------------------------------------------------------------
 
     def step(self, state: ChannelState) -> ChannelState:
-        """Advance the state by one full timestep (three RK substeps)."""
-        m, ops, sch = self.modes, self.ops, self.scheme
-        ny = self.grid.ny
-        dt, nu = self.dt, self.nu
-        mean = m.mean_index
-        ksq = m.ksq[..., None]
-        state = state.copy()
+        """Advance the state by one full timestep (three RK substeps).
+
+        The input state is left as it is: the step only ever rebinds the
+        arrays of its own shallow copy, so the result shares no memory
+        with the input."""
+        state = replace(state)
         if state.u is None or state.w is None:
-            state.u, state.w = recover_uw(m, ops, state.v, state.omega_y, state.u00, state.w00)
+            state.u, state.w = recover_uw(
+                self.modes, self.ops, state.v, state.omega_y, state.u00, state.w00
+            )
 
         for i in range(3):
+            if self.scheme.zeta[i] == 0.0:
+                self._prev_nl = None  # unread by this substep: free it first
             with self.timers.section(self.timers.NONLINEAR):
                 nl = self.nonlinear.compute(state.u, state.v, state.w)
-            zeta_nl = self._prev_nl if sch.zeta[i] != 0.0 else None
-
             with self.timers.section(self.timers.ADVANCE):
-                # -- omega_y advance -------------------------------------------------
-                omega_vals = ops.values(state.omega_y)
-                lap_omega = ops.d2values(state.omega_y) - ksq * omega_vals
-                rhs_w = omega_vals + dt * (sch.alpha[i] * nu * lap_omega + sch.gamma[i] * nl.hg)
-                if zeta_nl is not None:
-                    rhs_w += dt * sch.zeta[i] * zeta_nl.hg
-                rhs_w = rhs_w.reshape(-1, ny)
-
-                # -- phi / v advance (influence matrix) ------------------------------
-                phi_vals = ops.laplacian_values(state.v, m.ksq)
-                a_phi = ops.coeffs(phi_vals)
-                # a_phi interpolates phi_vals: its values are already in hand
-                lap_phi = ops.d2values(a_phi) - ksq * phi_vals
-                rhs_phi = phi_vals + dt * (sch.alpha[i] * nu * lap_phi + sch.gamma[i] * nl.hv)
-                if zeta_nl is not None:
-                    rhs_phi += dt * sch.zeta[i] * zeta_nl.hv
-
-                if self.fused_solves:
-                    # omega_y shares the Helmholtz factors with phi: one
-                    # blocked sweep carries both right-hand sides.
-                    with self.timers.section(self.timers.SOLVE):
-                        new_v, new_omega = self._influence[i].advance(rhs_phi, rhs_w)
-                    new_omega = new_omega.reshape(state.omega_y.shape)
-                else:
-                    rhs_w[:, 0] = 0.0
-                    rhs_w[:, -1] = 0.0
-                    with self.timers.section(self.timers.SOLVE):
-                        new_omega = self._influence[i].helm_lu.solve(rhs_w)
-                        new_v = self._influence[i].solve(rhs_phi)
-                    new_omega = new_omega.reshape(state.omega_y.shape)
-
-                # -- mean modes ------------------------------------------------------
-                if mean is not None:
-                    new_omega[mean] = 0.0
-                    new_v[mean] = 0.0
-                    f = self.forcing
-                    rhs_u0 = ops.values(state.u00) + dt * (
-                        sch.alpha[i] * nu * ops.d2values(state.u00)
-                        + sch.gamma[i] * (nl.h1_mean + f)
-                    )
-                    rhs_w0 = ops.values(state.w00) + dt * (
-                        sch.alpha[i] * nu * ops.d2values(state.w00) + sch.gamma[i] * nl.h3_mean
-                    )
-                    if zeta_nl is not None:
-                        rhs_u0 += dt * sch.zeta[i] * (zeta_nl.h1_mean + f)
-                        rhs_w0 += dt * sch.zeta[i] * zeta_nl.h3_mean
-                    rhs_mean = np.stack([rhs_u0, rhs_w0])
-                    rhs_mean[:, 0] = 0.0
-                    rhs_mean[:, -1] = 0.0
-                    with self.timers.section(self.timers.SOLVE):
-                        state.u00, state.w00 = self._mean_lu[i].solve(rhs_mean)
-
-                state.v = new_v
-                state.omega_y = new_omega
-                state.u, state.w = recover_uw(m, ops, state.v, state.omega_y, state.u00, state.w00)
+                self._advance(i, state, nl, self._prev_nl)
             self._prev_nl = nl
             self.last_cfl_speeds = nl.cfl_speeds
 
-        state.time += dt
+        state.time += self.dt
         return state
+
+    def _advance(
+        self, i: int, state: ChannelState, nl: NonlinearResult, zeta_nl: NonlinearResult | None
+    ) -> None:
+        """Substep ``i``'s implicit advance of ``state``, rebinding its arrays.
+
+        Right-hand sides are built in place, in the operand order of
+        ``rhs = vals + dt * (alpha nu lap + gamma h)``; every temporary
+        dies on return, before the next substep's nonlinear evaluation."""
+        m, ops, sch = self.modes, self.ops, self.scheme
+        dt, nu = self.dt, self.nu
+        mean = m.mean_index
+        ksq = m.ksq[..., None]
+
+        # -- omega_y advance -------------------------------------------------
+        rhs_w = ops.values(state.omega_y)
+        lap = ops.d2values(state.omega_y)
+        tmp = np.multiply(ksq, rhs_w)
+        lap -= tmp
+        self._accumulate(rhs_w, lap, tmp, i, nl.hg, None if zeta_nl is None else zeta_nl.hg)
+        rhs_w = rhs_w.reshape(-1, self.grid.ny)
+
+        # -- phi / v advance (influence matrix) ------------------------------
+        rhs_phi = ops.laplacian_values(state.v, m.ksq)
+        # a_phi interpolates phi_vals: its values are already in hand
+        lap = ops.d2values(ops.coeffs(rhs_phi))
+        lap -= np.multiply(ksq, rhs_phi, out=tmp)
+        self._accumulate(rhs_phi, lap, tmp, i, nl.hv, None if zeta_nl is None else zeta_nl.hv)
+        del lap, tmp
+
+        if self.fused_solves:
+            # omega_y shares the Helmholtz factors with phi: one
+            # blocked sweep carries both right-hand sides.
+            with self.timers.section(self.timers.SOLVE):
+                new_v, new_omega = self._influence[i].advance(rhs_phi, rhs_w)
+        else:
+            rhs_w[:, 0] = 0.0
+            rhs_w[:, -1] = 0.0
+            with self.timers.section(self.timers.SOLVE):
+                new_omega = self._influence[i].helm_lu.solve(rhs_w)
+                new_v = self._influence[i].solve(rhs_phi)
+        new_omega = new_omega.reshape(state.omega_y.shape)
+        del rhs_w, rhs_phi
+
+        # -- mean modes ------------------------------------------------------
+        if mean is not None:
+            new_omega[mean] = 0.0
+            new_v[mean] = 0.0
+            f = self.forcing
+            rhs_u0 = ops.values(state.u00) + dt * (
+                sch.alpha[i] * nu * ops.d2values(state.u00)
+                + sch.gamma[i] * (nl.h1_mean + f)
+            )
+            rhs_w0 = ops.values(state.w00) + dt * (
+                sch.alpha[i] * nu * ops.d2values(state.w00) + sch.gamma[i] * nl.h3_mean
+            )
+            if zeta_nl is not None:
+                rhs_u0 += dt * sch.zeta[i] * (zeta_nl.h1_mean + f)
+                rhs_w0 += dt * sch.zeta[i] * zeta_nl.h3_mean
+            rhs_mean = np.stack([rhs_u0, rhs_w0])
+            rhs_mean[:, 0] = 0.0
+            rhs_mean[:, -1] = 0.0
+            with self.timers.section(self.timers.SOLVE):
+                state.u00, state.w00 = self._mean_lu[i].solve(rhs_mean)
+
+        state.v = new_v
+        state.omega_y = new_omega
+        # the old u, w go first: recover_uw's temporaries take their place
+        state.u = state.w = None
+        state.u, state.w = recover_uw(m, ops, state.v, state.omega_y, state.u00, state.w00)
+
+    def _accumulate(
+        self,
+        rhs: np.ndarray,
+        lap: np.ndarray,
+        tmp: np.ndarray,
+        i: int,
+        h: np.ndarray,
+        h_prev: np.ndarray | None,
+    ) -> None:
+        """``rhs += dt * (alpha_i nu lap + gamma_i h)`` then, when given,
+        ``rhs += dt * zeta_i h_prev`` — in place, ``lap`` and ``tmp``
+        consumed as scratch."""
+        sch, dt = self.scheme, self.dt
+        np.multiply(sch.alpha[i] * self.nu, lap, out=lap)
+        lap += np.multiply(sch.gamma[i], h, out=tmp)
+        rhs += np.multiply(dt, lap, out=lap)
+        if h_prev is not None:
+            rhs += np.multiply(dt * sch.zeta[i], h_prev, out=tmp)
 
     # ------------------------------------------------------------------
 

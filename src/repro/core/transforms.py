@@ -42,8 +42,8 @@ class SerialTransformBackend:
 
     Exposes the interface :class:`repro.core.nonlinear.NonlinearTerms`
     expects — ``to_physical`` / ``from_physical`` over full spectral
-    arrays, plus the batched ``*_many`` stack entry points — backed by
-    the planned, buffer-reusing
+    arrays, plus ``*_many`` stack entry points for callers holding a
+    list of fields — backed by the planned, buffer-reusing
     :class:`~repro.fft.pipeline.TransformPipeline`.  The distributed
     solver substitutes the pencil pipeline.
 

@@ -32,13 +32,14 @@ cost of the nonlinear term.  :class:`TransformPipeline` removes it:
   :class:`~repro.fft.plans.Planner` cache, so strategy selection and
   backend threading follow the FFTW plan-once/execute-many contract.
   The pencil-decomposed parallel FFT draws from the same cache.
-* **Batched stack execution** — :meth:`to_physical_many` /
-  :meth:`from_physical_many` run the whole 3-velocity / 5-product stack
-  through one call.  Fields are transformed one at a time *inside* the
-  batch: measurement shows pocketfft over a stacked 4-D axis is slower
-  than per-field 3-D transforms here (the per-field working set stays
-  cache-resident), so the batch buys shared workspaces and one
-  Python-level entry per substep, not a wider FFT.
+* **Stack entry points** — :meth:`to_physical_many` /
+  :meth:`from_physical_many` take a list of fields for callers that
+  hold a whole stack (benchmarks); they loop over the single-field
+  calls, because pocketfft over a stacked 4-D axis is slower than
+  per-field 3-D transforms here (the per-field working set stays
+  cache-resident).  The nonlinear term does not use them: it streams
+  one product at a time through a single buffer, so five products never
+  coexist on the quadrature grid.
 * **Counters** — a :class:`~repro.instrument.TransformCounters` records
   workspace bytes/allocations, transforms executed and per-stage wall
   time.  After warm-up the workspace counters are constant: the hot path
@@ -51,8 +52,9 @@ values into the same padded mode slots the reference builds, and the
 truncation divide applies the same elementwise operation to the same
 values.  Forward outputs are fresh arrays returned as ``(x, z, y)``
 views of ``(z, y, x)``-contiguous storage; elementwise products of such
-views preserve the layout, which is what keeps the backward transform on
-the fast contiguous path through the whole nonlinear chain.
+views, and buffers made by ``np.empty_like`` of one, keep that layout,
+which is what keeps the backward transform on the fast contiguous path
+through the whole nonlinear chain.
 """
 
 from __future__ import annotations

@@ -293,6 +293,11 @@ class FaultPlan:
                     )
         return fired
 
+    def seen(self, index: int = 0) -> int:
+        """Matching calls event ``index`` has watched so far, fired or not."""
+        with self._lock:
+            return self._counts[index]
+
     def apply(self, world_rank: int, op: str, payload: Any) -> Any:
         """Run the plan for one operation; returns the (possibly faulted) payload."""
         for i, e in self._match(world_rank, op):

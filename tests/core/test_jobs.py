@@ -15,8 +15,10 @@ import pytest
 from repro.core import ChannelConfig, ChannelDNS
 from repro.core.jobs import JobManager, JobSpec
 from repro.mpi.pool import RankPool
-from repro.mpi.simmpi import FaultEvent, FaultPlan, PreemptRequired
+from repro.mpi.simmpi import PreemptRequired
 from repro.telemetry import read_manifest, read_stream
+
+from tests.faults import rank1_kill_plan
 
 CFG_A = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 CFG_B = dataclasses.replace(CFG_A, seed=21)
@@ -142,7 +144,7 @@ class TestQuarantineIsolation:
         free rank and beta is never handed the poisoned one."""
         pool = RankPool(5)
         mgr = JobManager(pool, directory=tmp_path)  # no prober
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG_A, 4)
         alpha = mgr.submit(
             JobSpec(
                 "alpha", CFG_A, n_steps=10, ranks=4, min_ranks=2,
@@ -175,7 +177,7 @@ class TestQuarantineIsolation:
     def test_prober_heals_quarantine_and_emits_probe_events(self, tmp_path):
         pool = RankPool(4)
         mgr = JobManager(pool, directory=tmp_path, prober=lambda r: True)
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG_A, 4)
         alpha = mgr.submit(
             JobSpec(
                 "alpha", CFG_A, n_steps=10, ranks=4, min_ranks=2,
@@ -199,7 +201,7 @@ class TestRetryAndDeadline:
         manager requeues with backoff and the clean retry completes."""
         pool = RankPool(3)
         mgr = JobManager(pool, directory=tmp_path, backoff_base=0.01, backoff_max=0.02)
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG_A, 2)
         job = mgr.submit(
             JobSpec(
                 "flaky", CFG_A, n_steps=6, ranks=2, min_ranks=2,
@@ -221,9 +223,7 @@ class TestRetryAndDeadline:
     def test_retry_budget_exhausted_fails_visibly(self, tmp_path):
         pool = RankPool(3)
         mgr = JobManager(pool, directory=tmp_path, backoff_base=0.01)
-        plans = [
-            FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)]),
-        ]
+        plans = [rank1_kill_plan(CFG_A, 2)]
         job = mgr.submit(
             JobSpec(
                 "doomed", CFG_A, n_steps=6, ranks=2, min_ranks=2,

@@ -1,5 +1,7 @@
 """Time stepper tests: scheme coefficients, steady states, convergence, decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,46 @@ class TestFactorSets:
         fresh.run(3)
         for name in ("v", "omega_y", "u00", "w00", "u", "w"):
             assert np.array_equal(getattr(dns.state, name), getattr(fresh.state, name)), name
+
+
+class TestStepWorkingSet:
+    """The step streams its products through one buffer and frees each
+    substep's temporaries; it never writes into the state it is given."""
+
+    @pytest.mark.parametrize("nx,ny,nz", [(48, 17, 48), (16, 193, 16)])
+    def test_warm_step_peak_is_at_most_ten_quadrature_fields(self, nx, ny, nz):
+        dns = ChannelDNS(ChannelConfig(nx=nx, ny=ny, nz=nz, dt=2e-4, init_amplitude=0.5, seed=3))
+        dns.initialize()
+        dns.run(2)  # plans, workspaces and factor engines exist from here on
+        g = dns.grid
+        field_bytes = g.nxq * g.nzq * g.ny * 8
+        tracemalloc.start()
+        try:
+            dns.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * field_bytes, f"{peak / field_bytes:.1f} quadrature-grid fields"
+
+    @pytest.mark.parametrize("cached_uw", [True, False])
+    def test_step_leaves_input_state_alone(self, cached_uw):
+        dns = ChannelDNS(ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, init_amplitude=0.5, seed=3))
+        dns.initialize()
+        dns.run(1)
+        state = dns.state
+        if not cached_uw:
+            state.u = state.w = None
+        names = [n for n in ("v", "omega_y", "u00", "w00", "u", "w") if getattr(state, n) is not None]
+        before = {n: getattr(state, n).copy() for n in names}
+        out = dns.stepper.step(state)
+        for n in names:
+            assert np.array_equal(getattr(state, n), before[n]), n
+        if not cached_uw:
+            assert state.u is None and state.w is None
+        assert out.time == state.time + dns.stepper.dt
+        for n in ("v", "omega_y", "u00", "w00", "u", "w"):
+            for m in names:
+                assert not np.shares_memory(getattr(out, n), getattr(state, m)), (n, m)
 
 
 class TestTemporalConvergence:

@@ -18,6 +18,8 @@ from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
 
+from tests.faults import rank1_kill_plan
+
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 
 
@@ -246,7 +248,7 @@ class TestKillRestartIdentity:
         straight = _uninterrupted_state(10)
 
         counters = RecoveryCounters()
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
         final, log = run_supervised_spmd(
             4,
             CFG,

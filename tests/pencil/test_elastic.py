@@ -16,16 +16,12 @@ from repro.core import ChannelConfig
 from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.instrument import RecoveryCounters, SectionTimers
 from repro.mpi.pool import LeaseGrowSource, RankPool
-from repro.mpi.simmpi import (
-    FaultEvent,
-    FaultPlan,
-    PreemptRequired,
-    ShrinkRequired,
-    run_spmd,
-)
+from repro.mpi.simmpi import PreemptRequired, ShrinkRequired, run_spmd
 from repro.mpi.topology import factor_pairs
 from repro.pencil.decomp import choose_grid
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
+
+from tests.faults import rank1_kill_plan
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 MX, MZ = CFG.nx // 2, CFG.nz - 1  # 8 spectral-x, 15 spectral-z modes
@@ -143,7 +139,7 @@ class TestElasticShrinkIdentity:
         elastic supervisor shrinks to the agreed survivors, re-plans the
         grid, reshard-restores, and the final state is bit-for-bit a
         fresh run at the survivor count started from the same snapshot."""
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, nranks, pa, pb)
         counters = RecoveryCounters()
         timers = SectionTimers()
         final, log = run_supervised_spmd(
@@ -193,7 +189,7 @@ class TestElasticShrinkIdentity:
 
     def test_min_ranks_bounds_degradation(self, tmp_path):
         """A shrink below min_ranks propagates the ShrinkRequired."""
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
         with pytest.raises(ShrinkRequired):
             run_supervised_spmd(
                 4,
@@ -211,7 +207,7 @@ class TestElasticShrinkIdentity:
     def test_non_elastic_supervisor_unchanged(self, tmp_path):
         """Without elastic=True the same kill takes the classic
         same-size restart path (PR-3 behavior preserved)."""
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
         counters = RecoveryCounters()
         final, log = run_supervised_spmd(
             4,
@@ -256,7 +252,7 @@ class TestElasticGrowIdentity:
         trajectory lands on the uninterrupted run's exact bits."""
         pool = RankPool(nranks)
         pool.acquire("job", nranks)
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, nranks, pa, pb)
         counters = RecoveryCounters()
         timers = SectionTimers()
         final, log = run_supervised_spmd(
@@ -341,9 +337,7 @@ class TestElasticGrowIdentity:
             n_steps=15,
             checkpoint_dir=tmp_path,
             checkpoint_every=5,
-            fault_plans=[
-                FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
-            ],
+            fault_plans=[rank1_kill_plan(CFG, 4, 2, 2)],
             counters=counters,
             elastic=True,
             grow_source=RacingSource(pool, "job"),

@@ -16,10 +16,12 @@ import pytest
 from repro.core import ChannelConfig, ChannelDNS
 from repro.core.checkpoint import CheckpointRotation
 from repro.core.statistics import mode_weights, plane_covariance
-from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
+from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
 from repro.serving import REDUCTION_RTOL, StatsStore, StreamingStatistics
 from repro.stats.spectra import energy_spectrum_x, energy_spectrum_z
+
+from tests.faults import rank1_kill_plan
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 
@@ -310,7 +312,7 @@ class TestDistributedIdentity:
         the uninterrupted serial oracle with exactly n_steps samples."""
         _, ref_stream = _serial_reference(10)
         ref = ref_stream.result()
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
         final, log = run_supervised_spmd(
             4, CFG, pa=2, pb=2, n_steps=10,
             checkpoint_dir=tmp_path / "ck", checkpoint_every=5,
@@ -327,7 +329,7 @@ class TestDistributedIdentity:
         statistics still match the serial oracle, no samples dropped."""
         _, ref_stream = _serial_reference(10)
         ref = ref_stream.result()
-        plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=150)])
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
         final, log = run_supervised_spmd(
             4, CFG, pa=2, pb=2, n_steps=10,
             checkpoint_dir=tmp_path / "ck", checkpoint_every=5,
