@@ -75,6 +75,11 @@ def block_size(n: int, p: int, i: int) -> int:
     return stop - start
 
 
+def block_sizes(n: int, p: int) -> list[int]:
+    """All block sizes of ``n`` items over ``p`` parts."""
+    return [block_size(n, p, i) for i in range(p)]
+
+
 @dataclass(frozen=True)
 class PencilDecomp:
     """Local-shape arithmetic for one rank of the process grid.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.fft.fourier import quadrature_points
 from repro.instrument import SectionTimers
 from repro.mpi.simmpi import Communicator
-from repro.pencil.decomp import block_range
+from repro.pencil.decomp import block_range, block_sizes
 from repro.pencil.transpose import GlobalTranspose, TransposeMethod
 
 
@@ -76,8 +76,12 @@ class SlabTransforms:
         self.zq_slice = slice(*block_range(self.nzq, p, comm.rank))
         kw = {"method": method} if method is not None else {}
         # one transpose: x-block spectral <-> z-block physical
-        self.t_fwd = GlobalTranspose(comm, split_axis=1, concat_axis=0, **kw)
-        self.t_bwd = GlobalTranspose(comm, split_axis=0, concat_axis=1, **kw)
+        self.t_fwd = GlobalTranspose(
+            comm, split_axis=1, concat_axis=0, concat_sizes=block_sizes(self.mx, p), **kw
+        )
+        self.t_bwd = GlobalTranspose(
+            comm, split_axis=0, concat_axis=1, concat_sizes=block_sizes(self.nzq, p), **kw
+        )
 
     # ------------------------------------------------------------------
 

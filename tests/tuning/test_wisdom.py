@@ -11,7 +11,7 @@ from repro.linalg.custom import FoldedLU
 from repro.linalg.engine import measure_block
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
 from repro.mpi.simmpi import run_spmd
-from repro.pencil.decomp import block_range
+from repro.pencil.decomp import block_range, block_sizes
 from repro.pencil.transpose import GlobalTranspose, TransposeMethod
 from repro.tuning import (
     ENV_WISDOM,
@@ -261,7 +261,7 @@ class TestTransposeWisdom:
         def prog(comm):
             s = WisdomStore(path)
             lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2)
+            t = GlobalTranspose(comm, 0, 2, concat_sizes=block_sizes(8, comm.size))
             choice = t.plan(np.zeros((8, 2, hi - lo)), wisdom=s)
             return choice.value, len(t.measured)
 
@@ -282,7 +282,7 @@ class TestTransposeWisdom:
         def prog(comm):
             s = WisdomStore(path)
             lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2)
+            t = GlobalTranspose(comm, 0, 2, concat_sizes=block_sizes(8, comm.size))
             choice = t.plan(np.zeros((8, 2, hi - lo)), wisdom=s)
             choices = comm.allgather(choice)
             assert len(set(choices)) == 1
