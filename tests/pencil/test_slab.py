@@ -7,6 +7,7 @@ from repro.core.grid import ChannelGrid
 from repro.core.transforms import to_quadrature_grid
 from repro.mpi import run_spmd
 from repro.pencil.slab import SlabTransforms, max_slab_ranks
+from repro.pencil.transpose import TransposeMethod
 
 from tests.pencil.test_parallel_fft import make_spectral
 
@@ -43,6 +44,23 @@ class TestSlabTransforms:
             return True
 
         assert all(run_spmd(2, prog))
+
+    def test_pipelined_is_bitwise_the_blocking_path(self):
+        """The pipelined transposes assemble the uneven x and z blocks of
+        3 ranks from the decomposition, bit for bit."""
+        grid = ChannelGrid(NX, NY, NZ)
+        spec = make_spectral(grid, seed=4)
+
+        def prog(comm):
+            sync = SlabTransforms(comm, NX, NY, NZ, method=TransposeMethod.ALLTOALL)
+            pipe = SlabTransforms(comm, NX, NY, NZ, method=TransposeMethod.PIPELINED)
+            local = np.ascontiguousarray(spec[sync.x_slice, :, :])
+            phys = sync.to_physical(local)
+            np.testing.assert_array_equal(pipe.to_physical(local), phys)
+            np.testing.assert_array_equal(pipe.from_physical(phys), sync.from_physical(phys))
+            return True
+
+        assert all(run_spmd(3, prog))
 
     def test_shape_validation(self):
         def prog(comm):
