@@ -3,26 +3,20 @@
 The paper's production run spans 650,000 steps over months of machine
 allocations on up to 786K cores — checkpointing is load-bearing
 infrastructure, and a checkpoint that can be *lost* (crash mid-write) or
-*silently wrong* (bit rot, truncated transfer) is worse than none.  This
-module therefore treats durability as part of the format:
+*silently wrong* (bit rot, truncated transfer) is worse than none.  The
+durability itself — atomic fsync'd publish, the CRC32-checksummed npz
+container, keep-K generations with a ``latest`` pointer and a verified
+fallback walk — lives in :mod:`repro.storage`; this module decides what a
+snapshot holds and how a driver is rebuilt from it:
 
-* **Atomic writes** — every file is written to a temporary sibling,
-  flushed and ``fsync``'d, then moved into place with :func:`os.replace`
-  (atomic on POSIX); the containing directory is fsync'd afterwards so
-  the rename itself is durable.  A crash mid-save leaves the previous
-  checkpoint untouched.
-* **Checksummed payloads** — the embedded JSON manifest records a CRC32
-  per array; :func:`load_checkpoint` recomputes and verifies them,
-  raising :class:`CheckpointCorruptError` on any mismatch (on top of the
-  zip container's own integrity checks, which catch raw bit flips).
-* **Rotation with fallback** — :class:`CheckpointRotation` keeps the
-  newest ``keep`` snapshots plus a ``latest`` pointer and, when asked to
-  restore, falls back to the newest snapshot that *verifies*, so a
-  corrupt head never strands a campaign.
+* **Serial snapshots** — :func:`save_checkpoint` / :func:`load_checkpoint`
+  write and restore one checksummed file; :class:`CheckpointRotation`
+  keeps the newest ``keep`` of them and restores the newest one that
+  *reads*, so a corrupt head never strands a campaign.
 * **Sharded parallel snapshots** — :class:`ShardedCheckpointRotation`
   saves one shard per SimMPI rank (each rank's own y-pencil block) plus
   a rank-0 ``manifest.json``, with a coordinated consistency check on
-  load; all restore decisions derive from ``bcast``/``allgather`` so
+  load; every restore decision derives from ``bcast``/``allgather`` so
   every rank takes the same branch and the loader cannot deadlock.
 * **Decomposition-agnostic restore** — every shard records the global
   spectral index ranges of its block, so a snapshot written on one
@@ -41,10 +35,7 @@ crash-recovery tests in ``tests/core/test_supervisor.py``.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import shutil
-import zlib
 from dataclasses import asdict
 
 import numpy as np
@@ -52,55 +43,22 @@ import numpy as np
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.timestepper import SMR91, ChannelState
 
-#: current writer version and the lineage of versions this reader accepts.
-#: v2: manifest with per-array CRC32, scheme fingerprint and runtime (dt,
-#: forcing).  A manifest-less file (the v1 layout) cannot be verified and
-#: is refused as unsupported.
-FORMAT_VERSION = 2
-FORMAT_HISTORY = (2,)
+# the error types and format constants stay importable from here
+from repro.storage import (
+    FORMAT_HISTORY,
+    FORMAT_VERSION,
+    CheckpointCorruptError,
+    CheckpointUnrecoverableError,
+    Generations,
+    failure,
+    publish,
+    read_npz,
+    write_npz,
+)
 
 #: grid/discretization keys that must match between a checkpoint and an
 #: explicitly supplied config.
 _GRID_KEYS = ("nx", "ny", "nz", "degree", "stretch", "lx", "lz")
-
-
-class CheckpointCorruptError(ValueError):
-    """A checkpoint failed verification (bad container, checksum or manifest)."""
-
-
-class CheckpointUnrecoverableError(CheckpointCorruptError):
-    """Every candidate generation failed integrity — no fallback is left.
-
-    This is the rotation's terminal verdict, not a per-snapshot mismatch:
-    the newest snapshot *and* every older generation were tried and each
-    one was rejected.  ``generations`` preserves the full attribution as
-    ``[(snapshot_name, [failure, ...]), ...]`` in the order tried, where
-    each failure is ``{"rank", "path", "reason", "message"}`` (``rank``
-    is None for the serial rotation) — so a job manager can report which
-    rank's shard broke in which generation without parsing the message.
-    """
-
-    def __init__(self, directory, generations, kind: str = "checkpoint") -> None:
-        self.directory = pathlib.Path(directory)
-        self.generations = [(name, list(fails)) for name, fails in generations]
-        if self.generations:
-            detail = "; ".join(
-                f"{name}: " + "; ".join(f["message"] for f in fails)
-                for name, fails in self.generations
-            )
-        else:
-            detail = "no snapshots found"
-        super().__init__(f"no verifiable {kind} under {self.directory} ({detail})")
-
-
-def _failure(rank, path, reason, message) -> dict:
-    """One structured failure record of a rejected checkpoint generation."""
-    return {"rank": rank, "path": str(path), "reason": str(reason), "message": message}
-
-
-# ----------------------------------------------------------------------
-# low-level atomic, checksummed npz I/O
-# ----------------------------------------------------------------------
 
 
 def _normalize_path(path: str | pathlib.Path) -> pathlib.Path:
@@ -116,108 +74,15 @@ def _normalize_path(path: str | pathlib.Path) -> pathlib.Path:
     return path
 
 
-def _crc32(arr: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(arr).tobytes()) & 0xFFFFFFFF
-
-
-def _fsync_dir(directory: pathlib.Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
-
-
-def _atomic_write_bytes(path: pathlib.Path, write_fn) -> None:
-    """Write-to-temp + fsync + atomic rename; ``write_fn(fh)`` fills the file."""
-    path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            write_fn(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # failed before the rename
-            tmp.unlink()
-    _fsync_dir(path.parent)
-
-
-def _atomic_write_npz(
-    path: pathlib.Path, manifest: dict, arrays: dict[str, np.ndarray]
-) -> None:
-    """Atomically write a checkpoint file: arrays + checksummed manifest."""
-    payload = {k: np.asarray(v) for k, v in arrays.items()}
-    manifest = dict(manifest)
-    manifest["arrays"] = {
-        k: {"crc32": _crc32(v), "shape": list(v.shape), "dtype": str(v.dtype)}
-        for k, v in payload.items()
-    }
-    _atomic_write_bytes(
-        path,
-        lambda fh: np.savez_compressed(fh, manifest_json=json.dumps(manifest), **payload),
-    )
-
-
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    _atomic_write_bytes(path, lambda fh: fh.write(text.encode()))
-
-
-def _read_npz(path: pathlib.Path, verify: bool = True) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint file, returning ``(manifest, arrays)``.
-
-    Container-level failures (truncation, bad zip, bad zlib streams) and
-    checksum mismatches raise :class:`CheckpointCorruptError`; version
-    mismatches raise a plain :class:`ValueError` naming the supported
-    lineage.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            keys = set(data.files)
-            manifest = json.loads(str(data["manifest_json"])) if "manifest_json" in keys else {}
-            # an explicit key is authoritative when present (a manifest-less
-            # legacy layout, or a file whose version was deliberately rewritten)
-            if "format_version" in keys:
-                version = int(data["format_version"])
-            elif manifest:
-                version = int(manifest.get("format_version", -1))
-            else:
-                raise CheckpointCorruptError(f"{path.name}: no checkpoint header")
-            if version not in FORMAT_HISTORY or not manifest:
-                raise ValueError(
-                    f"unsupported checkpoint format {version}; "
-                    f"this build reads versions {FORMAT_HISTORY}"
-                )
-            arrays: dict[str, np.ndarray] = {}
-            for name, meta in manifest["arrays"].items():
-                arr = data[name]
-                if verify:
-                    crc = _crc32(arr)
-                    if crc != int(meta["crc32"]):
-                        raise CheckpointCorruptError(
-                            f"{path.name}: checksum mismatch on array {name!r} "
-                            f"(stored {meta['crc32']:#010x}, computed {crc:#010x})"
-                        )
-                arrays[name] = arr.copy()
-            return manifest, arrays
-    except ValueError:
-        raise
-    except Exception as exc:  # truncated/garbled container, missing keys, IO error
-        raise CheckpointCorruptError(f"{path.name}: unreadable checkpoint ({exc})") from exc
-
-
 def verify_checkpoint(path: str | pathlib.Path) -> tuple[bool, str]:
-    """Cheaply decide whether ``path`` is a loadable, checksum-clean checkpoint."""
+    """Cheaply decide whether ``path`` is a loadable, checksum-clean checkpoint.
+
+    Damaged bytes and unsupported format versions answer ``False`` with
+    the reason; any other error propagates."""
     try:
-        _read_npz(_normalize_path(path), verify=True)
+        read_npz(_normalize_path(path))
         return True, "ok"
-    except Exception as exc:  # noqa: BLE001 - any failure means "not verifiable"
+    except ValueError as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
 
@@ -298,8 +163,7 @@ def save_checkpoint(dns: ChannelDNS, path: str | pathlib.Path) -> pathlib.Path:
         "u00": state.u00,
         "w00": state.w00,
     }
-    _atomic_write_npz(path, manifest, arrays)
-    return path
+    return write_npz(path, manifest, arrays)
 
 
 def load_checkpoint(
@@ -316,8 +180,7 @@ def load_checkpoint(
     default to the supplied config (legitimate e.g. to restart with a
     different dt) unless ``restore_runtime=True``.
     """
-    path = _normalize_path(path)
-    manifest, arrays = _read_npz(path, verify=True)
+    manifest, arrays = read_npz(_normalize_path(path))
     stored = manifest["config"]
     if restore_runtime is None:
         restore_runtime = config is None
@@ -359,14 +222,12 @@ class CheckpointRotation:
 
     ``save`` writes ``<basename>-<step>.npz`` atomically, repoints the
     ``latest`` file and prunes beyond ``keep``.  ``load_latest`` walks the
-    pointer first, then every remaining snapshot newest-first, and
-    restores the first one that passes checksum verification — a corrupt
-    head falls back instead of killing the campaign.  Pass a
+    pointer first, then every remaining snapshot newest-first, reading
+    each candidate once, and restores the first one that is not corrupt —
+    a corrupt head falls back instead of killing the campaign.  Pass a
     :class:`~repro.instrument.RecoveryCounters` to surface save/prune/
     verify-failure counts through the instrumentation layer.
     """
-
-    POINTER = "latest"
 
     def __init__(
         self,
@@ -382,67 +243,33 @@ class CheckpointRotation:
         self.basename = basename
         self.keep = int(keep)
         self.counters = counters
-
-    # -- inventory ------------------------------------------------------
+        self.generations = Generations(self.directory, f"{basename}-", ".npz")
 
     def snapshots(self) -> list[pathlib.Path]:
         """Snapshot files, newest (highest step) first."""
-
-        def step_of(p: pathlib.Path) -> int:
-            try:
-                return int(p.stem.rsplit("-", 1)[1])
-            except (IndexError, ValueError):
-                return -1
-
-        found = [p for p in self.directory.glob(f"{self.basename}-*.npz") if step_of(p) >= 0]
-        return sorted(found, key=step_of, reverse=True)
+        return self.generations.paths()
 
     @property
     def latest_path(self) -> pathlib.Path | None:
         """The pointer target when it exists, else the newest snapshot."""
-        pointer = self.directory / self.POINTER
-        if pointer.exists():
-            target = self.directory / pointer.read_text().strip()
-            if target.exists():
-                return target
-        snaps = self.snapshots()
-        return snaps[0] if snaps else None
-
-    # -- write ----------------------------------------------------------
+        return self.generations.head()
 
     def save(self, dns: ChannelDNS) -> pathlib.Path:
-        path = self.directory / f"{self.basename}-{dns.step_count:09d}.npz"
-        save_checkpoint(dns, path)
+        path = save_checkpoint(dns, self.directory / f"{self.basename}-{dns.step_count:09d}.npz")
         # a streaming-statistics sidecar rides along with every snapshot
         # (written before the pointer moves, so `latest` never names a
         # snapshot whose sidecar is missing mid-crash) — see repro.serving
         streaming = dns.streaming
         if streaming is not None and streaming.total_samples > 0:
             streaming.save_to(self.directory, dns.step_count)
-        _atomic_write_text(self.directory / self.POINTER, path.name)
+        self.generations.point(path)
+        pruned = self.generations.prune(self.keep)
         if self.counters is not None:
             self.counters.checkpoints_saved += 1
-        for old in self.snapshots()[self.keep:]:
-            old.unlink(missing_ok=True)
-            if self.counters is not None:
-                self.counters.checkpoints_pruned += 1
+            self.counters.checkpoints_pruned += len(pruned)
         if streaming is not None:
-            sidecars = sorted(self.directory.glob("stats-*.npz"))
-            for old in sidecars[: max(0, len(sidecars) - self.keep)]:
-                old.unlink(missing_ok=True)
+            streaming.sidecars(self.directory).prune(self.keep)
         return path
-
-    # -- verified restore ----------------------------------------------
-
-    def _candidates(self) -> list[pathlib.Path]:
-        ordered: list[pathlib.Path] = []
-        head = self.latest_path
-        if head is not None:
-            ordered.append(head)
-        for p in self.snapshots():
-            if p not in ordered:
-                ordered.append(p)
-        return ordered
 
     def load_latest(
         self,
@@ -450,28 +277,32 @@ class CheckpointRotation:
         *,
         restore_runtime: bool | None = None,
     ) -> ChannelDNS:
-        """Restore the newest *verifiable* snapshot (fallback on corruption).
+        """Restore the newest snapshot that reads (fallback on corruption).
 
-        When every generation fails, raises the typed
+        Only :class:`CheckpointCorruptError` falls back; any other error —
+        an unsupported format version, a config mismatch, an interpreter
+        fault — propagates.  When every generation fails, raises the typed
         :class:`CheckpointUnrecoverableError` carrying per-generation
         attribution instead of a generic fallback message."""
-        tried: list[tuple[str, list[dict]]] = []
-        for path in self._candidates():
-            ok, reason = verify_checkpoint(path)
-            if not ok:
-                tried.append(
-                    (path.name, [_failure(None, path, reason, str(reason))])
-                )
-                if self.counters is not None:
-                    self.counters.verify_failures += 1
-                continue
-            return load_checkpoint(path, config=config, restore_runtime=restore_runtime)
-        raise CheckpointUnrecoverableError(self.directory, tried)
+        return self.generations.first_verified(
+            lambda path: load_checkpoint(path, config=config, restore_runtime=restore_runtime),
+            counters=self.counters,
+        )
 
 
 # ----------------------------------------------------------------------
 # sharded parallel checkpoints (one shard per SimMPI rank)
 # ----------------------------------------------------------------------
+
+
+def _read_manifest(snap: pathlib.Path, rank) -> dict:
+    """A sharded snapshot's ``manifest.json``; an unreadable one is corrupt."""
+    path = snap / "manifest.json"
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        why = f"manifest unreadable ({exc})"
+        raise CheckpointCorruptError(why, [failure(rank, path, exc, why)]) from exc
 
 
 class ShardedCheckpointRotation:
@@ -486,13 +317,12 @@ class ShardedCheckpointRotation:
     Every shard is itself an atomic, checksummed npz; the rank-0 manifest
     (written only after a barrier confirms all shards are durable) names
     the layout (nranks, pa, pb), the config fingerprint and the step, so
-    a restart can check consistency before touching any state.  All
-    load-time decisions are broadcast/reduced so every rank takes the
-    same branch — a half-written or corrupt snapshot is skipped by *all*
-    ranks together and the rotation falls back to the previous one.
+    a restart can check consistency before touching any state.  Rank 0
+    lists the candidates and reads the manifest, and ``bcast`` hands both
+    to every rank; each rank's shard verdict is shared by ``allgather``,
+    so a half-written or corrupt snapshot is skipped by *all* ranks
+    together and the rotation falls back to the previous one.
     """
-
-    POINTER = "latest"
 
     def __init__(self, directory: str | pathlib.Path, keep: int = 3, counters=None) -> None:
         if keep < 1:
@@ -500,32 +330,11 @@ class ShardedCheckpointRotation:
         self.directory = pathlib.Path(directory)
         self.keep = int(keep)
         self.counters = counters
-
-    # -- inventory ------------------------------------------------------
+        self.generations = Generations(self.directory, "step-")
 
     def snapshot_dirs(self) -> list[pathlib.Path]:
         """Snapshot directories, newest (highest step) first."""
-
-        def step_of(p: pathlib.Path) -> int:
-            try:
-                return int(p.name.rsplit("-", 1)[1])
-            except (IndexError, ValueError):
-                return -1
-
-        found = [p for p in self.directory.glob("step-*") if p.is_dir() and step_of(p) >= 0]
-        return sorted(found, key=step_of, reverse=True)
-
-    def _candidate_names(self) -> list[str]:
-        ordered: list[str] = []
-        pointer = self.directory / self.POINTER
-        if pointer.exists():
-            name = pointer.read_text().strip()
-            if (self.directory / name).is_dir():
-                ordered.append(name)
-        for p in self.snapshot_dirs():
-            if p.name not in ordered:
-                ordered.append(p.name)
-        return ordered
+        return self.generations.paths()
 
     # -- write ----------------------------------------------------------
 
@@ -561,7 +370,7 @@ class ShardedCheckpointRotation:
         if ddns.modes.owns_mean:
             arrays["u00"] = state.u00
             arrays["w00"] = state.w00
-        _atomic_write_npz(snap / f"shard-r{comm.rank:04d}.npz", shard_manifest, arrays)
+        write_npz(snap / f"shard-r{comm.rank:04d}.npz", shard_manifest, arrays)
         comm.barrier()  # all shards durable before the manifest names them
         # streaming-statistics sidecar (collective merge, rank-0 write)
         # lands inside the step dir before the manifest/pointer name it,
@@ -589,14 +398,11 @@ class ShardedCheckpointRotation:
                 },
                 "shards": [f"shard-r{r:04d}.npz" for r in range(comm.size)],
             }
-            _atomic_write_bytes(
-                snap / "manifest.json", lambda fh: fh.write(json.dumps(manifest).encode())
-            )
-            _atomic_write_text(self.directory / self.POINTER, snap.name)
-            for old in self.snapshot_dirs()[self.keep:]:
-                shutil.rmtree(old, ignore_errors=True)
-                if self.counters is not None:
-                    self.counters.checkpoints_pruned += 1
+            publish(snap / "manifest.json", json.dumps(manifest).encode())
+            self.generations.point(snap)
+            pruned = self.generations.prune(self.keep)
+            if self.counters is not None:
+                self.counters.checkpoints_pruned += len(pruned)
         if self.counters is not None:
             self.counters.checkpoints_saved += 1
         comm.barrier()
@@ -617,140 +423,78 @@ class ShardedCheckpointRotation:
         every shard that is read is CRC-verified, shard failures are
         reported with *which* rank/shard failed and why, and an
         unverifiable snapshot is skipped by all ranks together so the
-        rotation falls back to the previous one.  When *every* generation
-        fails, the typed :class:`CheckpointUnrecoverableError` carries
-        the per-generation, per-shard (rank, path, reason) attribution.
+        rotation falls back to the previous one; any error that is not
+        corruption propagates.  When *every* generation fails, the typed
+        :class:`CheckpointUnrecoverableError` carries the per-generation,
+        per-shard (rank, path, reason) attribution.
         """
+        comm = ddns.comm
+        names = comm.bcast(
+            [p.name for p in self.generations.candidates()] if comm.rank == 0 else None,
+            root=0,
+        )
+        return self.generations.first_verified(
+            lambda snap: self._restore(ddns, snap, reshard),
+            candidates=[self.directory / name for name in names],
+            counters=self.counters,
+            kind="sharded checkpoint",
+        )
+
+    def _restore(self, ddns, snap: pathlib.Path, reshard: bool) -> pathlib.Path:
+        """Collectively restore ``snap`` into ``ddns``; every rank raises the
+        same :class:`CheckpointCorruptError` when any rank's read fails."""
         from repro.core.velocity import recover_uw
 
         comm = ddns.comm
-        names = comm.bcast(self._candidate_names() if comm.rank == 0 else None, root=0)
-        tried: list[tuple[str, list[dict]]] = []
-        for name in names:
-            snap = self.directory / name
-            payload = None
-            if comm.rank == 0:
-                try:
-                    payload = (json.loads((snap / "manifest.json").read_text()), None)
-                except Exception as exc:  # noqa: BLE001 - skip unreadable snapshot
-                    payload = (
-                        None,
-                        _failure(
-                            0,
-                            snap / "manifest.json",
-                            exc,
-                            f"manifest unreadable ({exc})",
-                        ),
-                    )
-            manifest, reason = comm.bcast(payload, root=0)
-            if manifest is None:
-                tried.append((name, [reason]))
-                if self.counters is not None:
-                    self.counters.verify_failures += 1
-                continue
-            same_layout = (
-                manifest["nranks"] == comm.size
-                and manifest["pa"] == ddns.transforms.pa
-                and manifest["pb"] == ddns.transforms.pb
-            )
-            if not same_layout and not reshard:
-                raise ValueError(
-                    f"sharded checkpoint layout mismatch: file has "
-                    f"{manifest['nranks']} ranks as {manifest['pa']}x{manifest['pb']}, "
-                    f"run has {comm.size} ranks as "
-                    f"{ddns.transforms.pa}x{ddns.transforms.pb}"
-                )
-            _check_fingerprint(manifest["config"], ddns.config)
-            if same_layout:
-                ok, detail, state = self._load_own_shard(ddns, snap, manifest)
-            else:
-                ok, detail, state = self._load_resharded(ddns, snap, manifest)
-            # every rank learns every verdict, so the failure message can
-            # name exactly which shard broke and all ranks branch together
-            verdicts = comm.allgather((bool(ok), detail))
-            if not all(v for v, _ in verdicts):
-                tried.append((name, [d for v, d in verdicts if not v and d]))
-                if self.counters is not None:
-                    self.counters.verify_failures += 1
-                continue
-            state.u, state.w = recover_uw(
-                ddns.modes, ddns.stepper.ops, state.v, state.omega_y, state.u00, state.w00
-            )
-            ddns.state = state
-            ddns.step_count = int(manifest["step_count"])
-            runtime = manifest.get("runtime")
-            if runtime is not None:
-                ddns.stepper.set_dt(float(runtime["dt"]))
-                ddns.stepper.forcing = float(runtime["forcing"])
-            if not same_layout and self.counters is not None:
-                self.counters.reshard_restores += 1
-            # sidecars hold *global* sums, so the restore is decomposition-
-            # agnostic for free: any layout (including post-shrink/grow)
-            # reloads the same base.  Missing sidecar -> start from zero.
-            streaming = ddns.streaming
-            if streaming is not None:
-                streaming.restore_from(snap)
-            return snap
-        raise CheckpointUnrecoverableError(
-            self.directory, tried, kind="sharded checkpoint"
+        manifest = fails = None
+        if comm.rank == 0:
+            try:
+                manifest = _read_manifest(snap, 0)
+            except CheckpointCorruptError as exc:
+                fails = exc.failures
+        manifest, fails = comm.bcast((manifest, fails), root=0)
+        if fails:
+            raise CheckpointCorruptError(fails[0]["message"], fails)
+        same_layout = (
+            manifest["nranks"] == comm.size
+            and manifest["pa"] == ddns.transforms.pa
+            and manifest["pb"] == ddns.transforms.pb
         )
-
-    def _load_own_shard(self, ddns, snap, manifest):
-        """Same-layout fast path: read this rank's own shard, verified."""
-        rank = ddns.comm.rank
-        shard_name = f"shard-r{rank:04d}.npz"
+        if not same_layout and not reshard:
+            raise ValueError(
+                f"sharded checkpoint layout mismatch: file has "
+                f"{manifest['nranks']} ranks as {manifest['pa']}x{manifest['pb']}, "
+                f"run has {comm.size} ranks as "
+                f"{ddns.transforms.pa}x{ddns.transforms.pb}"
+            )
+        _check_fingerprint(manifest["config"], ddns.config)
         try:
-            shard, arrays = _read_npz(snap / shard_name, verify=True)
-            _check_shard(shard, manifest, rank=rank, a=ddns.decomp.a, b=ddns.decomp.b)
-        except Exception as exc:  # noqa: BLE001 - reported, skipped collectively
-            return (
-                False,
-                _failure(
-                    rank,
-                    snap / shard_name,
-                    exc,
-                    f"rank {rank}: shard {shard_name} failed verification ({exc})",
-                ),
-                None,
-            )
-        state = ChannelState(
-            v=arrays["v"],
-            omega_y=arrays["omega_y"],
-            u00=arrays.get("u00"),
-            w00=arrays.get("w00"),
-            time=float(manifest["time"]),
+            state, detail = _read_block(ddns, snap, manifest), None
+        except CheckpointCorruptError as exc:
+            state, detail = None, exc.failures[0]
+        # every rank learns every verdict, so the failure message can
+        # name exactly which shard broke and all ranks branch together
+        fails = [f for f in comm.allgather(detail) if f is not None]
+        if fails:
+            raise CheckpointCorruptError("; ".join(f["message"] for f in fails), fails)
+        state.u, state.w = recover_uw(
+            ddns.modes, ddns.stepper.ops, state.v, state.omega_y, state.u00, state.w00
         )
-        return True, None, state
-
-    def _load_resharded(self, ddns, snap, manifest):
-        """Reassemble this rank's block from the overlapping old shards."""
-        rank = ddns.comm.rank
-        d = ddns.decomp
-        mx = int(manifest.get("mx", ddns.transforms.mx))
-        mz = int(manifest.get("mz", ddns.transforms.mz))
-        if (mx, mz) != (ddns.transforms.mx, ddns.transforms.mz):
-            why = (
-                f"snapshot spectral extents {mx}x{mz} != "
-                f"run's {ddns.transforms.mx}x{ddns.transforms.mz}"
-            )
-            return False, _failure(rank, snap, why, f"rank {rank}: {why}"), None
-        try:
-            v, omega_y, u00, w00 = _assemble_block(
-                snap,
-                manifest,
-                mx,
-                mz,
-                d.x_slice,
-                d.z_spec_slice,
-                d.ny,
-                collect_mean=bool(ddns.modes.owns_mean),
-            )
-        except Exception as exc:  # noqa: BLE001 - reported, skipped collectively
-            return False, _failure(rank, snap, exc, f"rank {rank}: {exc}"), None
-        state = ChannelState(
-            v=v, omega_y=omega_y, u00=u00, w00=w00, time=float(manifest["time"])
-        )
-        return True, None, state
+        ddns.state = state
+        ddns.step_count = int(manifest["step_count"])
+        runtime = manifest.get("runtime")
+        if runtime is not None:
+            ddns.stepper.set_dt(float(runtime["dt"]))
+            ddns.stepper.forcing = float(runtime["forcing"])
+        if not same_layout and self.counters is not None:
+            self.counters.reshard_restores += 1
+        # sidecars hold *global* sums, so the restore is decomposition-
+        # agnostic for free: any layout (including post-shrink/grow)
+        # reloads the same base.  Missing sidecar -> start from zero.
+        streaming = ddns.streaming
+        if streaming is not None:
+            streaming.restore_from(snap)
+        return snap
 
     # -- serial reassembly ----------------------------------------------
 
@@ -766,97 +510,61 @@ class ShardedCheckpointRotation:
         No communicator involved — this is how a campaign's sharded
         snapshot is inspected or continued on a single process.
         """
-        tried: list[tuple[str, list[dict]]] = []
-        for name in self._candidate_names():
-            snap = self.directory / name
-            try:
-                manifest = json.loads((snap / "manifest.json").read_text())
-            except Exception as exc:  # noqa: BLE001 - fall back to older snapshot
-                tried.append(
-                    (
-                        name,
-                        [
-                            _failure(
-                                None,
-                                snap / "manifest.json",
-                                exc,
-                                f"manifest unreadable ({exc})",
-                            )
-                        ],
-                    )
-                )
-                continue
+        if restore_runtime is None:
+            restore_runtime = config is None
+
+        def restore(snap: pathlib.Path) -> ChannelDNS:
+            manifest = _read_manifest(snap, None)
             stored = manifest["config"]
-            if restore_runtime is None:
-                restore_runtime = config is None
             if config is None:
-                config = _config_from_fingerprint(stored)
+                cfg = _config_from_fingerprint(stored)
             else:
-                _check_fingerprint(stored, config)
-            mx = int(manifest.get("mx", config.nx // 2))
-            mz = int(manifest.get("mz", config.nz - 1))
-            try:
-                v, omega_y, u00, w00 = _assemble_block(
-                    snap,
-                    manifest,
-                    mx,
-                    mz,
-                    slice(0, mx),
-                    slice(0, mz),
-                    int(manifest.get("ny", config.ny)),
-                    collect_mean=True,
-                )
-            except Exception as exc:  # noqa: BLE001 - fall back to older snapshot
-                tried.append((name, [_failure(None, snap, exc, str(exc))]))
-                if self.counters is not None:
-                    self.counters.verify_failures += 1
-                continue
-            state = ChannelState(
-                v=v, omega_y=omega_y, u00=u00, w00=w00, time=float(manifest["time"])
-            )
+                cfg = config
+                _check_fingerprint(stored, cfg)
+            mx = int(manifest.get("mx", cfg.nx // 2))
+            mz = int(manifest.get("mz", cfg.nz - 1))
+            ny = int(manifest.get("ny", cfg.ny))
+            state = _assemble_block(snap, manifest, mx, mz, slice(0, mx), slice(0, mz), ny)
             if self.counters is not None:
                 self.counters.reshard_restores += 1
-            return _serial_driver(config, state, manifest, restore_runtime)
-        raise CheckpointUnrecoverableError(
-            self.directory, tried, kind="sharded checkpoint"
+            return _serial_driver(cfg, state, manifest, restore_runtime)
+
+        return self.generations.first_verified(
+            restore, counters=self.counters, kind="sharded checkpoint"
         )
 
 
-def _check_shard(shard: dict, manifest: dict, *, rank=None, a=None, b=None) -> None:
-    """Consistency of one shard manifest against the snapshot manifest."""
-    if shard["step_count"] != manifest["step_count"]:
-        raise CheckpointCorruptError(
-            f"shard step {shard['step_count']} != manifest step "
-            f"{manifest['step_count']}"
-        )
-    for key, want in (("rank", rank), ("a", a), ("b", b)):
-        if want is not None and shard[key] != want:
-            raise CheckpointCorruptError(
-                f"shard records {key}={shard[key]}, expected {want}"
-            )
+def _read_block(ddns, snap: pathlib.Path, manifest: dict) -> ChannelState:
+    """This rank's spectral block of a sharded snapshot, in any layout:
+    with the writer's layout that is exactly this rank's own shard."""
+    rank, d, t = ddns.comm.rank, ddns.decomp, ddns.transforms
+    mx = int(manifest.get("mx", t.mx))
+    mz = int(manifest.get("mz", t.mz))
+    if (mx, mz) != (t.mx, t.mz):
+        why = f"rank {rank}: snapshot spectral extents {mx}x{mz} != run's {t.mx}x{t.mz}"
+        raise CheckpointCorruptError(why, [failure(rank, snap, why, why)])
+    return _assemble_block(
+        snap, manifest, mx, mz, d.x_slice, d.z_spec_slice, d.ny,
+        rank=rank, collect_mean=bool(ddns.modes.owns_mean),
+    )
 
 
 def _assemble_block(
-    snap: pathlib.Path,
-    manifest: dict,
-    mx: int,
-    mz: int,
-    xs: slice,
-    zs: slice,
-    ny: int,
-    *,
-    collect_mean: bool,
-):
+    snap: pathlib.Path, manifest: dict, mx: int, mz: int, xs: slice, zs: slice, ny: int,
+    *, rank=None, collect_mean: bool = True,
+) -> ChannelState:
     """Reassemble the ``(xs, zs)`` spectral block of a sharded snapshot.
 
     Reads every shard whose global index range overlaps the requested
     block, CRC-verifying each and checking its recorded ranges against
     the decomposition rule.  Mean profiles come from the ``owns_mean``
     shard, which always overlaps any block containing mode ``(0, 0)``.
-    Raises :class:`CheckpointCorruptError` naming the offending shard.
+    Raises :class:`CheckpointCorruptError` whose one failure record
+    names the offending shard and the reading ``rank``.
     """
     from repro.pencil.decomp import block_range
 
+    reader = "" if rank is None else f"rank {rank}: "
     pa_old, pb_old = int(manifest["pa"]), int(manifest["pb"])
     v = np.zeros((xs.stop - xs.start, zs.stop - zs.start, ny), complex)
     omega_y = np.zeros_like(v)
@@ -869,20 +577,21 @@ def _assemble_block(
         gz0, gz1 = max(oz0, zs.start), min(oz1, zs.stop)
         if gx0 >= gx1 or gz0 >= gz1:
             continue  # no overlap with the requested block
-        shard_name = f"shard-r{r:04d}.npz"
+        path = snap / f"shard-r{r:04d}.npz"
         try:
-            shard, arrays = _read_npz(snap / shard_name, verify=True)
-            _check_shard(shard, manifest, rank=r, a=a_old, b=b_old)
-            for key, want in (("x_range", (ox0, ox1)), ("z_range", (oz0, oz1))):
-                got = shard.get(key)
-                if got is not None and tuple(got) != want:
-                    raise CheckpointCorruptError(
-                        f"shard records {key}={tuple(got)}, expected {want}"
-                    )
-        except Exception as exc:
-            raise CheckpointCorruptError(
-                f"shard {shard_name} failed verification ({exc})"
-            ) from exc
+            shard, arrays = read_npz(path)
+            # the shard must be the one the decomposition rule puts here;
+            # shards that predate the recorded index ranges skip that check
+            for key, want in (
+                ("step_count", manifest["step_count"]), ("rank", r), ("a", a_old),
+                ("b", b_old), ("x_range", [ox0, ox1]), ("z_range", [oz0, oz1]),
+            ):
+                got = shard.get(key, want if key.endswith("_range") else None)
+                if got != want:
+                    raise CheckpointCorruptError(f"shard records {key}={got}, expected {want}")
+        except CheckpointCorruptError as exc:
+            why = f"{reader}shard {path.name} failed verification ({exc})"
+            raise CheckpointCorruptError(why, [failure(rank, path, exc, why)]) from exc
         v[gx0 - xs.start : gx1 - xs.start, gz0 - zs.start : gz1 - zs.start] = arrays[
             "v"
         ][gx0 - ox0 : gx1 - ox0, gz0 - oz0 : gz1 - oz0]
@@ -892,7 +601,6 @@ def _assemble_block(
         if collect_mean and shard.get("owns_mean"):
             u00, w00 = arrays["u00"], arrays["w00"]
     if collect_mean and u00 is None:
-        raise CheckpointCorruptError(
-            "no overlapping shard carries the mean (u00/w00) profiles"
-        )
-    return v, omega_y, u00, w00
+        why = f"{reader}no overlapping shard carries the mean (u00/w00) profiles"
+        raise CheckpointCorruptError(why, [failure(rank, snap, why, why)])
+    return ChannelState(v=v, omega_y=omega_y, u00=u00, w00=w00, time=float(manifest["time"]))

@@ -144,7 +144,7 @@ class FFTPlan:
             if self.kind == "rfft":
                 return _scipy_fft.rfft(a, axis=axis, **kw)
             return _scipy_fft.irfft(a, n=self.nout, axis=axis, **kw)
-        if out is None and overwrite and self.kind in ("fft", "ifft"):
+        if out is None and overwrite and self.kind in ("fft", "ifft") and a.dtype.kind == "c":
             out = a  # same-size c2c: transform the buffer in place
         if self.kind == "fft":
             return np.fft.fft(a, axis=axis, out=out)

@@ -35,12 +35,9 @@ import time
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    FORMAT_VERSION as _CONTAINER_VERSION,
-    _atomic_write_npz,
-    _read_npz,
-)
 from repro.instrument import StatsCounters
+from repro.storage import FORMAT_VERSION as _CONTAINER_VERSION
+from repro.storage import Generations, read_npz, write_npz
 
 #: sidecar format version (bump when the packed layout changes)
 STATS_FORMAT_VERSION = 1
@@ -306,8 +303,7 @@ class StreamingStatistics:
             "mx": int(self.grid.mx),
             "mz": int(self.grid.mz),
         }
-        _atomic_write_npz(path, manifest, {"packed": packed})
-        return path
+        return write_npz(path, manifest, {"packed": packed})
 
     def restore_from(self, directory, step: int | None = None) -> bool:
         """Load a sidecar written by :meth:`save_to`, if one exists.
@@ -325,7 +321,7 @@ class StreamingStatistics:
         path = pathlib.Path(directory) / sidecar_name(step)
         if not path.exists():
             return False
-        manifest, arrays = _read_npz(path, verify=True)
+        manifest, arrays = read_npz(path)
         if manifest.get("kind") != "streaming-stats":
             raise ValueError(f"{path.name}: not a streaming-stats sidecar")
         for key in ("ny", "mx", "mz"):
@@ -350,15 +346,13 @@ class StreamingStatistics:
         return True
 
     @staticmethod
+    def sidecars(directory) -> Generations:
+        """The step-suffixed sidecars under ``directory``, newest first."""
+        return Generations(directory, f"{_SIDECAR_PREFIX}-", ".npz")
+
+    @staticmethod
     def latest_sidecar_step(directory) -> int | None:
         """Highest step number with a sidecar under ``directory`` (or None)."""
-        import pathlib
-
-        best: int | None = None
-        for p in pathlib.Path(directory).glob(f"{_SIDECAR_PREFIX}-*.npz"):
-            try:
-                step = int(p.stem.rsplit("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            best = step if best is None else max(best, step)
-        return best
+        sidecars = StreamingStatistics.sidecars(directory)
+        paths = sidecars.paths()
+        return sidecars.step_of(paths[0]) if paths else None

@@ -11,8 +11,8 @@ by friction Reynolds number.  Layout::
       retau-00550.00/
         ...
 
-Each result file is written exactly like a checkpoint
-(:mod:`repro.core.checkpoint`): temp file + fsync + ``os.replace``, a
+Each result file is the checksummed container of :mod:`repro.storage`,
+like a checkpoint: published atomically (temp file, fsync, rename), a
 CRC32 per array embedded in a JSON manifest, verified on read.  Results
 are keyed by the run's config fingerprint
 (:func:`repro.telemetry.manifest.config_fingerprint`) so two different
@@ -30,12 +30,8 @@ import time
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    FORMAT_VERSION as _CONTAINER_VERSION,
-    _atomic_write_npz,
-    _atomic_write_text,
-    _read_npz,
-)
+from repro.storage import FORMAT_VERSION as _CONTAINER_VERSION
+from repro.storage import Generations, read_npz, write_npz
 from repro.telemetry.manifest import config_fingerprint
 
 #: results-store format version, with the accepted lineage spelled out
@@ -77,9 +73,6 @@ RESULT_ARRAYS: dict[str, tuple[bool, str]] = {
     "spec_z_w": (True, "spanwise 1-D energy spectrum E_w(kz, y), (nz//2, ny)"),
 }
 
-_LATEST = "latest"
-
-
 def _retau_dirname(re_tau: float) -> str:
     return f"retau-{float(re_tau):08.2f}"
 
@@ -117,14 +110,14 @@ class StatsStore:
         cfg_dict, fp = config_fingerprint(config)
         re_tau = float(cfg_dict.get("re_tau", getattr(config, "re_tau", 0.0)))
         nu = float(getattr(config, "nu", 1.0 / re_tau if re_tau else 1.0))
-        directory = self.root / _retau_dirname(re_tau)
-        directory.mkdir(parents=True, exist_ok=True)
+        results = self._results(re_tau)
+        results.directory.mkdir(parents=True, exist_ok=True)
         missing = [k for k, (req, _) in RESULT_ARRAYS.items() if req and k not in result]
         if missing:
             raise ValueError(f"result missing required arrays: {missing}")
         manifest = {
             # container version of the shared checksummed-npz reader
-            # (core.checkpoint); store_version is this store's own schema
+            # (repro.storage); store_version is this store's own schema
             "format_version": _CONTAINER_VERSION,
             "store_version": STORE_FORMAT_VERSION,
             "kind": "stats-result",
@@ -139,19 +132,16 @@ class StatsStore:
             "created": time.time(),
         }
         arrays = {k: np.asarray(result[k]) for k in RESULT_ARRAYS}
-        name = f"result-step{int(step_count):09d}-{fp[:8]}.npz"
-        path = directory / name
-        _atomic_write_npz(path, manifest, arrays)
-        _atomic_write_text(directory / _LATEST, name + "\n")
-        self._rotate(directory)
+        path = results.directory / f"result-step{int(step_count):09d}-{fp[:8]}.npz"
+        write_npz(path, manifest, arrays)
+        results.point(path)
+        if self.keep > 0:
+            results.prune(self.keep)
         return path
 
-    def _rotate(self, directory: pathlib.Path) -> None:
-        if self.keep <= 0:
-            return
-        results = sorted(directory.glob("result-*.npz"))
-        for stale in results[: max(0, len(results) - self.keep)]:
-            stale.unlink(missing_ok=True)
+    def _results(self, re_tau: float) -> Generations:
+        """The published results at ``re_tau``, ordered by publish step."""
+        return Generations(self.root / _retau_dirname(re_tau), "result-step", ".npz")
 
     # ------------------------------------------------------------------
     # read path
@@ -173,19 +163,12 @@ class StatsStore:
     def latest_path(self, re_tau: float) -> pathlib.Path | None:
         """Path of the newest verified result at ``re_tau`` (or None).
 
-        Follows the ``latest`` pointer when it names an existing file;
-        otherwise falls back to the lexically newest ``result-*.npz``
+        Follows the ``latest`` pointer when it names an existing result;
+        otherwise falls back to the newest ``result-*.npz`` by step
         (the pointer write and the publish are separate atomic steps, so
         a crash can leave the pointer one publish behind).
         """
-        directory = self.root / _retau_dirname(re_tau)
-        pointer = directory / _LATEST
-        if pointer.exists():
-            name = pointer.read_text().strip()
-            if (directory / name).exists():
-                return directory / name
-        results = sorted(directory.glob("result-*.npz"))
-        return results[-1] if results else None
+        return self._results(re_tau).head()
 
     def load(self, re_tau: float) -> tuple[dict, dict[str, np.ndarray]]:
         """Read and checksum-verify the newest result at ``re_tau``.
@@ -193,13 +176,13 @@ class StatsStore:
         Returns ``(manifest, arrays)``.  Raises :class:`FileNotFoundError`
         when no result is published at that Re_tau, :class:`ValueError`
         on a format-version mismatch, and
-        :class:`~repro.core.checkpoint.CheckpointCorruptError` on a
-        checksum failure.
+        :class:`~repro.storage.CheckpointCorruptError` on damaged bytes —
+        a corrupt newest result is reported, never skipped.
         """
         path = self.latest_path(re_tau)
         if path is None:
             raise FileNotFoundError(f"no published result for re_tau={re_tau}")
-        manifest, arrays = _read_npz(path, verify=True)
+        manifest, arrays = read_npz(path)
         version = int(manifest.get("store_version", -1))
         if version not in STORE_FORMAT_HISTORY:
             raise ValueError(

@@ -20,6 +20,7 @@ import platform
 import subprocess
 import time
 
+from repro.storage import publish
 from repro.telemetry.schema import SCHEMA_VERSION
 
 MANIFEST_NAME = "manifest.json"
@@ -133,14 +134,11 @@ def build_manifest(
 
 
 def write_manifest(directory, manifest: dict) -> pathlib.Path:
-    """Write ``manifest.json`` under ``directory`` (atomic replace)."""
+    """Durably write ``manifest.json`` under ``directory`` (atomic replace)."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / MANIFEST_NAME
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    tmp.replace(path)
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    return publish(directory / MANIFEST_NAME, text.encode())
 
 
 def read_manifest(directory) -> dict:

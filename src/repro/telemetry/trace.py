@@ -33,6 +33,8 @@ import json
 import pathlib
 import time
 
+from repro.storage import publish
+
 
 class TraceWriter:
     """Accumulate spans and export Chrome ``trace_event`` JSON.
@@ -130,10 +132,7 @@ class TraceWriter:
             "displayTimeUnit": "ms",
             "otherData": {"producer": "repro.telemetry", "dropped_events": self.dropped},
         }
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc))
-        tmp.replace(path)
-        return path
+        return publish(path, json.dumps(doc).encode())
 
 
 class _Span:

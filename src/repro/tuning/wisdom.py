@@ -17,9 +17,10 @@ ignored, never trusted.
 
 Robustness contract (asserted by ``tests/tuning/test_wisdom.py``):
 
-* **Atomic writes** — read-merge-replace through a unique temp file and
-  ``os.replace``, guarded by a process-level lock; two SimMPI ranks (or
-  two processes) recording different keys never clobber each other.
+* **Atomic writes** — read-merge-replace, each write a
+  :func:`repro.storage.publish` (unique temp file, fsync, rename),
+  guarded by a process-level lock; two SimMPI ranks (or two processes)
+  recording different keys never clobber each other.
 * **Corrupt/stale tolerance** — a truncated or non-JSON file, a schema
   version bump, or a fingerprint mismatch silently falls back to fresh
   measurement; every such skip is counted (``corrupt`` / ``stale``), not
@@ -42,6 +43,7 @@ import pathlib
 import threading
 import time
 
+from repro.storage import publish
 from repro.telemetry.manifest import _machine
 
 #: format version of the wisdom file; entries from other versions are stale
@@ -52,7 +54,7 @@ ENV_WISDOM = "REPRO_WISDOM"
 
 #: one process-level write lock: SimMPI ranks are threads, so in-process
 #: concurrent writers serialize here; cross-process writers rely on the
-#: read-merge-replace cycle staying atomic via ``os.replace``
+#: read-merge-replace cycle staying atomic via :func:`repro.storage.publish`
 _WRITE_LOCK = threading.Lock()
 
 
@@ -223,13 +225,7 @@ class WisdomStore:
             "entries": entries,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # unique temp name per writer: concurrent processes each replace
-        # atomically instead of stomping a shared .tmp
-        tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        tmp.replace(self.path)
+        publish(self.path, json.dumps(doc, indent=1, sort_keys=True).encode())
 
     # ------------------------------------------------------------------
     # the cache contract

@@ -39,6 +39,14 @@ class TestFFTPlan:
         plan = FFTPlan("fft", a.shape, axis=0)
         np.testing.assert_allclose(plan._direct(a), plan._copy_contiguous(a), atol=1e-12)
 
+    def test_copy_contiguous_takes_real_input_to_c2c(self, rng):
+        """A real array through a c2c plan: the scratch copy is real, so it
+        cannot double as the complex destination (MEASURE may pick this
+        strategy on timing alone)."""
+        a = rng.standard_normal((16, 16))
+        plan = FFTPlan("fft", a.shape, axis=0)
+        np.testing.assert_array_equal(plan._copy_contiguous(a), plan._direct(a))
+
     def test_last_axis_has_single_candidate(self):
         plan = FFTPlan("fft", (8, 16), axis=-1, flags=PlanFlags.MEASURE)
         assert plan.strategy == "direct"

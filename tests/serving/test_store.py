@@ -8,6 +8,7 @@ from repro.core.checkpoint import CheckpointCorruptError
 from repro.serving import RESULT_ARRAYS, RESULT_FIELDS, StatsStore
 from repro.serving.store import STORE_FORMAT_VERSION, _retau_dirname
 from repro.serving.synthetic import synthetic_result
+from repro.storage import read_npz, write_npz
 
 
 @pytest.fixture
@@ -132,10 +133,8 @@ def test_unknown_store_version_rejected(published, monkeypatch):
 
 def test_wrong_kind_rejected(published, monkeypatch):
     store, path, _, _ = published
-    import repro.core.checkpoint as ck
-
-    manifest, arrays = ck._read_npz(path, verify=True)
+    manifest, arrays = read_npz(path)
     manifest["kind"] = "not-a-result"
-    ck._atomic_write_npz(path, manifest, arrays)
+    write_npz(path, manifest, arrays)
     with pytest.raises(ValueError, match="not a stats-result"):
         store.load(180.0)
