@@ -127,70 +127,4 @@ python scripts/scheduler_smoke.py --out "$(mktemp -d)/scheduler"
 
 echo
 echo "== kill-restart-verify: crash at step 7, supervised restart, identity at step 10 =="
-python - <<'EOF'
-import pathlib
-import tempfile
-
-import numpy as np
-
-from repro.chaos import alltoalls_per_step
-from repro.core import ChannelConfig, ChannelDNS, HealthMonitor, RunSupervisor, SupervisorPolicy
-from repro.core.checkpoint import CheckpointRotation
-from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
-from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
-
-cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro_smoke_ft_"))
-
-# serial: checkpoint at step 5, NaN "crash" at step 7, supervised restart
-straight = ChannelDNS(cfg)
-straight.initialize()
-straight.run(10)
-
-dns = ChannelDNS(cfg)
-dns.initialize()
-sup = RunSupervisor(
-    dns,
-    CheckpointRotation(workdir / "serial", keep=3),
-    monitor=HealthMonitor(),
-    policy=SupervisorPolicy(checkpoint_every=5),
-)
-crashed = []
-
-def crash_once(d):
-    if d.step_count == 7 and not crashed:
-        crashed.append(7)
-        d.state.v[0, 0, 0] = np.nan
-
-final = sup.run(10, callback=crash_once)
-assert crashed, "injected crash never fired"
-assert sup.counters.rollbacks == 1, sup.report()
-for name in ("v", "omega_y", "u00", "w00"):
-    assert np.array_equal(getattr(final.state, name), getattr(straight.state, name)), \
-        f"serial {name} diverged after supervised recovery"
-print(f"serial:      {sup.report()}")
-
-# distributed: rank 1 killed inside a pencil-transpose alltoall, job
-# relaunched; identity is against an *uninterrupted distributed* run
-# (distributed matches serial only to FFT round-off, itself bit-for-bit)
-def straight_dist(comm):
-    d = DistributedChannelDNS(comm, cfg, pa=2, pb=2)
-    d.initialize()
-    d.run(10)
-    return d.gather_state()
-
-ref = run_spmd(4, straight_dist)[0]
-# past three steps' worth of rank 1's alltoalls, counted by a dry run
-kill_call = 3 * alltoalls_per_step(cfg, 2, 2) + 6
-plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=kill_call)])
-full, log = run_supervised_spmd(
-    4, cfg, pa=2, pb=2, n_steps=10, checkpoint_dir=workdir / "sharded",
-    checkpoint_every=5, fault_plans=[plan],
-)
-assert plan.triggered, "the planned rank kill never fired"
-assert [e.kind for e in log] == ["restart"], log
-assert np.array_equal(full.v, ref.v), "distributed v diverged after restart"
-assert np.array_equal(full.omega_y, ref.omega_y), "distributed omega_y diverged"
-print(f"distributed: 1 restart ({log[0].detail.split('(')[0].strip()})")
-print("kill-restart-verify OK")
-EOF
+python scripts/supervision_smoke.py

@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.supervisor import backoff_delay
 from repro.instrument import RecoveryCounters
 from repro.mpi.pool import LeaseGrowSource, RankPool
 from repro.mpi.simmpi import PreemptRequired
@@ -98,9 +99,10 @@ class JobSpec:
     #: :class:`~repro.mpi.simmpi.FaultPlan` list for the *first*
     #: placement (chaos injection); later placements run clean
     fault_plans: Sequence = ()
-    #: earliest placement time, in seconds after submission — models a
-    #: job *arriving* later (the way a high-priority job shows up mid-run
-    #: and preempts) without the test needing timer threads
+    #: earliest placement time, in seconds after submission or after the
+    #: manager's first scheduling pass, whichever is later — models a job
+    #: *arriving* later (the way a high-priority job shows up mid-run and
+    #: preempts) without the test needing timer threads
     start_after: float = 0.0
 
     def __post_init__(self) -> None:
@@ -299,6 +301,12 @@ class JobManager:
             ),
         )
         with self._cond:
+            # jobs submitted before run() arrive counted from the first
+            # scheduling pass: the manifest above runs git subprocesses
+            first_pass = time.monotonic()
+            for rec in self._jobs.values():
+                if rec.placements == 0:
+                    rec.not_before = first_pass + rec.spec.start_after
             while not all(r.finished for r in self._jobs.values()):
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
@@ -597,14 +605,10 @@ class JobManager:
         return probe
 
     def _backoff(self, rec: JobRecord) -> float:
-        delay = min(
-            self.backoff_base * self.backoff_factor ** (rec.retries - 1),
-            self.backoff_max,
+        return backoff_delay(
+            rec.retries, self.backoff_base, self.backoff_factor, self.backoff_max,
+            self.backoff_jitter, self._rng[rec.name],
         )
-        if self.backoff_jitter > 0.0:
-            u = self._rng[rec.name].random()
-            delay *= 1.0 + self.backoff_jitter * (2.0 * u - 1.0)
-        return delay
 
     def _finish_failed(self, rec: JobRecord, exc: BaseException) -> None:
         """Caller holds the condition lock."""

@@ -282,11 +282,7 @@ class ChannelDNS:
 
     def state_finite(self) -> bool:
         """True when every prognostic array is finite (watchdog hook)."""
-        s = self._require_state()
-        local = all(
-            arr is None or np.all(np.isfinite(arr)) for arr in (s.v, s.omega_y, s.u00, s.w00)
-        )
-        return bool(self._reduce(int(local), min))
+        return bool(self._reduce(int(self._require_state().finite()), min))
 
     def wall_shear_velocity(self) -> float:
         """Instantaneous friction velocity from the mean profile."""

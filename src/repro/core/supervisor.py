@@ -1,30 +1,29 @@
-"""Watchdog-supervised run loop: checkpoint, catch, roll back, retry.
+"""The supervision loop: checkpoint, catch, roll back, retry.
 
-The paper's campaign spans months of machine allocations where node
-failures and queue-limit kills are routine; the run harness, not the
-operator, has to absorb them.  :class:`RunSupervisor` drives a
-:class:`~repro.core.solver.ChannelDNS` the way a production job script
-drives the real code:
+The paper's campaign spans months of allocations where node failures
+and queue-limit kills are routine; the run harness, not the operator,
+absorbs them.  :class:`Supervisor` is that harness, written once.  It
+owns the policy: the per-step body (step, controllers, callback,
+watchdog, a snapshot on cadence that refuses a non-finite state, then
+the scheduler probe), the :data:`RECOVERABLE` set, both retry budgets
+(``max_retries`` without forward progress, ``max_restarts`` in total),
+the bounded jittered backoff (:func:`backoff_delay`), a dt reduction
+after :class:`UnstableError`, shrink/grow re-planning, preemption, and
+the :class:`RecoveryEvent` log mirrored into telemetry.
 
-1. step, apply controllers, run the watchdog
-   (:class:`~repro.core.health.HealthMonitor`),
-2. checkpoint every ``checkpoint_every`` steps through a
-   :class:`~repro.core.checkpoint.CheckpointRotation` (atomic,
-   checksummed, keep-K with verified fallback),
-3. on a watchdog or collective failure: record the event, wait out a
-   bounded exponential backoff, roll back to the newest *verifiable*
-   snapshot, and — when the failure was :class:`UnstableError` — degrade
-   gracefully by reducing dt before retrying,
-4. give up (:class:`SupervisorGivingUp`) only after ``max_retries``
-   consecutive failures without forward progress.
-
-Because checkpoint restore is bit-exact and the RK3 scheme carries no
-cross-step memory, a crashed-rolled-back-retried trajectory is
-bit-for-bit the uninterrupted one — pinned by
-``tests/core/test_supervisor.py``.  Recovery history is surfaced through
-:mod:`repro.instrument`: the ``CHECKPOINT``/``RECOVERY`` timer sections,
-a :class:`~repro.instrument.RecoveryCounters`, and the typed
-:class:`RecoveryEvent` log.
+A *launch* owns only what differs: :class:`InThreadLaunch` steps one
+:class:`~repro.core.solver.ChannelDNS` in the caller's thread and rolls
+back *by construction* from a
+:class:`~repro.core.checkpoint.CheckpointRotation`;
+:class:`~repro.pencil.distributed.RanksLaunch` relaunches the per-rank
+body under :func:`~repro.mpi.simmpi.run_spmd` and restores *in place*
+from a :class:`~repro.core.checkpoint.ShardedCheckpointRotation`.
+:class:`RunSupervisor` and
+:func:`~repro.pencil.distributed.run_supervised_spmd` build the loop over
+each; it never asks which one it drives.  Restores are bit-exact and RK3
+carries no cross-step memory, so a recovered trajectory is bit-for-bit
+the uninterrupted one (``tests/core/test_supervisor.py``,
+``tests/pencil/test_checkpoint.py``).
 """
 
 from __future__ import annotations
@@ -32,11 +31,19 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from repro.core.checkpoint import CheckpointCorruptError, CheckpointRotation
 from repro.core.health import DivergedError, HealthCheckError, UnstableError
 from repro.instrument import RecoveryCounters, SectionTimers
-from repro.mpi.simmpi import RankFailure, SimMPIError
+from repro.mpi.simmpi import (
+    GrowRequired,
+    PreemptRequired,
+    RankFailure,
+    ShrinkRequired,
+    SimMPIError,
+)
+from repro.pencil.decomp import choose_grid
 
 #: failure types the supervisor absorbs; anything else propagates raw
 RECOVERABLE = (HealthCheckError, SimMPIError, RankFailure, FloatingPointError)
@@ -85,41 +92,314 @@ class RecoveryEvent:
     """One entry of the supervisor's recovery log."""
 
     step: int
-    kind: str  # "failure" | "rollback" | "dt_reduction" | "restart" | "shrink" | "giving_up"
+    #: "failure" | "rollback" | "dt_reduction" | "restart" | "shrink" |
+    #: "grow" | "preempted" | "giving_up"
+    kind: str
     detail: str
+    #: the attempt (launch) the event belongs to, counted from 0
     attempt: int = 0
     #: structured extras — e.g. a shrink records {"ranks", "pa", "pb"}
     info: dict = field(default_factory=dict)
 
 
-class RunSupervisor:
-    """Drive a DNS to a target step, surviving crashes via rollback/retry.
+def backoff_delay(retry: int, base: float, factor: float, ceiling: float,
+                  jitter: float = 0.0, rng: random.Random | None = None) -> float:
+    """The delay before retry number ``retry`` (from 1):
+    ``base * factor^(retry - 1)`` capped at ``ceiling``, scaled by ``1 ± jitter``
+    from one ``rng.random()`` draw when both the delay and the jitter are
+    non-zero.  Seeding ``rng`` per job makes the schedule reproducible
+    while co-scheduled jobs desynchronize."""
+    delay = min(ceiling, base * factor ** (retry - 1))
+    if jitter > 0.0 and delay > 0:
+        delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+    return delay
 
-    Parameters
-    ----------
-    dns:
-        A ready (initialized) :class:`~repro.core.solver.ChannelDNS`.
-        After a rollback the supervisor *replaces* it — read the final
-        driver from ``supervisor.dns`` (also returned by :meth:`run`).
-    rotation:
-        The durable snapshot store.  Its counters are unified with the
-        supervisor's when unset.
-    monitor:
-        Optional :class:`~repro.core.health.HealthMonitor`; without one,
-        only checkpoint-time finiteness guards and collective failures
-        trigger recovery.
-    controllers:
-        Applied after every step, before the watchdog (e.g.
-        :class:`~repro.core.control.CFLController`).  Controllers that
-        expose ``clamp_max_dt`` are clamped after a dt degradation so
-        they cannot immediately undo it.
-    recorder:
-        Optional :class:`~repro.telemetry.RunRecorder`; defaults to the
-        one already attached to ``dns`` (``ChannelDNS(..., telemetry=...)``).
-        Every recovery-log entry is mirrored into its event stream, its
-        ``recovery`` counter deltas track this supervisor's counters, and
-        after a rollback the recorder is re-attached to the replacement
-        driver so the step stream continues across the restore.
+
+@dataclass(eq=False)
+class Supervisor:
+    """The supervision loop over one launch (see the module docstring).
+
+    ``launch`` provides ``config``, ``grid`` (``(ranks, pa, pb)``),
+    ``where()`` (the step and dt the run stands at), ``attempt(supervisor,
+    target, callback)``, ``recover(supervisor, exc, step)``, ``set_dt(dt)``
+    and, with scheduler hooks, ``agree(dns, decide)``.  ``monitor_factory``
+    builds each driver's watchdog.  ``max_restarts`` caps the recoveries of
+    one :meth:`run_to` (None: only the per-frontier budget binds).
+    ``should_stop``/``grow_source`` are the scheduler's boundary hooks,
+    ``max_ranks``/``min_ranks`` bound growth and shrinking, and
+    ``on_shrink(dead, survivors)`` lets a pool quarantine lost ranks.
+    """
+
+    launch: Any
+    policy: SupervisorPolicy | None = None
+    max_restarts: int | None = None
+    monitor_factory: Callable[[], Any] | None = None
+    controllers: Sequence = ()
+    counters: RecoveryCounters | None = None
+    timers: SectionTimers | None = None
+    sleep: Callable[[float], Any] = time.sleep
+    recorder: Any = None
+    should_stop: Callable[[], Any] | None = None
+    grow_source: Any = None
+    max_ranks: int | None = None
+    min_ranks: int = 1
+    on_shrink: Callable[[Sequence[int], Sequence[int]], Any] | None = None
+    log: list[RecoveryEvent] = field(default_factory=list, init=False)
+    #: attempts launched so far (a rollback, restart, shrink or grow
+    #: starts the next one)
+    attempt: int = field(default=0, init=False)
+    #: recoveries within the current run_to (the ``max_restarts`` budget)
+    restarts: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        self.policy = self.policy or SupervisorPolicy()
+        self.controllers = tuple(self.controllers)
+        self.counters = self.counters if self.counters is not None else RecoveryCounters()
+        self.timers = self.timers if self.timers is not None else SectionTimers()
+        # jitter draws come from the run seed, so a job's retry schedule is
+        # reproducible while co-scheduled jobs (different seeds) desynchronize
+        self._jitter_rng = random.Random(self.launch.config.seed)
+        self.rank_cap = max(self.max_ranks or 0, self.launch.grid[0])
+        if self.recorder is not None:
+            self.recorder.set_recovery_counters(self.counters)
+
+    def record(self, kind: str, step: int, detail: str, info: dict | None = None) -> None:
+        """Append to the recovery log, mirrored into the telemetry stream."""
+        info = info or {}
+        self.log.append(RecoveryEvent(step, kind, detail, self.attempt, info))
+        if self.recorder is not None:
+            self.recorder.record_event(
+                kind, step=step, detail=detail, attempt=self.attempt, info=info
+            )
+
+    # ------------------------------------------------------------------
+
+    def run_to(self, target: int, callback=None):
+        """Advance to step ``target``, recovering as needed; returns what
+        the launch's successful attempt returns."""
+        frontier, consecutive = -1, 0
+        self.restarts = 0
+        while True:
+            try:
+                return self.launch.attempt(self, target, callback)
+            except RECOVERABLE as exc:
+                failed_at, dt = self.launch.where()
+                self.counters.failures += 1
+                self.restarts += 1
+                if failed_at > frontier:
+                    frontier, consecutive = failed_at, 1
+                else:
+                    consecutive += 1
+                self._check_budgets(exc, failed_at, consecutive)
+                p = self.policy
+                delay = backoff_delay(
+                    consecutive, p.backoff_base, p.backoff_factor, p.backoff_max,
+                    p.backoff_jitter, self._jitter_rng,
+                )
+                if delay > 0:
+                    self.sleep(delay)
+                self.launch.recover(self, exc, failed_at)
+                if isinstance(exc, UnstableError):
+                    self._reduce_dt(dt)
+            except ShrinkRequired as exc:
+                n = len(exc.survivors)
+                # quarantine the dead ranks even when the job is about to
+                # give up — the pool must stay honest either way
+                if self.on_shrink is not None:
+                    self.on_shrink(exc.dead, exc.survivors)
+                if n < self.min_ranks:
+                    detail = f"{n} survivors < min_ranks={self.min_ranks}"
+                    self.record("giving_up", -1, detail, {"ranks": n})
+                    raise
+                self._replan("shrink", exc, n)
+                self.counters.shrinks += 1
+            except GrowRequired as exc:
+                # a concurrent job may have won the free ranks between
+                # probe and commit: then resume at the current size, no event
+                with self.timers.section(SectionTimers.ELASTIC):
+                    claimed = self.grow_source.claim(exc.ranks - self.launch.grid[0])
+                if claimed:
+                    self._replan("grow", exc, exc.ranks)
+                    self.counters.grows += 1
+            except PreemptRequired as exc:
+                info = {"ranks": self.launch.grid[0], "reason": exc.reason}
+                self.record("preempted", exc.step, f"PreemptRequired: {exc}", info)
+                raise
+            self.attempt += 1
+
+    def advance(self, dns, rotation, target: int, callback, timers: SectionTimers) -> None:
+        """The per-step body on one driver (one rank's, under the ranks
+        launch): step until ``target`` or the first failure, snapshotting
+        on cadence and probing the scheduler at each snapshot boundary."""
+        monitor = self.monitor_factory() if self.monitor_factory is not None else None
+        while dns.step_count < target:
+            dns.step()
+            for ctrl in self.controllers:
+                ctrl(dns)
+            if callback is not None:
+                callback(dns)
+            if monitor is not None:
+                monitor(dns)
+            if dns.step_count % self.policy.checkpoint_every == 0 or dns.step_count >= target:
+                self.checkpoint(dns, rotation, timers)
+                if dns.step_count < target:
+                    self._probe(dns)
+
+    def checkpoint(self, dns, rotation, timers: SectionTimers) -> None:
+        """Snapshot ``dns`` — never a poisoned state, even with the watchdog
+        off or on a sparse cadence.  Each driver tests its own block: a
+        rank that refuses fails the collective save for all, so no shard
+        of that step is written, and no extra collective shifts the call
+        counts fault plans are placed by."""
+        if not dns._require_state().finite():
+            raise DivergedError(
+                f"non-finite state at checkpoint (step {dns.step_count})",
+                step=dns.step_count,
+            )
+        with timers.section(SectionTimers.CHECKPOINT):
+            rotation.save(dns)
+
+    # ------------------------------------------------------------------
+
+    def _check_budgets(self, exc: BaseException, failed_at: int, consecutive: int) -> None:
+        if consecutive > self.policy.max_retries:
+            detail = f"{consecutive - 1} consecutive failures at step {failed_at}"
+            self.record("giving_up", failed_at, detail)
+            raise SupervisorGivingUp(
+                f"no forward progress after {consecutive - 1} retries "
+                f"(last failure at step {failed_at}: {exc})"
+            ) from exc
+        if self.max_restarts is not None and self.restarts > self.max_restarts:
+            detail = f"restart budget exhausted after {type(exc).__name__}: {exc}"
+            info = {"restarts": self.restarts, "max_restarts": self.max_restarts}
+            self.record("giving_up", failed_at, detail, info)
+            raise exc
+
+    def _reduce_dt(self, failed_dt: float) -> None:
+        """Graceful degradation: retry at a reduced dt, clamping controllers
+        that expose ``clamp_max_dt`` so they cannot undo it at once."""
+        new_dt = max(self.policy.min_dt, failed_dt * self.policy.dt_factor)
+        self.launch.set_dt(new_dt)
+        for ctrl in self.controllers:
+            clamp = getattr(ctrl, "clamp_max_dt", None)
+            if clamp is not None:
+                clamp(new_dt)
+        self.counters.dt_reductions += 1
+        self.record("dt_reduction", self.launch.where()[0], f"dt -> {new_dt:.3e}")
+
+    def _replan(self, kind: str, exc: BaseException, n: int) -> None:
+        """Re-plan the process grid for ``n`` ranks and relaunch on it."""
+        with self.timers.section(SectionTimers.ELASTIC):
+            pa, pb = self._grid_for(n)
+        _, old_pa, old_pb = self.launch.grid
+        detail = f"{exc}; re-planned {old_pa}x{old_pb} -> {pa}x{pb} on {n} ranks"
+        self.record(kind, -1, detail, {"ranks": n, "pa": pa, "pb": pb})
+        self.launch.grid = (n, pa, pb)
+
+    def _grid_for(self, n: int) -> tuple[int, int]:
+        cfg = self.launch.config
+        return choose_grid(n, cfg.nx // 2, cfg.nz - 1, cfg.ny)
+
+    def _probe(self, dns) -> None:
+        """Scheduler control point: the boundary snapshot just landed, so
+        a stop here loses nothing.  One driver decides, every driver hears
+        the same verdict, and none is inside a collective when the typed
+        control exception fires."""
+        if self.should_stop is None and self.grow_source is None:
+            return
+        reason, grow_to = self.launch.agree(dns, self._decide)
+        if reason:
+            raise PreemptRequired(reason, step=dns.step_count)
+        if grow_to is not None:
+            raise GrowRequired(grow_to, self.launch.grid[0])
+
+    def _decide(self) -> tuple[str | None, int | None]:
+        reason = self.should_stop() if self.should_stop is not None else None
+        return (str(reason), None) if reason else (None, self._grow_target())
+
+    def _grow_target(self) -> int | None:
+        """Largest world size up to ``rank_cap`` and the free ranks that
+        :func:`choose_grid` accepts (a prime count may admit no grid)."""
+        cur = self.launch.grid[0]
+        if self.grow_source is None or cur >= self.rank_cap:
+            return None
+        avail = self.grow_source.available()
+        if avail <= 0:
+            return None
+        for n in range(min(self.rank_cap, cur + avail), cur, -1):
+            try:
+                self._grid_for(n)
+            except ValueError:
+                continue
+            return n
+        return None
+
+    # ------------------------------------------------------------------
+
+    def report(self) -> str:
+        """One-line recovery summary (counters + last event)."""
+        tail = self.log[-1] if self.log else None
+        last = f"  last_event={tail.kind}@{tail.step}" if tail else ""
+        return self.counters.report() + last
+
+
+class InThreadLaunch:
+    """Step one driver in the caller's thread; roll back *by construction*.
+
+    The rotation's restore returns a fresh driver, which replaces
+    :attr:`dns`; a failure is logged as ``failure`` and its rollback as
+    ``rollback``.  An unreadable rotation ends the run
+    (:class:`SupervisorGivingUp`, "rollback impossible").
+    """
+
+    grid = (1, 1, 1)
+
+    def __init__(self, dns, rotation: CheckpointRotation) -> None:
+        self.dns = dns
+        self.rotation = rotation
+        self.config = dns.config
+
+    def where(self) -> tuple[int, float]:
+        return self.dns.step_count, self.dns.stepper.dt
+
+    def attempt(self, sup: Supervisor, target: int, callback):
+        if not self.rotation.snapshots():
+            # baseline: rollback must always have a target
+            sup.checkpoint(self.dns, self.rotation, sup.timers)
+        sup.advance(self.dns, self.rotation, target, callback, sup.timers)
+        return self.dns
+
+    def recover(self, sup: Supervisor, exc: BaseException, step: int) -> None:
+        sup.record("failure", step, f"{type(exc).__name__}: {exc}")
+        with sup.timers.section(SectionTimers.RECOVERY):
+            try:
+                self.dns = self.rotation.load_latest(config=self.config, restore_runtime=True)
+            except CheckpointCorruptError as err:
+                raise SupervisorGivingUp(f"rollback impossible: {err}") from err
+        sup.counters.rollbacks += 1
+        if sup.recorder is not None:
+            # the restore built a fresh driver: move the stream (and its
+            # delta baselines) over so step records continue seamlessly
+            sup.recorder.attach(self.dns)
+        sup.record("rollback", self.dns.step_count, f"restored step {self.dns.step_count}")
+
+    def set_dt(self, dt: float) -> None:
+        self.dns.set_dt(dt)
+
+
+class RunSupervisor(Supervisor):
+    """Drive a ready :class:`~repro.core.solver.ChannelDNS` in this thread,
+    surviving crashes — :class:`Supervisor` over an :class:`InThreadLaunch`.
+
+    A rollback *replaces* the driver: read the final one from
+    ``supervisor.dns`` (also returned by :meth:`run`).  The rotation's
+    counters are unified with the supervisor's when unset.  Without a
+    ``monitor`` (:class:`~repro.core.health.HealthMonitor`) only the
+    checkpoint-time finiteness guard and collective failures trigger
+    recovery.  ``controllers`` run after every step, before the watchdog.
+    ``recorder`` defaults to the one attached to ``dns``; it mirrors the
+    recovery log, tracks these counters, and follows every replacement
+    driver so the step stream continues across a restore.
     """
 
     def __init__(
@@ -135,41 +415,27 @@ class RunSupervisor:
         sleep=time.sleep,
         recorder=None,
     ) -> None:
-        self.dns = dns
-        self.rotation = rotation
-        self.monitor = monitor
-        self.policy = policy or SupervisorPolicy()
-        self.controllers = tuple(controllers)
-        self.timers = timers if timers is not None else dns.timers
-        self.counters = counters or RecoveryCounters()
+        counters = counters or RecoveryCounters()
         if rotation.counters is None:
-            rotation.counters = self.counters
-        self.log: list[RecoveryEvent] = []
-        self._sleep = sleep
-        # jitter draws come from the run seed, so a job's retry schedule is
-        # reproducible while co-scheduled jobs (different seeds) desynchronize
-        self._jitter_rng = (
-            random.Random(dns.config.seed)
-            if self.policy.backoff_jitter > 0.0
-            else None
+            rotation.counters = counters
+        super().__init__(
+            InThreadLaunch(dns, rotation),
+            policy=policy,
+            monitor_factory=None if monitor is None else lambda: monitor,
+            controllers=controllers,
+            counters=counters,
+            timers=timers if timers is not None else dns.timers,
+            sleep=sleep,
+            recorder=recorder if recorder is not None else dns.recorder,
         )
-        self.recorder = recorder if recorder is not None else dns.recorder
-        if self.recorder is not None:
-            self.recorder.set_recovery_counters(self.counters)
 
-    def _event(self, event: RecoveryEvent) -> None:
-        """Append to the recovery log, mirrored into the telemetry stream."""
-        self.log.append(event)
-        if self.recorder is not None:
-            self.recorder.record_event(
-                event.kind,
-                step=event.step,
-                detail=event.detail,
-                attempt=event.attempt,
-                info=event.info,
-            )
+    @property
+    def dns(self):
+        return self.launch.dns
 
-    # ------------------------------------------------------------------
+    @property
+    def rotation(self) -> CheckpointRotation:
+        return self.launch.rotation
 
     def run(self, n_steps: int, callback=None):
         """Advance ``n_steps`` past the current step, recovering as needed.
@@ -179,128 +445,4 @@ class RunSupervisor:
         blow-up is caught in the same step and never checkpointed.
         Returns the (possibly replaced) driver.
         """
-        target = self.dns.step_count + n_steps
-        frontier = self.dns.step_count
-        consecutive = 0
-        if not self.rotation.snapshots():
-            self._checkpoint()  # baseline: rollback must always have a target
-        while self.dns.step_count < target:
-            try:
-                self._segment(target, callback)
-            except RECOVERABLE as exc:
-                failed_at = self.dns.step_count
-                self.counters.failures += 1
-                self._event(
-                    RecoveryEvent(
-                        step=failed_at,
-                        kind="failure",
-                        detail=f"{type(exc).__name__}: {exc}",
-                        attempt=consecutive,
-                    )
-                )
-                if failed_at > frontier:
-                    frontier = failed_at
-                    consecutive = 1
-                else:
-                    consecutive += 1
-                if consecutive > self.policy.max_retries:
-                    self._event(
-                        RecoveryEvent(
-                            step=failed_at,
-                            kind="giving_up",
-                            detail=f"{consecutive - 1} consecutive failures at step {failed_at}",
-                            attempt=consecutive,
-                        )
-                    )
-                    raise SupervisorGivingUp(
-                        f"no forward progress after {consecutive - 1} retries "
-                        f"(last failure at step {failed_at}: {exc})"
-                    ) from exc
-                self._backoff(consecutive)
-                self._rollback(degrade=isinstance(exc, UnstableError), attempt=consecutive)
-        return self.dns
-
-    # ------------------------------------------------------------------
-
-    def _segment(self, target: int, callback) -> None:
-        """Step until the target or the first failure; checkpoint on cadence."""
-        dns = self.dns
-        while dns.step_count < target:
-            dns.step()
-            for ctrl in self.controllers:
-                ctrl(dns)
-            if callback is not None:
-                callback(dns)
-            if self.monitor is not None:
-                self.monitor(dns)
-            if dns.step_count % self.policy.checkpoint_every == 0 or dns.step_count >= target:
-                self._checkpoint()
-
-    def _checkpoint(self) -> None:
-        if not self.dns.state_finite():
-            # never let a poisoned state into the rotation, even when the
-            # watchdog is off or on a sparse cadence
-            raise DivergedError(
-                f"non-finite state at checkpoint (step {self.dns.step_count})",
-                step=self.dns.step_count,
-            )
-        with self.timers.section(SectionTimers.CHECKPOINT):
-            self.rotation.save(self.dns)
-
-    def _backoff(self, consecutive: int) -> None:
-        p = self.policy
-        delay = min(p.backoff_max, p.backoff_base * p.backoff_factor ** (consecutive - 1))
-        if self._jitter_rng is not None and delay > 0:
-            # ± backoff_jitter around the bounded nominal delay
-            delay *= 1.0 + p.backoff_jitter * (2.0 * self._jitter_rng.random() - 1.0)
-        if delay > 0:
-            self._sleep(delay)
-
-    def _rollback(self, degrade: bool, attempt: int) -> None:
-        """Restore the newest verifiable snapshot; optionally reduce dt."""
-        with self.timers.section(SectionTimers.RECOVERY):
-            try:
-                self.dns = self.rotation.load_latest(
-                    config=self.dns.config, restore_runtime=True
-                )
-            except CheckpointCorruptError as exc:
-                raise SupervisorGivingUp(
-                    f"rollback impossible: {exc}"
-                ) from exc
-        self.counters.rollbacks += 1
-        if self.recorder is not None:
-            # the restore built a fresh driver: move the stream (and its
-            # delta baselines) over so step records continue seamlessly
-            self.recorder.attach(self.dns)
-        self._event(
-            RecoveryEvent(
-                step=self.dns.step_count,
-                kind="rollback",
-                detail=f"restored step {self.dns.step_count}",
-                attempt=attempt,
-            )
-        )
-        if degrade:
-            new_dt = max(self.policy.min_dt, self.dns.stepper.dt * self.policy.dt_factor)
-            self.dns.set_dt(new_dt)
-            for ctrl in self.controllers:
-                clamp = getattr(ctrl, "clamp_max_dt", None)
-                if clamp is not None:
-                    clamp(new_dt)
-            self.counters.dt_reductions += 1
-            self._event(
-                RecoveryEvent(
-                    step=self.dns.step_count,
-                    kind="dt_reduction",
-                    detail=f"dt -> {new_dt:.3e}",
-                    attempt=attempt,
-                )
-            )
-
-    # ------------------------------------------------------------------
-
-    def report(self) -> str:
-        """One-line recovery summary (counters + last event)."""
-        tail = self.log[-1] if self.log else None
-        last = f"  last_event={tail.kind}@{tail.step}" if tail else ""
-        return self.counters.report() + last
+        return self.run_to(self.dns.step_count + n_steps, callback)

@@ -72,6 +72,11 @@ class ChannelState:
     w: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     time: float = 0.0
 
+    def finite(self) -> bool:
+        """True when every prognostic array of this (local) block is finite."""
+        arrays = (self.v, self.omega_y, self.u00, self.w00)
+        return all(arr is None or np.all(np.isfinite(arr)) for arr in arrays)
+
     def copy(self) -> "ChannelState":
         return ChannelState(
             v=self.v.copy(),

@@ -33,14 +33,13 @@ solves, while the execution counters (solves, sweeps, columns) keep
 moving.
 
 :class:`RecoveryCounters` is the fault-tolerance bookkeeping shared by
-the checkpoint rotations (:mod:`repro.core.checkpoint`), the run
-supervisor (:mod:`repro.core.supervisor`) and the elastic job loop
-(:func:`repro.pencil.distributed.run_supervised_spmd`): snapshots
-saved/pruned, verification failures, watchdog trips, rollbacks,
-restarts, dt reductions — and, from the elastic layer, ``shrinks``
-(agreed survivor-set reductions after a rank death), ``grows``
-(re-expansions of a degraded run onto returned ranks) and
-``reshard_restores`` (snapshots reassembled onto a different process
+the checkpoint rotations (:mod:`repro.core.checkpoint`) and the one
+supervision loop (:mod:`repro.core.supervisor`, in-thread or over SimMPI
+ranks): snapshots saved/pruned, verification failures, watchdog trips,
+rollbacks (in-thread), restarts (ranks), dt reductions — and, from the
+elastic layer, ``shrinks`` (agreed survivor-set reductions after a rank
+death), ``grows`` (re-expansions of a degraded run onto returned ranks)
+and ``reshard_restores`` (snapshots reassembled onto a different process
 grid).  Together with the ``CHECKPOINT``/``RECOVERY``/``ELASTIC`` timer
 sections this is how a campaign's recovery history is surfaced.
 

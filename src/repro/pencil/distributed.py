@@ -13,15 +13,19 @@ round-off); ``tests/pencil/test_distributed.py`` pins that.
 
 from __future__ import annotations
 
+import pathlib
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.core.solver import ChannelConfig, ChannelDNS
+from repro.core.supervisor import Supervisor, SupervisorPolicy
 from repro.core.timestepper import ChannelState
 from repro.core.velocity import recover_uw
 from repro.instrument import SectionTimers
-from repro.mpi.simmpi import Communicator
+from repro.mpi.simmpi import Communicator, run_spmd
 from repro.pencil.decomp import block_range
 from repro.pencil.parallel_fft import PencilTransforms
 from repro.pencil.transpose import DEFAULT_STAGES, TransposeMethod
@@ -143,8 +147,6 @@ class DistributedChannelDNS(ChannelDNS):
 
     def save_checkpoint(self, directory, keep: int = 3):
         """Collectively write one sharded snapshot (one shard per rank)."""
-        from repro.core.checkpoint import ShardedCheckpointRotation
-
         return ShardedCheckpointRotation(directory, keep=keep).save(self)
 
     def load_checkpoint(self, directory, reshard: bool = False):
@@ -152,9 +154,143 @@ class DistributedChannelDNS(ChannelDNS):
 
         ``reshard=True`` accepts snapshots written under a different
         process grid (decomposition-agnostic restore)."""
-        from repro.core.checkpoint import ShardedCheckpointRotation
-
         return ShardedCheckpointRotation(directory).load_latest(self, reshard=reshard)
+
+
+@dataclass(eq=False)
+class RanksLaunch:
+    """The SimMPI-ranks launch of :class:`~repro.core.supervisor.Supervisor`.
+
+    Each attempt runs the loop's per-step body on every rank of a fresh
+    :func:`~repro.mpi.simmpi.run_spmd` program on ``grid``.  A failure
+    tears the program down, like a node failure killing an MPI
+    allocation, and is logged as one ``restart``; the next attempt's
+    ranks restore *in place* from the sharded rotation (resharding when
+    ``elastic``) and apply a reduced dt if the loop set one.  Attempt
+    ``i`` injects ``fault_plans[i]``.  Its ranks write telemetry under
+    ``attempt-NN/``; :attr:`recorder` is the job-level ``events.jsonl``.
+    """
+
+    config: ChannelConfig
+    grid: tuple[int, int, int]
+    checkpoint_dir: Any
+    keep: int = 3
+    fault_plans: Sequence = ()
+    method: TransposeMethod | None = None
+    timeout: float | None = None
+    elastic: bool = False
+    integrity: bool = False
+    telemetry: Any = None
+    wire_precision: str = "full"
+    stages: int = DEFAULT_STAGES
+    streaming_every: int = 0
+    publish: Any = None
+    #: rank 0's driver of the latest attempt: where the job stands
+    dns: DistributedChannelDNS | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.recorder = None
+        self._dt: float | None = None
+        if self.telemetry is not None:
+            from repro.telemetry import RunRecorder, TelemetryConfig
+
+            self.telemetry = TelemetryConfig.coerce(self.telemetry)
+            self.recorder = RunRecorder(self.telemetry, rank=-1, nranks=self.grid[0])
+
+    def where(self) -> tuple[int, float]:
+        if self.dns is None:
+            return -1, self.config.dt
+        return self.dns.step_count, self.dns.stepper.dt
+
+    def attempt(self, sup: Supervisor, target: int, callback):
+        n, pa, pb = self.grid
+        attempt = sup.attempt
+        plan = self.fault_plans[attempt] if attempt < len(self.fault_plans) else None
+        telemetry = None
+        if self.telemetry is not None:
+            telemetry = replace(
+                self.telemetry,
+                directory=pathlib.Path(self.telemetry.directory) / f"attempt-{attempt:02d}",
+            )
+        dt, self._dt = self._dt, None
+        self.dns = None  # the failed attempt's drivers go before new ones are built
+
+        def program(comm: Communicator):
+            dns = DistributedChannelDNS(
+                comm, self.config, pa=pa, pb=pb, method=self.method,
+                telemetry=telemetry, wire_precision=self.wire_precision, stages=self.stages,
+            )
+            if comm.rank == 0:
+                self.dns = dns
+            if self.streaming_every:
+                # attach before the restore so load_latest can hand the
+                # accumulator its sidecar (no samples lost on restart)
+                dns.attach_streaming(every=int(self.streaming_every))
+            rotation = ShardedCheckpointRotation(
+                self.checkpoint_dir, keep=self.keep, counters=sup.counters
+            )
+            try:
+                # rank 0 decides restore-vs-initialize: per-rank filesystem
+                # checks could race against rank 0 creating the first
+                # snapshot directory and leave ranks in different branches
+                if self.agree(dns, lambda: bool(rotation.snapshot_dirs())):
+                    rotation.load_latest(dns, reshard=self.elastic)
+                else:
+                    dns.initialize()
+                    sup.checkpoint(dns, rotation, dns.timers)  # a restart must have a target
+                if dt is not None:
+                    dns.set_dt(dt)
+                if dns.recorder is not None:
+                    dns.recorder.set_recovery_counters(sup.counters)
+                sup.advance(dns, rotation, target, callback, dns.timers)
+                self._publish(dns, comm)
+                return dns.gather_state()
+            finally:
+                # runs on the failure path too, so a crashed attempt still
+                # leaves a summary record behind for the post-mortem
+                dns.finalize_telemetry()
+
+        results = run_spmd(
+            n, program, timeout=self.timeout, fault_plan=plan,
+            elastic=self.elastic, integrity=self.integrity,
+        )
+        if self.recorder is not None:
+            self.recorder.record_event(
+                "complete", step=target, detail=f"finished on {n} ranks ({pa}x{pb})",
+                attempt=attempt, info={"ranks": n, "restarts": sup.restarts},
+            )
+        return results[0]
+
+    def _publish(self, dns: DistributedChannelDNS, comm: Communicator) -> None:
+        """Merge the streamed statistics (collective); rank 0 publishes."""
+        if self.publish is None or dns.streaming is None or dns.streaming.total_samples == 0:
+            return
+        stats = dns.streaming.result()
+        if comm.rank == 0:
+            from repro.serving.store import StatsStore
+
+            pub = self.publish
+            store = pub if isinstance(pub, StatsStore) else StatsStore(pub)
+            store.publish(
+                stats, self.config, step_count=dns.step_count, sim_time=float(dns.state.time)
+            )
+            dns.streaming.counters.publishes += 1
+
+    def recover(self, sup: Supervisor, exc: BaseException, step: int) -> None:
+        sup.counters.restarts += 1
+        info = {"restarts": sup.restarts, "max_restarts": sup.max_restarts}
+        sup.record("restart", step, f"{type(exc).__name__}: {exc}", info)
+
+    def agree(self, dns, decide):
+        comm = dns.comm
+        return comm.bcast(decide() if comm.rank == 0 else None, root=0)
+
+    def set_dt(self, dt: float) -> None:
+        self._dt = dt
+
+    def close(self) -> None:
+        if self.recorder is not None:
+            self.recorder.close()
 
 
 def run_supervised_spmd(
@@ -187,337 +323,58 @@ def run_supervised_spmd(
     streaming_every: int = 0,
     publish=None,
 ):
-    """Job-level supervised restart loop for the distributed DNS.
+    """Supervise the distributed DNS to step ``n_steps`` on SimMPI ranks:
+    :class:`~repro.core.supervisor.Supervisor` over a :class:`RanksLaunch`.
 
-    Launches the SPMD program; when a rank dies (injected
-    :class:`~repro.mpi.simmpi.RankFailure`, collective failure, or
-    watchdog trip) the whole job is torn down — exactly like a node
-    failure killing an MPI allocation — and relaunched, resuming from
-    the newest verifiable sharded snapshot under ``checkpoint_dir``.
-    Attempt ``i`` uses ``fault_plans[i]`` when provided (so tests inject
-    a fault on the first attempt and restart clean).  Returns
-    ``(final_full_state, recovery_log)``; the log holds
-    :class:`~repro.core.supervisor.RecoveryEvent` entries.
+    Resumes from the newest verifiable sharded snapshot under
+    ``checkpoint_dir`` (``n_steps`` is the absolute target) and returns
+    ``(final_full_state, recovery_log)``.  A rank death, a collective
+    failure, a trip of a ``monitor_factory()`` watchdog or a non-finite
+    snapshot relaunches the job; past ``max_restarts`` relaunches the last
+    failure propagates, and an :class:`~repro.core.health.UnstableError`
+    relaunches at a reduced dt.  ``integrity=True`` makes payload
+    corruption a typed failure (CRC envelopes); ``timeout=None`` is
+    SimMPI's default join timeout.
 
-    With ``elastic=True`` a rank death instead surfaces as a
-    :class:`~repro.mpi.simmpi.ShrinkRequired` carrying the agreed
-    survivor list: the supervisor re-plans the process grid for
-    ``P' = len(survivors)`` via :func:`~repro.pencil.decomp.choose_grid`,
-    relaunches at the reduced size, and the program restores through the
-    resharding reader — the campaign *shrinks and continues* instead of
-    demanding its full allocation back.  Shrinks do not consume the
-    ``max_restarts`` budget (they are capacity loss, not retry churn);
-    ``min_ranks`` bounds how far the job may degrade.  ``integrity=True``
-    additionally turns silent payload corruption into typed, restartable
-    failures via the CRC envelope layer.  ``timeout=None`` uses the
-    env-overridable SimMPI default join timeout.
+    ``elastic=True`` turns a rank death into a
+    :class:`~repro.mpi.simmpi.ShrinkRequired`: the grid is re-planned for
+    the agreed survivors (down to ``min_ranks``) and the job continues
+    through the resharding reader.  ``grow_source``
+    (``available()``/``claim(n)``, e.g.
+    :class:`~repro.mpi.pool.LeaseGrowSource`) is probed at every snapshot
+    boundary to grow back toward ``max_ranks`` (default ``nranks``).
+    Neither move consumes the restart budget.  ``on_shrink(dead,
+    survivors)`` lets a pool quarantine lost ranks; ``should_stop`` is
+    the scheduler's preemption hook, raising
+    :class:`~repro.mpi.simmpi.PreemptRequired` after a boundary snapshot
+    landed.  A recovered run is bit-for-bit the uninterrupted one, a
+    shrunken or grown run a fresh one at the new grid
+    (``tests/pencil/test_checkpoint.py``, ``tests/pencil/test_elastic.py``).
 
-    Because the sharded restore is bit-exact, the recovered trajectory is
-    bit-for-bit the uninterrupted one — and a degraded run is bit-for-bit
-    a fresh run launched at the shrunken size from the same snapshot —
-    pinned by ``tests/pencil/test_checkpoint.py`` and
-    ``tests/pencil/test_elastic.py``.
-
-    Elastic *expansion* is the symmetric move: ``grow_source`` (an
-    ``available()``/``claim(n)`` two-phase view of a shared rank pool,
-    e.g. :class:`~repro.mpi.pool.LeaseGrowSource`) is probed by rank 0
-    at every checkpoint boundary; when free ranks can take the job back
-    toward its original ``nranks``, the decision is broadcast and every
-    rank raises the same :class:`~repro.mpi.simmpi.GrowRequired` — no
-    rank is inside a collective, so the teardown is clean.  The
-    supervisor then atomically claims the ranks (a concurrent job may
-    win the race, in which case the run simply resumes at its current
-    size), re-plans the grid and resumes through the resharding reader.
-    Because restores are bit-exact and the trajectory is grid-invariant,
-    the grown run is bit-identical to an uninterrupted run at the grown
-    grid (pinned by ``tests/pencil/test_elastic.py``).  Growth never
-    exceeds ``max_ranks`` (default: the launched ``nranks`` — a job the
-    scheduler placed *below* its request passes its full request here)
-    and never consumes the restart budget.
-
-    ``should_stop`` is the scheduler's preemption hook, probed (rank 0,
-    then broadcast) at the same boundaries: a truthy return — the reason
-    — makes every rank raise
-    :class:`~repro.mpi.simmpi.PreemptRequired` *after* the boundary
-    snapshot landed, so preemption never loses checkpointed work.  The
-    exception propagates to the caller (the
-    :class:`~repro.core.jobs.JobManager` requeues the job).
-    ``on_shrink(dead, survivors)`` is called with the agreed world-rank
-    sets on every shrink, letting a pool quarantine the backing ranks
-    while the job keeps running.
-
-    ``telemetry`` (a directory or
-    :class:`~repro.telemetry.TelemetryConfig`) turns on structured run
-    recording: each attempt writes per-rank streams and traces under
-    ``<dir>/attempt-NN/``, and a job-level ``events.jsonl`` (``rank=-1``)
-    records every restart, shrink, grow, preemption and give-up decision
-    of this loop.
-
-    ``streaming_every=N`` (N > 0) attaches a
-    :class:`~repro.serving.StreamingStatistics` accumulator sampling
-    every N steps; its merged sums ride along with every boundary
-    snapshot as a checksummed sidecar and are restored on every
-    restart/reshard, so a recovered (or shrunken/grown) run loses no
-    accumulated samples.  ``publish`` names a
-    :class:`~repro.serving.StatsStore` root (or passes one): on normal
-    completion the merged time averages are published there, keyed by
-    the run's config fingerprint and Re_tau.
+    ``telemetry`` writes each attempt's per-rank streams under
+    ``<dir>/attempt-NN/`` and the job's decisions into
+    ``<dir>/events.jsonl``.  ``streaming_every=N`` samples
+    :class:`~repro.serving.StreamingStatistics` every N steps, carried
+    through every snapshot and restart; ``publish`` (a
+    :class:`~repro.serving.StatsStore` or its root) receives the merged
+    averages on completion.
     """
-    from repro.core.checkpoint import ShardedCheckpointRotation
-    from repro.core.health import HealthCheckError
-    from repro.core.supervisor import RecoveryEvent
-    from repro.mpi.simmpi import (
-        GrowRequired,
-        PreemptRequired,
-        RankFailure,
-        ShrinkRequired,
-        SimMPIError,
-        run_spmd,
+    launch = RanksLaunch(
+        config, (nranks, pa, pb), checkpoint_dir, keep=keep, fault_plans=fault_plans,
+        method=method, timeout=timeout, elastic=elastic, integrity=integrity,
+        telemetry=telemetry, wire_precision=wire_precision, stages=stages,
+        streaming_every=streaming_every, publish=publish,
     )
-    from repro.pencil.decomp import choose_grid
-
-    log: list[RecoveryEvent] = []
-    if timers is None:
-        timers = SectionTimers()
-    mx, mz = config.nx // 2, config.nz - 1
-    rank_cap = nranks if max_ranks is None else max(max_ranks, nranks)
-
-    def _grow_target(cur: int) -> int | None:
-        """Largest feasible world size to grow to, or None.
-
-        Capped at ``rank_cap`` and at what the source reports free;
-        stepped down until :func:`choose_grid` accepts the count (a
-        prime count with tight extents may admit no grid)."""
-        if grow_source is None or cur >= rank_cap:
-            return None
-        avail = grow_source.available()
-        if avail <= 0:
-            return None
-        for n in range(min(rank_cap, cur + avail), cur, -1):
-            try:
-                choose_grid(n, mx, mz, config.ny)
-            except ValueError:
-                continue
-            return n
-        return None
-
-    tel_cfg = None
-    job_rec = None
-    if telemetry is not None:
-        from dataclasses import replace as _replace
-
-        from repro.telemetry import RunRecorder, TelemetryConfig
-
-        tel_cfg = TelemetryConfig.coerce(telemetry)
-        job_rec = RunRecorder(tel_cfg, rank=-1, nranks=nranks)
-
-    def _make_prog(cur_pa: int, cur_pb: int, cur_attempt: int):
-        if tel_cfg is not None:
-            import pathlib as _pathlib
-
-            attempt_tel = _replace(
-                tel_cfg,
-                directory=_pathlib.Path(tel_cfg.directory) / f"attempt-{cur_attempt:02d}",
-            )
-        else:
-            attempt_tel = None
-
-        def _prog(comm: Communicator):
-            dns = DistributedChannelDNS(
-                comm, config, pa=cur_pa, pb=cur_pb, method=method,
-                telemetry=attempt_tel, wire_precision=wire_precision, stages=stages,
-            )
-            if streaming_every:
-                # attach before the restore so load_latest can hand the
-                # accumulator its sidecar (no samples lost on restart)
-                dns.attach_streaming(every=int(streaming_every))
-            rotation = ShardedCheckpointRotation(
-                checkpoint_dir, keep=keep, counters=counters
-            )
-            # rank 0 decides restore-vs-initialize and broadcasts it: per-rank
-            # filesystem checks could race against rank 0 creating the first
-            # snapshot directory and leave ranks in different branches
-            resume = comm.bcast(
-                bool(rotation.snapshot_dirs()) if comm.rank == 0 else None, root=0
-            )
-            if resume:
-                rotation.load_latest(dns, reshard=elastic)
-            else:
-                dns.initialize()
-                rotation.save(dns)  # baseline: a restart must have a target
-            if counters is not None and dns.recorder is not None:
-                dns.recorder.set_recovery_counters(counters)
-            monitor = monitor_factory() if monitor_factory is not None else None
-            probed = should_stop is not None or grow_source is not None
-            try:
-                while dns.step_count < n_steps:
-                    dns.step()
-                    if monitor is not None:
-                        monitor(dns)
-                    at_boundary = (
-                        dns.step_count % checkpoint_every == 0
-                        or dns.step_count >= n_steps
-                    )
-                    if at_boundary:
-                        rotation.save(dns)
-                    if at_boundary and probed and dns.step_count < n_steps:
-                        # scheduler control point: the boundary snapshot just
-                        # landed, so a stop here loses nothing.  Rank 0 decides,
-                        # everyone hears the same verdict, nobody is inside a
-                        # collective when the typed control exception fires.
-                        decision = None
-                        if comm.rank == 0:
-                            reason = should_stop() if should_stop is not None else None
-                            if reason:
-                                decision = ("stop", str(reason))
-                            else:
-                                target = _grow_target(comm.size)
-                                if target is not None:
-                                    decision = ("grow", target)
-                        decision = comm.bcast(decision, root=0)
-                        if decision is not None:
-                            kind, val = decision
-                            if kind == "stop":
-                                raise PreemptRequired(val, step=dns.step_count)
-                            raise GrowRequired(val, comm.size)
-                if (
-                    publish is not None
-                    and dns.streaming is not None
-                    and dns.streaming.total_samples > 0
-                ):
-                    # collective merge; rank 0 publishes into the store
-                    stats = dns.streaming.result()
-                    if comm.rank == 0:
-                        from repro.serving.store import StatsStore
-
-                        target = (
-                            publish
-                            if isinstance(publish, StatsStore)
-                            else StatsStore(publish)
-                        )
-                        target.publish(
-                            stats,
-                            config,
-                            step_count=dns.step_count,
-                            sim_time=float(dns.state.time),
-                        )
-                        dns.streaming.counters.publishes += 1
-                return dns.gather_state()
-            finally:
-                # runs on the failure path too, so a crashed attempt still
-                # leaves a summary record behind for the post-mortem
-                dns.finalize_telemetry()
-
-        return _prog
-
-    cur_n, cur_pa, cur_pb = nranks, pa, pb
-    attempt = 0
-    restarts_used = 0
-
-    def _event(kind: str, step: int, detail: str, info: dict, in_log: bool = True) -> None:
-        """One decision of this loop: into the job-level telemetry stream
-        and — unless it ends the job (complete / giving up) — the
-        returned recovery log."""
-        if in_log:
-            log.append(
-                RecoveryEvent(step=step, kind=kind, detail=detail, attempt=attempt, info=info)
-            )
-        if job_rec is not None:
-            job_rec.record_event(kind, step=step, detail=detail, attempt=attempt, info=info)
-
+    sup = Supervisor(
+        launch,
+        # relaunches are budgeted in total only: the per-frontier budget
+        # is set past the point where max_restarts binds
+        policy=SupervisorPolicy(checkpoint_every=checkpoint_every, max_retries=max_restarts + 1),
+        max_restarts=max_restarts, monitor_factory=monitor_factory, counters=counters,
+        timers=timers, recorder=launch.recorder, should_stop=should_stop,
+        grow_source=grow_source, max_ranks=max_ranks, min_ranks=min_ranks, on_shrink=on_shrink,
+    )
     try:
-        while True:
-            plan = fault_plans[attempt] if attempt < len(fault_plans) else None
-            try:
-                results = run_spmd(
-                    cur_n,
-                    _make_prog(cur_pa, cur_pb, attempt),
-                    timeout=timeout,
-                    fault_plan=plan,
-                    elastic=elastic,
-                    integrity=integrity,
-                )
-                _event(
-                    "complete",
-                    n_steps,
-                    f"finished on {cur_n} ranks ({cur_pa}x{cur_pb})",
-                    {"ranks": cur_n, "restarts": restarts_used},
-                    in_log=False,
-                )
-                return results[0], log
-            except ShrinkRequired as exc:
-                nsurv = len(exc.survivors)
-                # quarantine the dead ranks even when the job is about to
-                # give up — the pool must stay honest either way
-                if on_shrink is not None:
-                    on_shrink(exc.dead, exc.survivors)
-                if nsurv < min_ranks:
-                    _event(
-                        "giving_up",
-                        -1,
-                        f"{nsurv} survivors < min_ranks={min_ranks}",
-                        {"ranks": nsurv},
-                        in_log=False,
-                    )
-                    raise
-                with timers.section(SectionTimers.ELASTIC):
-                    new_pa, new_pb = choose_grid(nsurv, mx, mz, config.ny)
-                _event(
-                    "shrink",
-                    -1,
-                    f"{exc}; re-planned {cur_pa}x{cur_pb} -> {new_pa}x{new_pb} on {nsurv} ranks",
-                    {"ranks": nsurv, "pa": new_pa, "pb": new_pb},
-                )
-                if counters is not None:
-                    counters.shrinks += 1
-                cur_n, cur_pa, cur_pb = nsurv, new_pa, new_pb
-                attempt += 1
-            except GrowRequired as exc:
-                with timers.section(SectionTimers.ELASTIC):
-                    # a concurrent job may have won the free ranks between
-                    # probe and commit: then resume at the current size, no event
-                    claimed = grow_source.claim(exc.ranks - cur_n)
-                    if claimed:
-                        new_n = exc.ranks
-                        new_pa, new_pb = choose_grid(new_n, mx, mz, config.ny)
-                if claimed:
-                    _event(
-                        "grow",
-                        -1,
-                        f"{exc}; re-planned {cur_pa}x{cur_pb} -> {new_pa}x{new_pb} "
-                        f"on {new_n} ranks",
-                        {"ranks": new_n, "pa": new_pa, "pb": new_pb},
-                    )
-                    if counters is not None:
-                        counters.grows += 1
-                    cur_n, cur_pa, cur_pb = new_n, new_pa, new_pb
-                attempt += 1
-            except PreemptRequired as exc:
-                _event(
-                    "preempted",
-                    exc.step,
-                    f"PreemptRequired: {exc}",
-                    {"ranks": cur_n, "reason": exc.reason},
-                )
-                raise
-            except (SimMPIError, RankFailure, HealthCheckError) as exc:
-                step = getattr(exc, "step", None) or -1
-                detail = f"{type(exc).__name__}: {exc}"
-                if counters is not None:
-                    counters.restarts += 1
-                restarts_used += 1
-                info = {"restarts": restarts_used, "max_restarts": max_restarts}
-                if restarts_used > max_restarts:
-                    _event(
-                        "giving_up",
-                        step,
-                        f"restart budget exhausted after {detail}",
-                        info,
-                        in_log=False,
-                    )
-                    raise
-                _event("restart", step, detail, info)
-                attempt += 1
+        return sup.run_to(n_steps), sup.log
     finally:
-        if job_rec is not None:
-            job_rec.close()
+        launch.close()

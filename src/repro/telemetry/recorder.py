@@ -2,9 +2,10 @@
 
 :class:`RunRecorder` is the one observability attachment every driver
 shares — serial :class:`~repro.core.solver.ChannelDNS`, per-rank
-:class:`~repro.pencil.distributed.DistributedChannelDNS`, the
-:class:`~repro.core.supervisor.RunSupervisor` and the job-level elastic
-loop.  Attached to a driver it emits one ``step`` record per timestep
+:class:`~repro.pencil.distributed.DistributedChannelDNS`, and both
+launches of the supervision loop (:mod:`repro.core.supervisor`: the
+driver's own stream in-thread, a job-level ``events.jsonl`` over
+ranks).  Attached to a driver it emits one ``step`` record per timestep
 (section-time deltas, transform/solve/recovery/overlap/precision counter deltas,
 dt, CFL, divergence, rank metadata) into an append-only JSON-lines stream, and
 optionally feeds a :class:`~repro.telemetry.trace.TraceWriter` so the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import math
 
@@ -458,12 +459,3 @@ class RunRecorder:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def for_attempt(self, attempt: int) -> "RunRecorder":
-        """A sibling recorder writing under ``<directory>/attempt-NN``.
-
-        Restart loops give every relaunch its own subdirectory so the
-        streams of a crashed attempt are preserved, not overwritten.
-        """
-        sub = replace(self.config, directory=self.directory / f"attempt-{attempt:02d}")
-        return RunRecorder(sub, rank=self.rank, nranks=self.nranks, extra=self.extra)

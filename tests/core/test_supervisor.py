@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import ChannelConfig, ChannelDNS
-from repro.core.checkpoint import CheckpointRotation, load_checkpoint
+from repro.core.checkpoint import CheckpointCorruptError, CheckpointRotation, load_checkpoint
 from repro.core.control import CFLController
 from repro.core.health import HealthMonitor, UnstableError
 from repro.core.supervisor import (
@@ -18,6 +18,9 @@ from repro.core.supervisor import (
     SupervisorPolicy,
 )
 from repro.instrument import SectionTimers
+from repro.storage import read_npz
+
+from tests.faults import stamp_newer_format
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=13)
 
@@ -160,6 +163,36 @@ class TestCorruptHeadFallback:
 
         with pytest.raises(SupervisorGivingUp, match="rollback impossible"):
             sup.run(6, callback=hook)
+
+
+class TestNewerFormatHead:
+    def test_newer_format_head_propagates_and_is_kept(self, tmp_path):
+        """A head written by a newer build is neither read nor skipped:
+        the rollback raises ValueError, nothing is retried, and the
+        generation stays on disk for the build that can read it."""
+        rotation = CheckpointRotation(tmp_path)
+        sup = RunSupervisor(
+            _fresh_dns(),
+            rotation,
+            monitor=HealthMonitor(),
+            policy=SupervisorPolicy(checkpoint_every=2),
+        )
+        head = []
+
+        def hook(dns):
+            if dns.step_count == 5 and not head:
+                head.append(rotation.latest_path)
+                stamp_newer_format(head[0])
+                dns.state.v[0, 0, 0] = np.nan
+
+        with pytest.raises(ValueError, match="unsupported checkpoint format") as info:
+            sup.run(6, callback=hook)
+        assert not isinstance(info.value, CheckpointCorruptError)
+        assert sup.counters.rollbacks == 0 and sup.counters.verify_failures == 0
+        assert [e.kind for e in sup.log] == ["failure"]
+        assert rotation.latest_path == head[0]
+        with pytest.raises(ValueError, match="unsupported checkpoint format"):
+            read_npz(head[0])
 
 
 class TestRetryAccounting:

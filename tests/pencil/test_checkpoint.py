@@ -14,12 +14,14 @@ from repro.core.checkpoint import (
     CheckpointUnrecoverableError,
     ShardedCheckpointRotation,
 )
+from repro.core.health import UnstableError
 from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
 from repro.pencil.transpose import TransposeMethod
+from repro.storage import read_npz
 
-from tests.faults import rank1_kill_plan
+from tests.faults import rank1_kill_plan, stamp_newer_format
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 
@@ -341,3 +343,88 @@ class TestKillRestartIdentity:
                 fault_plans=plans,
             )
         assert "killed by fault plan" in str(info.value)
+
+
+class TestRanksLaunchGuards:
+    """The ranks launch runs the same loop as the in-thread one, so it
+    refuses to checkpoint a poisoned state, degrades dt after an
+    instability and stops at a snapshot it cannot read."""
+
+    def test_nan_is_never_checkpointed_and_restarts_from_last_snapshot(self, tmp_path):
+        """NaN put into rank 1's block at step 7, no watchdog: the step-10
+        snapshot refuses the state, the job restarts from step 5 and lands
+        on the uninterrupted bits; no snapshot on disk holds a NaN."""
+        straight = _uninterrupted_state(10)
+        rank1_steps: list[int] = []  # across attempts
+
+        def monitor_factory():
+            def inject(dns) -> None:
+                if dns.comm.rank != 1:
+                    return
+                rank1_steps.append(dns.step_count)
+                if dns.step_count == 7 and rank1_steps.count(7) == 1:
+                    dns.state.v[0, 0, 0] = np.nan
+
+            return inject
+
+        counters = RecoveryCounters()
+        final, log = run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=10, checkpoint_dir=tmp_path,
+            checkpoint_every=5, monitor_factory=monitor_factory, counters=counters,
+        )
+
+        assert [e.kind for e in log] == ["restart"]
+        assert "DivergedError" in log[0].detail and counters.restarts == 1
+        assert rank1_steps == list(range(1, 11)) + list(range(6, 11))
+        np.testing.assert_array_equal(final.v, straight.v)
+        np.testing.assert_array_equal(final.omega_y, straight.omega_y)
+        np.testing.assert_array_equal(final.u00, straight.u00)
+        assert final.time == straight.time
+        shards = sorted(tmp_path.glob("step-*/shard-*.npz"))
+        assert shards
+        for shard in shards:
+            _, arrays = read_npz(shard)
+            assert all(np.all(np.isfinite(a)) for a in arrays.values()), shard
+
+    def test_unstable_relaunches_at_reduced_dt(self, tmp_path):
+        """A monitor that trips while the configured dt is in force: one
+        restart, relaunched at half the dt, which then completes."""
+
+        def monitor_factory():
+            def monitor(dns) -> None:
+                if dns.stepper.dt == CFG.dt and dns.step_count == 3:
+                    raise UnstableError("synthetic CFL blow-up", step=dns.step_count)
+
+            return monitor
+
+        counters = RecoveryCounters()
+        final, log = run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=6, checkpoint_dir=tmp_path,
+            checkpoint_every=5, monitor_factory=monitor_factory, counters=counters,
+        )
+
+        assert [e.kind for e in log] == ["restart", "dt_reduction"]
+        assert counters.restarts == 1 and counters.dt_reductions == 1
+        assert final.time == pytest.approx(6 * CFG.dt * 0.5)
+        assert np.all(np.isfinite(final.v))
+
+    def test_newer_format_head_propagates_and_is_kept(self, tmp_path):
+        """A head generation written by a newer build stops the resume with
+        ValueError: no restart, no fallback, and the generation stays."""
+        run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=4, checkpoint_dir=tmp_path, checkpoint_every=2
+        )
+        head = tmp_path / "step-000000004"
+        stamp_newer_format(head)
+        counters = RecoveryCounters()
+        with pytest.raises(ValueError, match="unsupported checkpoint format") as info:
+            run_supervised_spmd(
+                4, CFG, pa=2, pb=2, n_steps=6, checkpoint_dir=tmp_path,
+                checkpoint_every=2, counters=counters,
+            )
+        assert not isinstance(info.value, CheckpointCorruptError)
+        assert counters.restarts == 0 and counters.verify_failures == 0
+        assert (tmp_path / "latest").read_text().strip() == head.name
+        for shard in head.glob("shard-*.npz"):
+            with pytest.raises(ValueError, match="unsupported checkpoint format"):
+                read_npz(shard)

@@ -151,10 +151,3 @@ def test_nan_diagnostics_serialize_as_null(tmp_path):
     dns.finalize_telemetry()
     steps = [r for r in read_stream(tmp_path / "tel" / "telemetry.jsonl") if r["type"] == "step"]
     assert steps[-1]["cfl"] is None  # not NaN — the stream stays valid JSON
-
-
-def test_for_attempt_subdirectories(tmp_path):
-    rec = RunRecorder(tmp_path / "tel", rank=2, nranks=4)
-    sub = rec.for_attempt(3)
-    assert sub.directory == tmp_path / "tel" / "attempt-03"
-    assert sub.rank == 2 and sub.nranks == 4
