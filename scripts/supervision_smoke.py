@@ -11,8 +11,10 @@ end over each of its launches on a 16x24x16 channel:
 * **SimMPI ranks** (:func:`~repro.pencil.distributed.run_supervised_spmd`):
   rank 1 killed inside a pencil-transpose alltoall past three steps,
   the 2x2 job relaunched from its sharded snapshot — the step-10 state
-  must be bit-for-bit an uninterrupted 2x2 run's (a distributed run
-  matches the serial one only to FFT round-off).
+  must be bit-for-bit an uninterrupted 2x2 run's.  The job runs with
+  the cyclic garbage collector off, and the relaunch must hold one
+  generation of rank drivers: when attempt 1 starts stepping, no driver
+  of the killed attempt 0 may be alive.
 
 Usage:
     PYTHONPATH=src python scripts/supervision_smoke.py [--out DIR]
@@ -21,9 +23,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import pathlib
 import sys
 import tempfile
+import weakref
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -94,13 +99,41 @@ def ranks(workdir: pathlib.Path) -> list[str]:
     # past three steps' worth of rank 1's alltoalls, counted by a dry run
     kill_call = 3 * alltoalls_per_step(CFG, 2, 2) + 6
     plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=kill_call)])
-    full, log = run_supervised_spmd(
-        4, CFG, pa=2, pb=2, n_steps=10, checkpoint_dir=workdir / "sharded",
-        checkpoint_every=5, fault_plans=[plan],
-    )
+
+    calls = itertools.count()
+    drivers: dict[int, dict[int, weakref.ref]] = {}  # attempt -> rank -> its driver
+    alive_at_relaunch: list[int] = []
+
+    def monitor_factory():
+        # the loop calls this once per rank per attempt, before the first step
+        attempt, nth = divmod(next(calls), 4)
+        if attempt == 1 and nth == 0:
+            alive_at_relaunch.append(sum(r() is not None for r in drivers[0].values()))
+
+        def monitor(dns):
+            drivers.setdefault(attempt, {}).setdefault(dns.comm.rank, weakref.ref(dns))
+
+        return monitor
+
+    # with the cyclic collector off, only reference counts free a driver
+    gc.collect()
+    gc.disable()
+    try:
+        full, log = run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=10, checkpoint_dir=workdir / "sharded",
+            checkpoint_every=5, fault_plans=[plan], monitor_factory=monitor_factory,
+        )
+    finally:
+        gc.enable()
     failures = []
     if not plan.triggered:
         failures.append("ranks: the planned rank kill never fired")
+    if len(drivers.get(0, {})) != 4 or not alive_at_relaunch:
+        failures.append(f"ranks: expected 4 attempt-0 drivers and a relaunch, got {drivers}")
+    elif alive_at_relaunch != [0]:
+        failures.append(
+            f"ranks: {alive_at_relaunch[0]} of 4 attempt-0 drivers alive at the relaunch"
+        )
     if [e.kind for e in log] != ["restart"]:
         failures.append(f"ranks: expected one restart, got {log}")
     failures += [
@@ -110,6 +143,8 @@ def ranks(workdir: pathlib.Path) -> list[str]:
     ]
     if log:
         print(f"ranks:     1 restart ({log[0].detail.split('(')[0].strip()})")
+    if alive_at_relaunch:
+        print(f"ranks:     {alive_at_relaunch[0]} attempt-0 drivers alive at the relaunch")
     return failures
 
 

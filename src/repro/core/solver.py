@@ -19,6 +19,7 @@ Units: lengths in channel half-widths, velocities in friction velocity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -128,7 +129,12 @@ class ChannelDNS:
             scheme=config.scheme,
             modes=self.modes,
             backend=self.transforms,
-            reduce_max=lambda speeds: self._reduce(speeds, _elementwise_max),
+            # the communicator's own method, not a closure over this driver:
+            # nothing a driver owns refers back to it (DESIGN.md §6a)
+            reduce_max=(
+                None if self.comm is None
+                else partial(self.comm.allreduce, op=_elementwise_max)
+            ),
             timers=self.timers,
         )
         self.state: ChannelState | None = None

@@ -190,7 +190,8 @@ class Supervisor:
                     frontier, consecutive = failed_at, 1
                 else:
                     consecutive += 1
-                self._check_budgets(exc, failed_at, consecutive)
+                if self._budget_spent(exc, failed_at, consecutive):
+                    raise  # the rank's own failure, type and message intact
                 p = self.policy
                 delay = backoff_delay(
                     consecutive, p.backoff_base, p.backoff_factor, p.backoff_max,
@@ -261,7 +262,11 @@ class Supervisor:
 
     # ------------------------------------------------------------------
 
-    def _check_budgets(self, exc: BaseException, failed_at: int, consecutive: int) -> None:
+    def _budget_spent(self, exc: BaseException, failed_at: int, consecutive: int) -> bool:
+        """Raise :class:`SupervisorGivingUp` past ``max_retries`` without
+        progress; True past ``max_restarts``, where the caller re-raises
+        ``exc`` itself (re-raised here, its traceback would hold this frame
+        and this frame ``exc``: a cycle)."""
         if consecutive > self.policy.max_retries:
             detail = f"{consecutive - 1} consecutive failures at step {failed_at}"
             self.record("giving_up", failed_at, detail)
@@ -273,7 +278,8 @@ class Supervisor:
             detail = f"restart budget exhausted after {type(exc).__name__}: {exc}"
             info = {"restarts": self.restarts, "max_restarts": self.max_restarts}
             self.record("giving_up", failed_at, detail, info)
-            raise exc
+            return True
+        return False
 
     def _reduce_dt(self, failed_dt: float) -> None:
         """Graceful degradation: retry at a reduced dt, clamping controllers

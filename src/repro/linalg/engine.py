@@ -82,7 +82,9 @@ class BandedSolveEngine:
     ----------
     lu:
         A factored :class:`~repro.linalg.custom.FoldedLU` (the engine
-        reads its folded factor data; it never mutates it).
+        reads its ``spec``, ``rows`` and folded factor data while it is
+        built and keeps no reference to it: the factor set owns its
+        engines, and nothing it owns refers back).
     block:
         Panel height; ``None`` selects :func:`default_block`.
     counters:
@@ -92,7 +94,6 @@ class BandedSolveEngine:
 
     def __init__(self, lu, block: int | None = None, counters: SolveCounters | None = None):
         spec = lu.spec
-        self.lu = lu
         self.spec = spec
         self.n = spec.n
         self.rows = lu.rows

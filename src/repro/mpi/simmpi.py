@@ -66,6 +66,7 @@ import os
 import queue
 import threading
 import time
+import traceback
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -1329,20 +1330,47 @@ def run_spmd(
         if t.is_alive():
             ctx.abort()
             raise SimMPIError("SPMD program timed out (deadlock?)")
-    # genuine program bugs outrank everything
+    failure = _root_cause(errors)
+    if failure is None:
+        return results
+    _drop_frames(errors)
+    # neither this frame nor the workers' closures may hold the raised
+    # exception once its traceback holds this frame: that is a cycle
+    errors.clear()
+    try:
+        raise failure
+    finally:
+        failure = None
+
+
+def _root_cause(errors: Sequence[BaseException | None]) -> BaseException | None:
+    """The rank failure :func:`run_spmd` re-raises (None: every rank
+    returned): a genuine program bug outranks everything, an agreed
+    shrink supersedes the kill that caused it, and a rank's own failure
+    outranks the peers' :class:`SimMPIError` consequences."""
     for exc in errors:
         if exc is not None and not isinstance(
             exc, (SimMPIError, RankFailure, ShrinkRequired)
         ):
-            raise exc
-    # an agreed shrink supersedes the kill that caused it
+            return exc
     shrink = next((e for e in errors if isinstance(e, ShrinkRequired)), None)
     if shrink is not None:
-        raise shrink
+        return shrink
     for exc in errors:
         if exc is not None and not isinstance(exc, SimMPIError):
-            raise exc
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+            return exc
+    return next((e for e in errors if e is not None), None)
+
+
+def _drop_frames(errors: Sequence[BaseException | None]) -> None:
+    """Clear the locals of every finished rank frame the ``errors`` and
+    their chained causes passed through, so a rank's exception no longer
+    holds its driver.  The type, the message and the traceback text stay."""
+    pending, seen = list(errors), set()
+    while pending:
+        e = pending.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        traceback.clear_frames(e.__traceback__)
+        pending += [e.__cause__, e.__context__]

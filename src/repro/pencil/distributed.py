@@ -5,10 +5,13 @@ Each SimMPI rank owns a y-pencil block of the spectral state (a slab of
 whole Navier–Stokes time advance are rank-local — exactly the paper's
 §2.2 design.  Only the nonlinear-term evaluation touches the network,
 through the :class:`~repro.pencil.parallel_fft.PencilTransforms`
-pipeline (4 global transposes per field per direction).
+pipeline: 2 global transposes per field per direction (y→z then z→x
+on the way to physical space, x→z then z→y back), 48 exchanges per
+RK3 step.
 
-The distributed trajectory is bit-for-bit the serial one (up to FFT
-round-off); ``tests/pencil/test_distributed.py`` pins that.
+The distributed trajectory is bit-for-bit the serial one, on even and
+uneven blocks and with every transpose method;
+``tests/pencil/test_distributed.py`` pins that.
 """
 
 from __future__ import annotations
@@ -289,6 +292,9 @@ class RanksLaunch:
         self._dt = dt
 
     def close(self) -> None:
+        # the caller may keep the exception that ended the job, and its
+        # traceback keeps this launch: a closed launch holds no driver
+        self.dns = None
         if self.recorder is not None:
             self.recorder.close()
 

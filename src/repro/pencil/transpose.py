@@ -66,6 +66,7 @@ from __future__ import annotations
 import enum
 import os
 import time
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -443,10 +444,15 @@ class PipelinedTranspose:
     the hooks process exactly the slab the synchronous path would (1-D
     FFTs are independent per pencil, so slab-wise transforms reproduce
     the full-array transforms bitwise).
+
+    ``base`` owns this object (``base.pipelined``), so ``self.base`` is a
+    weak proxy: a strong one would close a reference cycle that only the
+    cyclic collector frees, keeping every buffer of a dropped driver
+    alive until it runs.
     """
 
     def __init__(self, base: GlobalTranspose, stages: int = DEFAULT_STAGES) -> None:
-        self.base = base
+        self.base = weakref.proxy(base)
         self.stages = max(1, int(stages))
         self._slab_buffers: OrderedDict[tuple, np.ndarray] = OrderedDict()
 

@@ -32,6 +32,7 @@ the run:
 from __future__ import annotations
 
 import time
+import weakref
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class StreamingStatistics:
     layout: it accumulates over ``dns.modes`` and merges through
     ``dns.comm`` (no merge traffic when that is None).  In decomposed
     runs every rank must construct one — every read is collective.
+    It keeps the driver's communicator, modes and wall-normal operators,
+    not the driver: the driver owns it (``dns.streaming``) and hands it
+    each state to sample.
 
     Accumulated quantities, all per y collocation plane:
 
@@ -84,10 +88,13 @@ class StreamingStatistics:
     COMPONENTS = ("u", "v", "w")
 
     def __init__(self, dns) -> None:
-        self.dns = dns
+        #: weak: only the default of :meth:`sample` reads the driver
+        self._dns = weakref.ref(dns)
         self.comm = dns.comm
         self.grid = dns.grid
         self.modes = dns.modes
+        self.nu = dns.config.nu
+        self.ops = dns.stepper.ops
         self.counters = StatsCounters()
         g = self.grid
         decomp = dns.decomp
@@ -119,11 +126,12 @@ class StreamingStatistics:
         """Fold one snapshot into the running sums (collective cadence:
         in distributed runs every rank must sample the same steps)."""
         t0 = time.perf_counter()
-        dns = self.dns
-        state = state if state is not None else dns.state
+        if state is None:
+            dns = self._dns()
+            state = None if dns is None else dns.state
         if state is None:
             raise RuntimeError("no state to sample")
-        ops = dns.stepper.ops
+        ops = self.ops
         u_vals = ops.values(state.u)
         v_vals = ops.values(state.v)
         w_vals = ops.values(state.w)
@@ -233,10 +241,9 @@ class StreamingStatistics:
 
     def _friction_velocity(self, mean_profile: np.ndarray) -> float:
         """``u_tau = sqrt(nu |dU/dy|_wall)`` averaged over both walls."""
-        nu = self.dns.config.nu
         a = self.grid.basis.interpolate(mean_profile)
-        d_lo, d_up = self.dns.stepper.ops.wall_derivatives(a)
-        return float(np.sqrt(nu * 0.5 * (abs(d_lo) + abs(d_up))))
+        d_lo, d_up = self.ops.wall_derivatives(a)
+        return float(np.sqrt(self.nu * 0.5 * (abs(d_lo) + abs(d_up))))
 
     # ------------------------------------------------------------------
     # profile reads (each one merge — collective on a decomposed run)
@@ -259,7 +266,7 @@ class StreamingStatistics:
 
     def wall_units(self) -> tuple[np.ndarray, np.ndarray]:
         """(y+, U+) of the lower half-channel, wall-distance ordered."""
-        nu = self.dns.config.nu
+        nu = self.nu
         mean = self.mean_velocity()
         u_tau = self._friction_velocity(mean)
         y = self.grid.y

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+import weakref
 from dataclasses import dataclass
 
 import math
@@ -107,7 +108,9 @@ class RunRecorder:
         self.trace: TraceWriter | None = None
         self._fh = None
         self._closed = False
-        self._dns = None
+        #: weak: the driver owns this recorder (``dns.recorder``); it is
+        #: only the default of :meth:`record_step` and :meth:`record_event`
+        self._dns: weakref.ref | None = None
         self._timers = None
         self._transforms = None
         self._solve_fn = None
@@ -168,7 +171,7 @@ class RunRecorder:
         driver) re-baselines every delta against the new driver's timers
         and counters; the stream and scratch are kept.
         """
-        self._dns = dns
+        self._dns = weakref.ref(dns)
         dns.recorder = self
         self._timers = dns.timers
         # the two transform layers account different things: the serial
@@ -189,7 +192,7 @@ class RunRecorder:
             )
         if self.trace is not None:
             self._timers.tracer = self.trace
-        self._rebaseline()
+        self._rebaseline(dns)
         self._last_wall = time.perf_counter()
         return self
 
@@ -199,7 +202,11 @@ class RunRecorder:
         if counters is not None:
             self._baseline_counts("recovery", counters.snapshot())
 
-    def _rebaseline(self) -> None:
+    def _driver(self):
+        """The attached driver while it lives (None before :meth:`attach`)."""
+        return None if self._dns is None else self._dns()
+
+    def _rebaseline(self, dns) -> None:
         t = self._timers
         if t is not None:
             # a replacement driver brings fresh (zeroed) timers: reset every
@@ -227,7 +234,7 @@ class RunRecorder:
             self._baseline_counts("overlap", self._overlap.snapshot())
         if self._precision is not None:
             self._baseline_counts("precision", self._precision.snapshot())
-        streaming = self._dns.streaming
+        streaming = dns.streaming
         if streaming is not None:
             self._baseline_counts("stats", streaming.counters.snapshot())
 
@@ -255,12 +262,14 @@ class RunRecorder:
 
     def record_step(self, dns=None, force: bool = False) -> None:
         """Emit one ``step`` record (respecting the ``every`` cadence)."""
-        dns = dns if dns is not None else self._dns
+        dns = dns if dns is not None else self._driver()
         if dns is None:
             raise RuntimeError("attach() a driver before record_step()")
         step = dns.step_count
         if not force and step % self.config.every:
             return
+        if self._closed:
+            raise RuntimeError("recorder already closed")
         t_start = time.perf_counter()
         self._steps_recorded += 1
         wall = 0.0 if self._last_wall is None else t_start - self._last_wall
@@ -375,7 +384,8 @@ class RunRecorder:
         """
         self.open()
         if step is None:
-            step = self._dns.step_count if self._dns is not None else -1
+            dns = self._driver()
+            step = dns.step_count if dns is not None else -1
         rec = {
             "type": "event",
             "schema": SCHEMA_VERSION,
@@ -452,6 +462,9 @@ class RunRecorder:
             self._fh = None
         if self._timers is not None and self._timers.tracer is self.trace:
             self._timers.tracer = None
+        # a closed recorder reads no driver again: let go of its parts
+        self._dns = self._timers = self._transforms = self._solve_fn = None
+        self._mpi_stats = self._overlap = self._precision = None
         self._closed = True
 
     def __enter__(self) -> "RunRecorder":

@@ -66,6 +66,19 @@ class TestConcurrentPlacement:
         leases = {e["job"]: set(e["info"]["pool_ranks"]) for e in placed}
         assert leases["alpha"].isdisjoint(leases["beta"])
 
+    def test_completed_job_drivers_are_gone_when_run_returns(
+        self, tmp_path, no_cyclic_gc, driver_census
+    ):
+        """With the cyclic collector off, a completed job keeps its
+        gathered result and none of its rank drivers."""
+        mgr = JobManager(2, directory=tmp_path)
+        mgr.submit(JobSpec("alpha", CFG_A, n_steps=4, ranks=2, checkpoint_every=2))
+        records = mgr.run(timeout=300.0)
+        assert records["alpha"].state == "completed"
+        _assert_bit_exact(records["alpha"].result, _serial(CFG_A, 4))
+        assert driver_census.sizes == [2, 2]
+        assert driver_census.alive() == []
+
     def test_manager_events_validate_and_carry_job_tags(self, tmp_path):
         mgr = JobManager(4, directory=tmp_path)
         mgr.submit(JobSpec("alpha", CFG_A, n_steps=4, ranks=2))

@@ -6,31 +6,72 @@ import pytest
 from repro.core import ChannelConfig, ChannelDNS
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS
+from repro.pencil.transpose import TransposeMethod
 
+ALLTOALL, PIPELINED = TransposeMethod.ALLTOALL, TransposeMethod.PIPELINED
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
+#: blocks of unequal size: 19 spanwise modes and 21 wall-normal points over 2 or 3 ranks
+UNEVEN = ChannelConfig(nx=24, ny=21, nz=20, dt=2e-4, init_amplitude=0.5, seed=8)
 
 
 @pytest.fixture(scope="module")
 def serial_after_3():
-    dns = ChannelDNS(CFG)
-    dns.initialize()
-    dns.run(3)
-    return dns.state
+    states = {}  # id of a module-level config -> its serial state
+
+    def state(config):
+        if id(config) not in states:
+            dns = ChannelDNS(config)
+            dns.initialize()
+            dns.run(3)
+            states[id(config)] = dns.state
+        return states[id(config)]
+
+    return state
+
+
+def _after_3(config, pa, pb, method=None):
+    def prog(comm):
+        dns = DistributedChannelDNS(comm, config, pa=pa, pb=pb, method=method)
+        dns.initialize()
+        dns.run(3)
+        return dns.gather_state()
+
+    return run_spmd(pa * pb, prog)[0]
+
+
+def _assert_same_bits(full, serial):
+    for name in ("v", "omega_y", "u00", "w00"):
+        assert np.array_equal(getattr(full, name), getattr(serial, name)), name
+    assert full.time == serial.time
 
 
 class TestParity:
+    """Bit for bit, not to round-off: each rank runs the serial
+    arithmetic on its own block, and the transposes only move data."""
+
     @pytest.mark.parametrize("pa,pb", [(2, 2), (4, 1), (1, 4)])
     def test_trajectory_matches_serial(self, serial_after_3, pa, pb):
-        def prog(comm):
-            dns = DistributedChannelDNS(comm, CFG, pa=pa, pb=pb)
-            dns.initialize()
-            dns.run(3)
-            return dns.gather_state()
+        _assert_same_bits(_after_3(CFG, pa, pb), serial_after_3(CFG))
 
-        full = run_spmd(pa * pb, prog)[0]
-        np.testing.assert_allclose(full.v, serial_after_3.v, atol=1e-13)
-        np.testing.assert_allclose(full.omega_y, serial_after_3.omega_y, atol=1e-13)
-        np.testing.assert_allclose(full.u00, serial_after_3.u00, atol=1e-13)
+    @pytest.mark.parametrize(
+        "config,pa,pb,method",
+        [
+            (CFG, 2, 2, PIPELINED),
+            (CFG, 4, 1, PIPELINED),
+            (CFG, 1, 4, PIPELINED),
+            (UNEVEN, 3, 2, ALLTOALL),
+            (UNEVEN, 3, 2, PIPELINED),
+            (UNEVEN, 2, 3, ALLTOALL),
+            (UNEVEN, 2, 3, PIPELINED),
+        ],
+        ids=[
+            "even-2x2-pipelined", "even-4x1-pipelined", "even-1x4-pipelined",
+            "uneven-3x2-alltoall", "uneven-3x2-pipelined",
+            "uneven-2x3-alltoall", "uneven-2x3-pipelined",
+        ],
+    )
+    def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method):
+        _assert_same_bits(_after_3(config, pa, pb, method), serial_after_3(config))
 
     def test_divergence_free(self):
         def prog(comm):

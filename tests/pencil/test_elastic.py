@@ -224,6 +224,25 @@ class TestElasticShrinkIdentity:
         assert counters.restarts == 1 and counters.shrinks == 0
         assert np.all(np.isfinite(final.v))
 
+    def test_pre_shrink_drivers_are_gone_when_survivors_build(
+        self, tmp_path, no_cyclic_gc, driver_census
+    ):
+        """With the cyclic collector off, no 2x2 driver is alive when the
+        first 1x3 survivor driver is built: the shrunken grid holds one
+        generation of drivers, not two."""
+        plan = rank1_kill_plan(CFG, 4, 2, 2)
+        first = len(driver_census.sizes)  # the plan's dry run built drivers too
+        final, log = run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=10, checkpoint_dir=tmp_path, checkpoint_every=5,
+            fault_plans=[plan], elastic=True,
+        )
+        assert [e.kind for e in log] == ["shrink"]
+        sizes = driver_census.sizes
+        assert sizes[first:] == [4] * 4 + [3] * 3
+        for i in range(first + 4, first + 7):
+            assert set(driver_census.alive_at_build[i]).isdisjoint(range(first, first + 4)), i
+        assert driver_census.alive() == []
+
 
 def _uninterrupted(nranks, pa, pb, n_steps):
     """Full state of a fresh, fault-free run at the given grid."""
