@@ -214,7 +214,19 @@ class ChannelDNS:
             stats = StreamingStatistics(self)
         self.streaming = stats
         self._streaming_every = max(1, int(every))
+        if self.recorder is not None:
+            self.recorder.add_group("stats", stats.counters)
         return stats
+
+    def counter_groups(self) -> dict:
+        """The step-record counter groups this driver has (see
+        :data:`repro.instrument.GROUPS`): group -> snapshot function."""
+        groups = {"solve": self.stepper.solve_counters, **self.transforms.counter_groups()}
+        if self.comm is not None:
+            groups["mpi"] = self.comm.stats.snapshot
+        if self.streaming is not None:
+            groups["stats"] = self.streaming.counters.snapshot
+        return groups
 
     def step(self) -> None:
         """Advance one timestep."""

@@ -161,7 +161,7 @@ class Supervisor:
         self._jitter_rng = random.Random(self.launch.config.seed)
         self.rank_cap = max(self.max_ranks or 0, self.launch.grid[0])
         if self.recorder is not None:
-            self.recorder.set_recovery_counters(self.counters)
+            self.recorder.add_group("recovery", self.counters)
 
     def record(self, kind: str, step: int, detail: str, info: dict | None = None) -> None:
         """Append to the recovery log, mirrored into the telemetry stream."""

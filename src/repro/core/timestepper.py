@@ -34,6 +34,7 @@ from repro.core.modes import ModeSet
 from repro.core.nonlinear import NonlinearResult, NonlinearTerms
 from repro.core.operators import WallNormalOps
 from repro.core.velocity import recover_uw
+from repro.instrument import SectionTimers, SolveCounters
 from repro.linalg.helmholtz import HelmholtzOperator
 
 
@@ -128,8 +129,6 @@ class IMEXStepper:
         self.backend = backend
         self.reduce_max = reduce_max or (lambda x: x)
         self.fused_solves = bool(fused_solves)
-        from repro.instrument import SectionTimers
-
         self.timers = timers if timers is not None else SectionTimers()
         self.nonlinear = NonlinearTerms(self.modes, self.ops, backend)
         self._helm = HelmholtzOperator(grid.basis)
@@ -287,19 +286,12 @@ class IMEXStepper:
         (the ``linalg.solve`` spans see them; these counters never have).
         Reads only engines that already exist, so it never allocates —
         safe to call from the telemetry hot path."""
-        total = {
-            "workspace_bytes": 0,
-            "workspace_allocs": 0,
-            "solves": 0,
-            "sweeps": 0,
-            "columns": 0,
-        }
+        total = dict.fromkeys(SolveCounters.FIELDS, 0)
         lus = [inf.helm_lu for inf in self._influence] + list(self._mean_lu)
         for lu in lus:
             for eng in lu.engines():
-                snap = eng.counters.snapshot()
                 for k in total:
-                    total[k] += snap[k]
+                    total[k] += getattr(eng.counters, k)
         return total
 
     def cfl_number(self) -> float:

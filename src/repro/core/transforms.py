@@ -80,6 +80,10 @@ class SerialTransformBackend:
         """The pipeline's :class:`~repro.instrument.TransformCounters`."""
         return self.pipeline.counters
 
+    def counter_groups(self) -> dict:
+        """Step-record counter groups: the pipeline's ``transforms``."""
+        return {"transforms": self.pipeline.counters.snapshot}
+
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
         return self.pipeline.to_physical(spec)
 

@@ -41,9 +41,9 @@ cost of the nonlinear term.  :class:`TransformPipeline` removes it:
   one product at a time through a single buffer, so five products never
   coexist on the quadrature grid.
 * **Counters** — a :class:`~repro.instrument.TransformCounters` records
-  workspace bytes/allocations, transforms executed and per-stage wall
-  time.  After warm-up the workspace counters are constant: the hot path
-  performs zero new workspace allocations.
+  workspace bytes/allocations and transforms executed.  After warm-up
+  the workspace counters are constant: the hot path performs zero new
+  workspace allocations.
 
 Numerics: the pipeline is bit-for-bit identical to the naive reference
 on every backend — pocketfft results do not depend on input strides or
@@ -174,28 +174,24 @@ class TransformPipeline:
         c = self.counters
         half, nneg, nzq, nxq, mx = self._half, self._nneg, self._nzq, self._nxq, self._mx
 
-        with c.stage("pad_z"):
-            # step (b): scaled mode slots into the forward z pad,
-            # permuting (x, z, y) -> (x, y, z) in the same write.  The
-            # dealiasing band was zeroed at allocation and stays zero —
-            # the z transform below never runs in place on this buffer.
-            zbuf = self._workspace("zpad", (self._mx, self._ny, self._nzq), zero=True)
-            np.multiply(spec[:, :half, :].transpose(0, 2, 1), nzq, out=zbuf[:, :, :half])
-            np.multiply(spec[:, half:, :].transpose(0, 2, 1), nzq, out=zbuf[:, :, nzq - nneg :])
-        with c.stage("ifft_z"):
-            # step (c), out of place so the pad's zero band survives; the
-            # numpy backend lands the result in a persistent hint buffer
-            zphys = self._plan_ifft_z.execute(zbuf, out=self._hint("zphys", zbuf.shape))
-            c.transforms += 1
-        with c.stage("pad_x"):
-            # step (e): scaled half-spectrum into the persistent x pad,
-            # permuting (x, y, z) -> (z, y, x); the x-dealiasing columns
-            # beyond mx were zeroed at allocation and are never touched.
-            xbuf = self._workspace("xpad", (nzq, self._ny, self._mxq), zero=True)
-            np.multiply(zphys.transpose(2, 1, 0), nxq, out=xbuf[:, :, :mx])
-        with c.stage("irfft_x"):
-            physT = self._plan_irfft_x.execute(xbuf)  # step (f), fresh output
-            c.transforms += 1
+        # step (b): scaled mode slots into the forward z pad,
+        # permuting (x, z, y) -> (x, y, z) in the same write.  The
+        # dealiasing band was zeroed at allocation and stays zero —
+        # the z transform below never runs in place on this buffer.
+        zbuf = self._workspace("zpad", (self._mx, self._ny, self._nzq), zero=True)
+        np.multiply(spec[:, :half, :].transpose(0, 2, 1), nzq, out=zbuf[:, :, :half])
+        np.multiply(spec[:, half:, :].transpose(0, 2, 1), nzq, out=zbuf[:, :, nzq - nneg :])
+        # step (c), out of place so the pad's zero band survives; the
+        # numpy backend lands the result in a persistent hint buffer
+        zphys = self._plan_ifft_z.execute(zbuf, out=self._hint("zphys", zbuf.shape))
+        c.transforms += 1
+        # step (e): scaled half-spectrum into the persistent x pad,
+        # permuting (x, y, z) -> (z, y, x); the x-dealiasing columns
+        # beyond mx were zeroed at allocation and are never touched.
+        xbuf = self._workspace("xpad", (nzq, self._ny, self._mxq), zero=True)
+        np.multiply(zphys.transpose(2, 1, 0), nxq, out=xbuf[:, :, :mx])
+        physT = self._plan_irfft_x.execute(xbuf)  # step (f), fresh output
+        c.transforms += 1
         c.fields_forward += 1
         return physT.transpose(2, 0, 1)  # (nxq, nzq, ny) view, caller-owned
 
@@ -211,29 +207,25 @@ class TransformPipeline:
         c = self.counters
         half, nneg, nzq, nxq, mx = self._half, self._nneg, self._nzq, self._nxq, self._mx
 
-        with c.stage("rfft_x"):
-            # (z, y, x) lines; contiguous (and fast) when phys descends
-            # from pipeline outputs, still correct for any strides.
-            xh = self._plan_rfft_x.execute(
-                phys.transpose(1, 2, 0),
-                out=self._hint("xspec", (self._nzq, self._ny, self._mxq)),
-            )
-            c.transforms += 1
-        with c.stage("truncate_x"):
-            # keep the Nyquist-free modes, fusing the x normalization and
-            # the (z, y, x) -> (x, y, z) permutation into one write; the
-            # divide overwrites every element, so no zeroing is needed.
-            zbuf = self._workspace("zwork", (mx, self._ny, nzq), zero=False)
-            np.divide(xh[:, :, :mx].transpose(2, 1, 0), nxq, out=zbuf)
-        with c.stage("fft_z"):
-            zh = self._plan_fft_z.execute(zbuf, overwrite=True)  # in place
-            c.transforms += 1
-        with c.stage("truncate_z"):
-            # fuse z normalization with the truncation writes back to the
-            # C-ordered (x, z, y) spectral layout
-            out = np.empty(g.spectral_shape, dtype=complex)
-            np.divide(zh[:, :, :half].transpose(0, 2, 1), nzq, out=out[:, :half, :])
-            np.divide(zh[:, :, nzq - nneg :].transpose(0, 2, 1), nzq, out=out[:, half:, :])
+        # (z, y, x) lines; contiguous (and fast) when phys descends
+        # from pipeline outputs, still correct for any strides.
+        xh = self._plan_rfft_x.execute(
+            phys.transpose(1, 2, 0),
+            out=self._hint("xspec", (self._nzq, self._ny, self._mxq)),
+        )
+        c.transforms += 1
+        # keep the Nyquist-free modes, fusing the x normalization and
+        # the (z, y, x) -> (x, y, z) permutation into one write; the
+        # divide overwrites every element, so no zeroing is needed.
+        zbuf = self._workspace("zwork", (mx, self._ny, nzq), zero=False)
+        np.divide(xh[:, :, :mx].transpose(2, 1, 0), nxq, out=zbuf)
+        zh = self._plan_fft_z.execute(zbuf, overwrite=True)  # in place
+        c.transforms += 1
+        # fuse z normalization with the truncation writes back to the
+        # C-ordered (x, z, y) spectral layout
+        out = np.empty(g.spectral_shape, dtype=complex)
+        np.divide(zh[:, :, :half].transpose(0, 2, 1), nzq, out=out[:, :half, :])
+        np.divide(zh[:, :, nzq - nneg :].transpose(0, 2, 1), nzq, out=out[:, half:, :])
         c.fields_backward += 1
         return out
 

@@ -1,4 +1,4 @@
-"""Section timers and transform counters for the per-timestep breakdown.
+"""Section timers and the one counters mechanism of the per-step breakdown.
 
 The benchmarks of Tables 9-10 report elapsed time split into
 ``Transpose`` / ``FFT`` / ``N-S time advance`` (plus Total).  Both the
@@ -6,62 +6,32 @@ serial and the distributed drivers instrument themselves with a
 :class:`SectionTimers` so the same breakdown can be printed for any run.
 The paper used ``MPI_wtime``; we use :func:`time.perf_counter`.
 
-:class:`TransformCounters` is the cheap bookkeeping attached to the
-planned transform pipeline (:mod:`repro.fft.pipeline`): workspace bytes
-allocated, transforms executed and per-stage wall time.  The workspace
-counters are how the zero-allocation property of the hot path is
-asserted — after warm-up, repeated substeps must not grow them.
-
-:class:`OverlapCounters` is the communication/compute overlap
-bookkeeping of the pipelined transposes
-(:class:`repro.pencil.transpose.PipelinedTranspose`): bytes posted
-through nonblocking exchanges, bytes already delivered when the wait
-first checked (fully hidden communication), time blocked in waits and
-compute seconds executed while an exchange was in flight.  The matching
-``OVERLAP`` timer section is *nested* — it measures FFT time hidden
-inside the transpose section, not additional time.
-
-:class:`PrecisionCounters` is the mixed-precision wire bookkeeping of
-the global transposes: bytes staged at reduced precision versus the
-full-precision payload they carry, so the "≤ 55% of the float64 wire
-bytes" claim is a counter assertion.
-
-:class:`SolveCounters` is the same discipline for the batched banded
-solve engine (:mod:`repro.linalg.engine`): engine-owned workspace is
-counted once at construction and must stay frozen across steady-state
-solves, while the execution counters (solves, sweeps, columns) keep
-moving.
-
-:class:`RecoveryCounters` is the fault-tolerance bookkeeping shared by
-the checkpoint rotations (:mod:`repro.core.checkpoint`) and the one
-supervision loop (:mod:`repro.core.supervisor`, in-thread or over SimMPI
-ranks): snapshots saved/pruned, verification failures, watchdog trips,
-rollbacks (in-thread), restarts (ranks), dt reductions — and, from the
-elastic layer, ``shrinks`` (agreed survivor-set reductions after a rank
-death), ``grows`` (re-expansions of a degraded run onto returned ranks)
-and ``reshard_restores`` (snapshots reassembled onto a different process
-grid).  Together with the ``CHECKPOINT``/``RECOVERY``/``ELASTIC`` timer
-sections this is how a campaign's recovery history is surfaced.
-
-:class:`TelemetryCounters` is the same discipline for the structured
-run recorder (:mod:`repro.telemetry`): records and bytes emitted keep
-moving while the recorder-owned scratch (``workspace_allocs``) freezes
-after the first record — the recorder must not allocate on the hot
-path.  ``overhead_seconds`` accumulates the recorder's own wall time so
-its <1%-of-step budget is checkable from the stream itself.
-
 Every timer additionally accepts an optional ``tracer`` (a
 :class:`repro.telemetry.trace.TraceWriter`): when set, each timed
 section is also emitted as a Chrome ``trace_event`` span, giving the
 per-rank Transpose/FFT/N-S-advance/solve nesting in Perfetto without
 touching any driver code.
+
+Every counter set is a :class:`Counters` subclass that only *declares*
+its counters — annotated class attributes with zero defaults, in record
+order — and inherits ``__init__``, ``reset``, ``snapshot`` and
+``report`` from the base.  The counters stay plain instance attributes,
+so ``c.solves += 1`` is an ordinary attribute increment on the hot path.
+:data:`GROUPS` maps each counter group of a telemetry ``step`` record to
+its class: the recorder (:mod:`repro.telemetry.recorder`) emits, and the
+schema (:mod:`repro.telemetry.schema`) documents and validates, exactly
+the declared fields.  The ``workspace_*`` counters of the transform
+pipeline, the solve engines and the recorder assert the zero-allocation
+property of the hot path: after warm-up they must not grow.
 """
 
 from __future__ import annotations
 
+import inspect
+import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 
 class SectionTimers:
@@ -94,6 +64,11 @@ class SectionTimers:
     #: so this is nested — it measures hidden time, not extra time)
     OVERLAP = "overlap"
 
+    #: every canonical name, in the order the operator's guide lists them
+    NAMES = (
+        TRANSPOSE, FFT, ADVANCE, NONLINEAR, SOLVE, OVERLAP,
+        REORDER, CHECKPOINT, RECOVERY, ELASTIC, STATS,
+    )
     #: sections nested inside another section (not added to the total)
     NESTED = frozenset({SOLVE, OVERLAP})
 
@@ -138,66 +113,89 @@ class SectionTimers:
             self.calls[k] += v
 
 
-class TransformCounters:
-    """Allocation / execution / timing counters of a transform pipeline.
+class Counters:
+    """Base of every counter set: a subclass only declares its counters.
 
-    ``workspace_bytes`` and ``workspace_allocs`` count only pipeline-owned
-    scratch (pad buffers, transpose staging); transform *outputs* are
-    caller-owned fresh arrays and are not workspace.  A warmed-up pipeline
-    holds both constant across calls — the zero-allocation invariant.
+    Each counter is an annotated class attribute with a zero default
+    (``solves: int = 0``); :attr:`FIELDS` lists them in declaration
+    order, a subclass's after its base's.  An instance holds every
+    counter as a plain attribute, so incrementing one is an ordinary
+    ``+=`` — no hook runs on the hot path.
     """
 
+    #: the declared counter names, in declaration (= record) order
+    FIELDS: tuple[str, ...] = ()
+    #: give each instance a lock that :meth:`snapshot` holds, for
+    #: counters whose writers increment under that same ``_lock``
+    LOCKED = False
+    _lock = nullcontext()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(name for name in inspect.get_annotations(cls) if not name.startswith("_"))
+        cls.FIELDS = cls.FIELDS + own
+        cls._zeros = {name: getattr(cls, name) for name in cls.FIELDS}
+
     def __init__(self) -> None:
-        self.workspace_bytes = 0
-        self.workspace_allocs = 0
-        self.transforms = 0
-        self.fields_forward = 0
-        self.fields_backward = 0
-        self.stage_seconds: dict[str, float] = defaultdict(float)
-        self.stage_calls: dict[str, int] = defaultdict(int)
+        if self.LOCKED:
+            self._lock = threading.Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every counter."""
+        self.__dict__.update(self._zeros)
+
+    def snapshot(self) -> dict:
+        """Point-in-time copy of every counter (for before/after deltas)."""
+        values = vars(self)
+        with self._lock:
+            return {name: values[name] for name in self.FIELDS}
+
+    def report(self) -> str:
+        """One ``name=value`` line over the declared counters."""
+        return "  ".join(
+            f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in self.snapshot().items()
+        )
+
+
+class WorkspaceCounters(Counters):
+    """Owned-scratch accounting: a warmed-up owner holds both counters
+    constant across calls — the zero-allocation invariant.  Outputs
+    handed to the caller are fresh arrays and are not workspace."""
+
+    workspace_bytes: int = 0
+    workspace_allocs: int = 0
 
     def count_workspace(self, arr) -> None:
         """Record a newly allocated workspace array."""
         self.workspace_bytes += int(arr.nbytes)
         self.workspace_allocs += 1
 
-    @contextmanager
-    def stage(self, name: str):
-        """Time one pipeline stage (cumulative per stage name)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stage_seconds[name] += time.perf_counter() - t0
-            self.stage_calls[name] += 1
 
-    def reset(self) -> None:
-        self.__init__()
+class TransformCounters(WorkspaceCounters):
+    """Transform pipeline (:mod:`repro.fft.pipeline`): workspace counts
+    pad buffers and transpose staging; ``transforms`` counts executed
+    1-D transform stages, ``fields_*`` the fields moved each way."""
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "workspace_bytes": self.workspace_bytes,
-            "workspace_allocs": self.workspace_allocs,
-            "transforms": self.transforms,
-            "fields_forward": self.fields_forward,
-            "fields_backward": self.fields_backward,
-            "stage_seconds": dict(self.stage_seconds),
-            "stage_calls": dict(self.stage_calls),
-        }
-
-    def report(self) -> str:
-        parts = [
-            f"workspace={self.workspace_bytes}B/{self.workspace_allocs} allocs",
-            f"transforms={self.transforms}",
-            f"fields={self.fields_forward}fwd/{self.fields_backward}bwd",
-        ]
-        parts += [f"{k}={v:.4f}s" for k, v in sorted(self.stage_seconds.items())]
-        return "  ".join(parts)
+    transforms: int = 0
+    fields_forward: int = 0
+    fields_backward: int = 0
 
 
-class OverlapCounters:
-    """Communication/compute overlap accounting of the pipelined transposes.
+class SolveCounters(WorkspaceCounters):
+    """Batched banded solve engine (:mod:`repro.linalg.engine`): workspace
+    counts the engine's right-hand-side panels; ``sweeps`` counts blocked
+    forward+backward passes, ``columns`` the real RHS columns swept (a
+    complex right-hand side is two columns)."""
+
+    solves: int = 0
+    sweeps: int = 0
+    columns: int = 0
+
+
+class OverlapCounters(Counters):
+    """Communication/compute overlap of the pipelined transposes.
 
     ``bytes_posted`` counts off-rank payload posted through nonblocking
     exchanges, ``bytes_completed`` the portion whose requests finished,
@@ -205,69 +203,34 @@ class OverlapCounters:
     first checked — communication fully hidden behind the FFT compute
     that ran between post and wait.  ``wait_seconds`` is time blocked in
     ``Request.wait`` (exposed comm), ``overlap_seconds`` compute executed
-    while an exchange was in flight (hidden comm window).  ``posts`` and
-    ``waits`` count the staged exchanges.
+    while an exchange was in flight.  ``posts`` and ``waits`` count the
+    staged exchanges.
     """
 
-    def __init__(self) -> None:
-        self.posts = 0
-        self.waits = 0
-        self.bytes_posted = 0
-        self.bytes_completed = 0
-        self.bytes_overlapped = 0
-        self.wait_seconds = 0.0
-        self.overlap_seconds = 0.0
-
-    def hidden_fraction(self) -> float:
-        """Fraction of completed exchange bytes fully hidden behind compute."""
-        if not self.bytes_completed:
-            return 0.0
-        return self.bytes_overlapped / self.bytes_completed
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "posts": self.posts,
-            "waits": self.waits,
-            "bytes_posted": self.bytes_posted,
-            "bytes_completed": self.bytes_completed,
-            "bytes_overlapped": self.bytes_overlapped,
-            "wait_seconds": self.wait_seconds,
-            "overlap_seconds": self.overlap_seconds,
-        }
-
-    def report(self) -> str:
-        return (
-            f"posts={self.posts}  waits={self.waits}  "
-            f"bytes={self.bytes_posted} posted/{self.bytes_overlapped} overlapped "
-            f"({self.hidden_fraction():.0%} hidden)  "
-            f"wait={self.wait_seconds:.4f}s  overlap={self.overlap_seconds:.4f}s"
-        )
+    posts: int = 0
+    waits: int = 0
+    bytes_posted: int = 0
+    bytes_completed: int = 0
+    bytes_overlapped: int = 0
+    wait_seconds: float = 0.0
+    overlap_seconds: float = 0.0
 
 
-class PrecisionCounters:
+class PrecisionCounters(Counters):
     """Mixed-precision wire accounting of the global transposes.
 
-    When a :class:`~repro.pencil.transpose.GlobalTranspose` runs in
-    ``wire="mixed"`` mode, float64/complex128 payloads are staged down to
-    float32/complex64 before the exchange and accumulated back at full
-    precision on assembly.  ``bytes_full`` counts what the full-precision
-    payload would have moved, ``bytes_wire`` what was actually staged —
-    their ratio is the counter-asserted wire saving (≤ 0.55 of the
-    float64 bytes for pure float payloads; the tiny excess over 0.5 in a
-    mixed stream comes from exchanges too narrow to down-cast).
+    Under ``wire="mixed"`` float64/complex128 payloads are staged down to
+    float32/complex64 for the exchange.  ``bytes_full`` counts what the
+    full-precision payload would have moved, ``bytes_wire`` what was
+    actually staged — their ratio is the counter-asserted wire saving.
     ``casts`` counts exchanges that actually narrowed, ``exchanges`` all
     staged exchanges.
     """
 
-    def __init__(self) -> None:
-        self.exchanges = 0
-        self.casts = 0
-        self.bytes_wire = 0
-        self.bytes_full = 0
+    exchanges: int = 0
+    casts: int = 0
+    bytes_wire: int = 0
+    bytes_full: int = 0
 
     def wire_fraction(self) -> float:
         """bytes_wire / bytes_full (1.0 before any exchange)."""
@@ -275,207 +238,81 @@ class PrecisionCounters:
             return 1.0
         return self.bytes_wire / self.bytes_full
 
-    def reset(self) -> None:
-        self.__init__()
 
-    def snapshot(self) -> dict:
-        return {
-            "exchanges": self.exchanges,
-            "casts": self.casts,
-            "bytes_wire": self.bytes_wire,
-            "bytes_full": self.bytes_full,
-        }
+class RecoveryCounters(Counters):
+    """Fault-tolerance bookkeeping shared by the checkpoint rotations and
+    the supervision loop (:mod:`repro.core.supervisor`).
 
-    def report(self) -> str:
-        return (
-            f"exchanges={self.exchanges} ({self.casts} down-cast)  "
-            f"wire={self.bytes_wire}B of {self.bytes_full}B full "
-            f"({self.wire_fraction():.0%} on the wire)"
-        )
-
-
-class SolveCounters:
-    """Workspace / execution counters of a batched banded solve engine.
-
-    ``workspace_bytes``/``workspace_allocs`` count only engine-owned
-    scratch (the pair/group right-hand-side panels); solve *outputs* are
-    caller-owned fresh arrays and are not workspace.  A built engine
-    holds both frozen across steady-state solves — the zero-allocation
-    invariant asserted by the tests.  ``sweeps`` counts blocked
-    forward+backward passes, ``columns`` the real RHS columns swept
-    (a complex right-hand side is two columns).
-    """
-
-    def __init__(self) -> None:
-        self.workspace_bytes = 0
-        self.workspace_allocs = 0
-        self.solves = 0
-        self.sweeps = 0
-        self.columns = 0
-
-    def count_workspace(self, arr) -> None:
-        """Record a newly allocated engine workspace array."""
-        self.workspace_bytes += int(arr.nbytes)
-        self.workspace_allocs += 1
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "workspace_bytes": self.workspace_bytes,
-            "workspace_allocs": self.workspace_allocs,
-            "solves": self.solves,
-            "sweeps": self.sweeps,
-            "columns": self.columns,
-        }
-
-    def report(self) -> str:
-        return (
-            f"workspace={self.workspace_bytes}B/{self.workspace_allocs} allocs  "
-            f"solves={self.solves}  sweeps={self.sweeps}  columns={self.columns}"
-        )
-
-
-class RecoveryCounters:
-    """Checkpoint / recovery bookkeeping of the fault-tolerant harness.
-
-    ``checkpoints_saved``/``checkpoints_pruned`` move with the rotation,
     ``verify_failures`` counts snapshots rejected by checksum or manifest
-    verification, ``failures`` counts watchdog/collective trips the
-    supervisor caught, ``rollbacks`` successful restores, ``restarts``
-    job-level relaunches of an SPMD program, and ``dt_reductions`` the
-    graceful-degradation steps taken after instability.  The elastic
-    path adds ``shrinks`` (agreed survivor-set reductions after a rank
-    death), ``grows`` (re-expansions of a degraded run back onto a
-    larger grid once ranks return) and ``reshard_restores`` (snapshots
-    reassembled onto a decomposition different from the one that wrote
-    them).
+    verification, ``failures`` watchdog/collective trips the supervisor
+    caught, ``rollbacks`` in-thread restores, ``restarts`` relaunches of
+    an SPMD program.  The elastic path adds ``shrinks`` (survivor-set
+    reductions after a rank death), ``grows`` (re-expansions onto
+    returned ranks) and ``reshard_restores`` (snapshots reassembled onto
+    a different process grid).
     """
 
-    def __init__(self) -> None:
-        self.checkpoints_saved = 0
-        self.checkpoints_pruned = 0
-        self.verify_failures = 0
-        self.failures = 0
-        self.rollbacks = 0
-        self.restarts = 0
-        self.dt_reductions = 0
-        self.shrinks = 0
-        self.grows = 0
-        self.reshard_restores = 0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "checkpoints_saved": self.checkpoints_saved,
-            "checkpoints_pruned": self.checkpoints_pruned,
-            "verify_failures": self.verify_failures,
-            "failures": self.failures,
-            "rollbacks": self.rollbacks,
-            "restarts": self.restarts,
-            "dt_reductions": self.dt_reductions,
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-            "reshard_restores": self.reshard_restores,
-        }
-
-    def report(self) -> str:
-        return (
-            f"checkpoints={self.checkpoints_saved} saved/{self.checkpoints_pruned} pruned  "
-            f"verify_failures={self.verify_failures}  failures={self.failures}  "
-            f"rollbacks={self.rollbacks}  restarts={self.restarts}  "
-            f"dt_reductions={self.dt_reductions}  shrinks={self.shrinks}  "
-            f"grows={self.grows}  reshard_restores={self.reshard_restores}"
-        )
+    checkpoints_saved: int = 0
+    checkpoints_pruned: int = 0
+    verify_failures: int = 0
+    failures: int = 0
+    rollbacks: int = 0
+    restarts: int = 0
+    dt_reductions: int = 0
+    shrinks: int = 0
+    grows: int = 0
+    reshard_restores: int = 0
 
 
-class StatsCounters:
-    """Bookkeeping of a streaming-statistics accumulator
-    (:class:`repro.serving.StreamingStatistics`).
+class MPICounters(Counters):
+    """Message traffic of a communicator (SimMPI's ``MessageStats``)."""
+
+    messages: int = 0
+    bytes: int = 0
+
+
+class StatsCounters(Counters):
+    """Streaming-statistics accumulator (:mod:`repro.serving`).
 
     ``samples`` counts states folded into the running sums, ``merges``
-    the collective partial-sum reductions performed (one ``allreduce``
-    per merge, regardless of how many profiles/spectra it carries),
-    ``publishes`` results pushed into a results store, and ``restores``
-    accumulator sidecars loaded back after a checkpoint restart or
-    reshard.  ``sample_seconds`` accumulates the accumulator's own wall
-    time — the numerator of the same <1%-of-step-time budget the
-    telemetry recorder enforces on itself, checkable from the ``stats``
-    telemetry group and asserted by ``scripts/stats_service_smoke.py``.
+    the collective partial-sum reductions (one ``allreduce`` each),
+    ``publishes`` results pushed into a results store, ``restores``
+    sidecars loaded back after a restart or reshard.  ``sample_seconds``
+    is the accumulator's own wall time, the numerator of its
+    <1%-of-step-time budget.
     """
 
-    def __init__(self) -> None:
-        self.samples = 0
-        self.merges = 0
-        self.publishes = 0
-        self.restores = 0
-        self.sample_seconds = 0.0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "samples": self.samples,
-            "merges": self.merges,
-            "publishes": self.publishes,
-            "restores": self.restores,
-            "sample_seconds": self.sample_seconds,
-        }
-
-    def report(self) -> str:
-        return (
-            f"samples={self.samples}  merges={self.merges}  "
-            f"publishes={self.publishes}  restores={self.restores}  "
-            f"sample_time={self.sample_seconds:.4f}s"
-        )
+    samples: int = 0
+    merges: int = 0
+    publishes: int = 0
+    restores: int = 0
+    sample_seconds: float = 0.0
 
 
-class TelemetryCounters:
-    """Emission / workspace counters of a :class:`repro.telemetry.RunRecorder`.
+class TelemetryCounters(Counters):
+    """Emission counters of a :class:`repro.telemetry.RunRecorder`.
 
-    ``records``/``events``/``bytes_written``/``flushes`` move with the
-    stream; ``overhead_seconds`` accumulates the recorder's own wall
-    time (the numerator of the <1%-per-step overhead budget).
-    ``workspace_allocs`` counts recorder-owned scratch entries (the
-    reused record dict, per-section delta slots, counter-delta slots)
-    and must freeze after the first record of a warmed-up run — the
-    same zero-allocation discipline :class:`TransformCounters` enforces
-    on the transform pipeline.
+    ``overhead_seconds`` is the recorder's own wall time (the numerator
+    of its <1%-per-step budget); ``workspace_allocs`` counts its scratch
+    slots and must freeze after the first record of a warmed-up run.
     """
 
-    def __init__(self) -> None:
-        self.records = 0
-        self.events = 0
-        self.bytes_written = 0
-        self.flushes = 0
-        self.overhead_seconds = 0.0
-        self.workspace_allocs = 0
+    records: int = 0
+    events: int = 0
+    bytes_written: int = 0
+    flushes: int = 0
+    overhead_seconds: float = 0.0
+    workspace_allocs: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "records": self.records,
-            "events": self.events,
-            "bytes_written": self.bytes_written,
-            "flushes": self.flushes,
-            "overhead_seconds": self.overhead_seconds,
-            "workspace_allocs": self.workspace_allocs,
-        }
-
-    def report(self) -> str:
-        return (
-            f"records={self.records}  events={self.events}  "
-            f"bytes={self.bytes_written}  flushes={self.flushes}  "
-            f"overhead={self.overhead_seconds:.4f}s  "
-            f"workspace_allocs={self.workspace_allocs}"
-        )
+#: counter group of a telemetry ``step`` record -> the class whose
+#: declared fields it carries, in the order groups appear in a record
+GROUPS: dict[str, type[Counters]] = {
+    "transforms": TransformCounters,
+    "solve": SolveCounters,
+    "recovery": RecoveryCounters,
+    "mpi": MPICounters,
+    "overlap": OverlapCounters,
+    "precision": PrecisionCounters,
+    "stats": StatsCounters,
+}

@@ -68,10 +68,12 @@ import threading
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from repro.instrument import MPICounters
 
 #: base timeout in seconds: `recv` waits this long, the `run_spmd` join
 #: waits JOIN_TIMEOUT_FACTOR times it.  Override with REPRO_SIMMPI_TIMEOUT.
@@ -359,18 +361,16 @@ def _corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
     return payload
 
 
-@dataclass
-class MessageStats:
+class MessageStats(MPICounters):
     """Traffic accounting, shared by all members of a communicator.
 
     A list/tuple payload counts one message per element (the chunks of an
     alltoall are separate wire messages); scalars and arrays count one.
+    Every member's rank thread records here, and ``+=`` is not atomic:
+    :meth:`record` increments, and :meth:`snapshot` reads, under the lock.
     """
 
-    messages: int = 0
-    bytes: int = 0
-    #: every member's rank thread records here, and ``+=`` is not atomic
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    LOCKED = True
 
     def record(self, payload: Any) -> None:
         count = len(payload) if isinstance(payload, (list, tuple)) else 1

@@ -244,7 +244,7 @@ class RanksLaunch:
                 if dt is not None:
                     dns.set_dt(dt)
                 if dns.recorder is not None:
-                    dns.recorder.set_recovery_counters(sup.counters)
+                    dns.recorder.add_group("recovery", sup.counters)
                 sup.advance(dns, rotation, target, callback, dns.timers)
                 self._publish(dns, comm)
                 return dns.gather_state()

@@ -166,6 +166,14 @@ class PencilTransforms:
             concat_sizes=block_sizes(self.nzq, self.pa), **kw,
         )
 
+    def counter_groups(self) -> dict:
+        """Step-record counter groups: the transposes' ``overlap`` and
+        ``precision`` accounting."""
+        return {
+            "overlap": self.overlap_counters.snapshot,
+            "precision": self.precision_counters.snapshot,
+        }
+
     # ------------------------------------------------------------------
     # forward: spectral (y-pencil) -> physical (x-pencil)
     # ------------------------------------------------------------------

@@ -6,15 +6,22 @@ shares — serial :class:`~repro.core.solver.ChannelDNS`, per-rank
 launches of the supervision loop (:mod:`repro.core.supervisor`: the
 driver's own stream in-thread, a job-level ``events.jsonl`` over
 ranks).  Attached to a driver it emits one ``step`` record per timestep
-(section-time deltas, transform/solve/recovery/overlap/precision counter deltas,
-dt, CFL, divergence, rank metadata) into an append-only JSON-lines stream, and
-optionally feeds a :class:`~repro.telemetry.trace.TraceWriter` so the
-same run opens in Perfetto.  A ``manifest.json`` (config fingerprint,
-git revision, package versions, machine info) is written beside the
-stream by :mod:`repro.telemetry.manifest`.
+(section-time deltas, counter-group deltas, dt, CFL, divergence, rank
+metadata) into an append-only JSON-lines stream, and optionally feeds a
+:class:`~repro.telemetry.trace.TraceWriter` so the same run opens in
+Perfetto.  A ``manifest.json`` (config fingerprint, git revision,
+package versions, machine info) is written beside the stream by
+:mod:`repro.telemetry.manifest`.
 
-Hot-path discipline: the recorder follows the
-:class:`~repro.instrument.TransformCounters` zero-allocation rule.  All
+The counter groups live in one table, group -> snapshot function, built
+from the driver's :meth:`~repro.core.solver.ChannelDNS.counter_groups`
+at :meth:`RunRecorder.attach` and extended by :meth:`RunRecorder.add_group`
+(the supervisor's ``recovery`` counters, an accumulator attached after
+telemetry).  Each record walks it in the order of
+:data:`repro.instrument.GROUPS`, whose classes declare the fields.
+
+Hot-path discipline: the recorder follows the workspace counters'
+zero-allocation rule.  All
 scratch — the reused record dict, the per-section delta slots, the
 counter-delta slots — is allocated on first use and counted in
 ``counters.workspace_allocs``; after the first record of a steady-state
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 import math
 
-from repro.instrument import TelemetryCounters
+from repro.instrument import GROUPS, TelemetryCounters
 from repro.telemetry.manifest import build_manifest, write_manifest
 from repro.telemetry.schema import SCHEMA_VERSION
 from repro.telemetry.trace import TraceWriter
@@ -112,12 +119,8 @@ class RunRecorder:
         #: only the default of :meth:`record_step` and :meth:`record_event`
         self._dns: weakref.ref | None = None
         self._timers = None
-        self._transforms = None
-        self._solve_fn = None
-        self._recovery = None
-        self._mpi_stats = None
-        self._overlap = None
-        self._precision = None
+        #: counter group -> zero-argument snapshot function (see GROUPS)
+        self._groups: dict = {}
         self._since_flush = 0
         self._wall_total = 0.0
         self._steps_recorded = 0
@@ -169,19 +172,11 @@ class RunRecorder:
 
         Re-attaching (e.g. after a supervisor rollback replaced the
         driver) re-baselines every delta against the new driver's timers
-        and counters; the stream and scratch are kept.
+        and counter groups; the stream and scratch are kept.
         """
         self._dns = weakref.ref(dns)
         dns.recorder = self
         self._timers = dns.timers
-        # the two transform layers account different things: the serial
-        # pipeline its planned FFTs, the pencil one overlap / wire precision
-        transforms = dns.transforms
-        self._transforms = getattr(transforms, "counters", None)
-        self._overlap = getattr(transforms, "overlap_counters", None)
-        self._precision = getattr(transforms, "precision_counters", None)
-        self._solve_fn = dns.stepper.solve_counters
-        self._mpi_stats = None if dns.comm is None else dns.comm.stats
         grid = None if dns.decomp is None else (dns.decomp.pa, dns.decomp.pb)
         self.open(config=dns.config, grid=grid)
         if self.config.trace and self.trace is None:
@@ -196,11 +191,13 @@ class RunRecorder:
         self._last_wall = time.perf_counter()
         return self
 
-    def set_recovery_counters(self, counters) -> None:
-        """Wire a :class:`~repro.instrument.RecoveryCounters` into the stream."""
-        self._recovery = counters
-        if counters is not None:
-            self._baseline_counts("recovery", counters.snapshot())
+    def add_group(self, group: str, counters) -> None:
+        """Stream ``counters`` (a :class:`~repro.instrument.Counters`) as
+        step-record group ``group``, baselined at their current values —
+        how the supervisor's recovery counters, and an accumulator attached
+        after telemetry, join the stream."""
+        self._groups[group] = counters.snapshot
+        self._baseline_counts(group, counters.snapshot())
 
     def _driver(self):
         """The attached driver while it lives (None before :meth:`attach`)."""
@@ -217,31 +214,16 @@ class RunRecorder:
             for k, v in t.elapsed.items():
                 self._last_elapsed[k] = v
                 self._last_calls[k] = t.calls.get(k, 0)
-        if self._transforms is not None:
-            self._baseline_counts("transforms", self._counter_scalars(self._transforms.snapshot()))
-        if self._solve_fn is not None:
-            snap = self._solve_fn()
-            if snap is not None:
-                self._baseline_counts("solve", snap)
+        groups = dns.counter_groups()
+        for group, snapshot in groups.items():
+            self._baseline_counts(group, snapshot())
         # recovery counters are NOT re-baselined: they outlive the driver
         # (the supervisor owns them), and the failure/rollback increments
         # that triggered a re-attach must still show up as deltas
-        if self._mpi_stats is not None:
-            self._baseline_counts(
-                "mpi", {"messages": self._mpi_stats.messages, "bytes": self._mpi_stats.bytes}
-            )
-        if self._overlap is not None:
-            self._baseline_counts("overlap", self._overlap.snapshot())
-        if self._precision is not None:
-            self._baseline_counts("precision", self._precision.snapshot())
-        streaming = dns.streaming
-        if streaming is not None:
-            self._baseline_counts("stats", streaming.counters.snapshot())
-
-    @staticmethod
-    def _counter_scalars(snapshot: dict) -> dict:
-        """Keep only scalar counters (drop nested per-stage dicts)."""
-        return {k: v for k, v in snapshot.items() if not isinstance(v, dict)}
+        recovery = self._groups.get("recovery")
+        if recovery is not None:
+            groups["recovery"] = recovery
+        self._groups = groups
 
     def _baseline_counts(self, group: str, snap: dict) -> None:
         last = self._last_counts.get(group)
@@ -291,29 +273,11 @@ class RunRecorder:
         rec["rank"] = self.rank
         rec["nranks"] = self.nranks
         rec["sections"] = self._section_deltas()
-        if self._transforms is not None:
-            rec["transforms"] = self._count_deltas(
-                "transforms", self._counter_scalars(self._transforms.snapshot())
-            )
-        if self._solve_fn is not None:
-            snap = self._solve_fn()
-            if snap is not None:
-                rec["solve"] = self._count_deltas("solve", snap)
-        if self._recovery is not None:
-            rec["recovery"] = self._count_deltas("recovery", self._recovery.snapshot())
-        if self._mpi_stats is not None:
-            rec["mpi"] = self._count_deltas(
-                "mpi", {"messages": self._mpi_stats.messages, "bytes": self._mpi_stats.bytes}
-            )
-        if self._overlap is not None:
-            rec["overlap"] = self._count_deltas("overlap", self._overlap.snapshot())
-        if self._precision is not None:
-            rec["precision"] = self._count_deltas("precision", self._precision.snapshot())
-        # late-bound on purpose: streaming statistics may be attached after
-        # telemetry (attach_streaming has no ordering contract with attach)
-        streaming = dns.streaming
-        if streaming is not None:
-            rec["stats"] = self._count_deltas("stats", streaming.counters.snapshot())
+        groups = self._groups
+        for group in GROUPS:  # the registry fixes the order of a record's groups
+            snapshot = groups.get(group)
+            if snapshot is not None:
+                rec[group] = self._count_deltas(group, snapshot())
         self._write(rec)
         self.counters.records += 1
         t_end = time.perf_counter()
@@ -463,8 +427,8 @@ class RunRecorder:
         if self._timers is not None and self._timers.tracer is self.trace:
             self._timers.tracer = None
         # a closed recorder reads no driver again: let go of its parts
-        self._dns = self._timers = self._transforms = self._solve_fn = None
-        self._mpi_stats = self._overlap = self._precision = None
+        self._dns = self._timers = None
+        self._groups = {}
         self._closed = True
 
     def __enter__(self) -> "RunRecorder":

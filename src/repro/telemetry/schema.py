@@ -8,11 +8,16 @@ homogeneous and appendable.
 
 The field-by-field contract lives in :data:`STEP_FIELDS`,
 :data:`EVENT_FIELDS` and :data:`SUMMARY_FIELDS` — each maps a field
-name to ``(required, description)`` and is rendered verbatim into
-``docs/observability.md``.  :func:`validate_record` enforces it;
-:func:`read_stream` parses a file back into dicts.  Bump
-:data:`SCHEMA_VERSION` whenever a field changes meaning or a required
-field is added.
+name to ``(required, description)``.  The descriptions are markdown,
+and :func:`markdown_table` renders each dict into the table of
+``docs/observability.md`` that documents it; the guide's tables are
+that output verbatim (``tests/telemetry/test_schema.py`` pins it, so
+regenerate them after an edit here).  The counter groups of a
+step record come from :data:`repro.instrument.GROUPS`: their
+descriptions list, and :func:`validate_record` enforces, the fields
+each group's class declares.  :func:`read_stream` parses a file back
+into dicts.  Bump :data:`SCHEMA_VERSION` whenever a field changes
+meaning or a required field is added.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import json
 import pathlib
 from typing import Iterator
+
+from repro.instrument import GROUPS, SectionTimers
 
 #: version stamped into every record and the manifest.
 #: v4 added the optional ``job`` event field (multi-job scheduler: a
@@ -33,9 +40,27 @@ SCHEMA_VERSION = 5
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
 
+
+def _group(group: str, what: str, notes: str) -> tuple[bool, str]:
+    """Description of counter group ``group``: its class's declared fields."""
+    cls = GROUPS[group]
+    fields = ", ".join(f"`{n}`" for n in cls.FIELDS)
+    return False, f"`{cls.__name__}` deltas {what} ({fields}); {notes}"
+
+
+#: parenthetical notes on the section names of the ``sections`` field
+_SECTION_NOTES = {
+    SectionTimers.SOLVE: "nested inside `ns_advance`",
+    SectionTimers.OVERLAP: "nested inside `transpose` in pipelined runs",
+    SectionTimers.STATS: "the streaming-statistics sampling time",
+}
+_SECTIONS = ", ".join(
+    f"`{n}` ({_SECTION_NOTES[n]})" if n in _SECTION_NOTES else f"`{n}`" for n in SectionTimers.NAMES
+)
+
 #: ``type: "step"`` — one per recorded timestep (cadence ``every``)
 STEP_FIELDS: dict[str, tuple[bool, str]] = {
-    "type": (True, 'constant "step"'),
+    "type": (True, 'constant `"step"`'),
     "schema": (True, "schema version of this record (integer)"),
     "step": (True, "driver step count after this step"),
     "time": (True, "simulation time after this step (channel half-widths / u_tau)"),
@@ -43,110 +68,105 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     "wall_s": (True, "wall-clock seconds since the previous record (recorder overhead excluded)"),
     "cfl": (
         True,
-        "advective CFL number of the last substep (global max in SPMD runs); null when the "
+        "advective CFL number of the last substep (global max in SPMD runs); `null` when the "
         "state has gone non-finite",
     ),
     "divergence": (
         True,
-        "max collocated spectral divergence, on the divergence_every cadence; null between "
+        "max collocated spectral divergence, on the `divergence_every` cadence; `null` between "
         "samples and when non-finite",
     ),
     "rank": (True, "emitting rank (0 in serial runs)"),
     "nranks": (True, "world size of the run (1 in serial runs)"),
     "sections": (
         True,
-        'per-section deltas since the previous record: {name: {"s": seconds, "calls": n}} '
-        "over the SectionTimers names (transpose, fft, ns_advance, nonlinear_products, "
-        "solve [nested in ns_advance], reorder, checkpoint, recovery, elastic, stats)",
+        'per-section deltas since the previous record: `{name: {"s": seconds, "calls": n}}` '
+        f"over the `SectionTimers` names: {_SECTIONS}",
     ),
-    "transforms": (
-        False,
-        "TransformCounters deltas of the transform pipeline (transforms, fields_forward, "
-        "fields_backward, workspace_bytes, workspace_allocs); absent when the backend "
-        "exposes no counters (e.g. the pencil pipeline)",
+    "transforms": _group(
+        "transforms",
+        "of the serial transform pipeline",
+        "absent in pencil (distributed) runs",
     ),
-    "solve": (
-        False,
-        "aggregated SolveCounters deltas over the engines of the omega/phi Helmholtz and "
-        "mean-mode factor sets (solves, sweeps, columns, workspace_bytes, workspace_allocs); "
-        "the Poisson v-from-phi sweeps (one per substep) are not counted, so solves reads 6 "
-        "of the 9 engine solves of a serial step; "
-        "absent when the stepper exposes none",
+    "solve": _group(
+        "solve",
+        "aggregated over the engines of the omega/phi Helmholtz and mean-mode factor sets",
+        "the Poisson v-from-phi sweeps (one per substep) are not counted, so `solves` reads 6 "
+        "of the 9 engine solves of a serial step",
     ),
-    "recovery": (
-        False,
-        "RecoveryCounters deltas (checkpoints_saved/pruned, verify_failures, failures, "
-        "rollbacks, restarts, dt_reductions, shrinks, grows, reshard_restores); absent "
-        "until recovery counters are wired in (supervised runs)",
+    "recovery": _group(
+        "recovery",
+        "of the checkpoint rotations and the supervision loop",
+        "absent until recovery counters are wired in (supervised runs)",
     ),
-    "mpi": (
-        False,
-        "SimMPI MessageStats deltas {messages, bytes}; the stats object is shared by the "
-        "communicator context, so the numbers are world totals (identical on every rank); "
-        "absent in serial runs",
+    "mpi": _group(
+        "mpi",
+        "of SimMPI's `MessageStats`",
+        "the stats object is shared by the communicator context, so the numbers are world "
+        "totals (identical on every rank); absent in serial runs",
     ),
-    "overlap": (
-        False,
-        "OverlapCounters deltas of the pipelined transposes (posts, waits, bytes_posted, "
-        "bytes_completed, bytes_overlapped, wait_seconds, overlap_seconds); per-rank, not "
-        "world totals; absent when the backend exposes no overlap counters (serial runs, "
-        "P3DFFT baseline) and all-zero when no transpose runs pipelined",
+    "overlap": _group(
+        "overlap",
+        "of the pipelined transposes",
+        "per-rank, not world totals; absent in serial runs and all-zero when no transpose "
+        "runs pipelined; with one slab per exchange (the default `stages=1`) no compute runs "
+        "while an exchange is in flight, so `bytes_overlapped` and `overlap_seconds` are 0 by "
+        "construction while `posts`/`waits` count one per transpose",
     ),
-    "precision": (
-        False,
-        "PrecisionCounters deltas of the transpose wire format (exchanges, casts, "
-        "bytes_wire, bytes_full); bytes_full is what float64 payloads would have moved, "
-        "bytes_wire what was actually staged — equal under wire='full', roughly halved "
-        "under wire='mixed'; per-rank; absent when the backend exposes no precision "
-        "counters (serial runs, P3DFFT baseline)",
+    "precision": _group(
+        "precision",
+        "of the transpose wire format",
+        "`bytes_full` is what float64 payloads would have moved, `bytes_wire` what was "
+        'actually staged — equal under `wire="full"`, roughly halved under `wire="mixed"`; '
+        "per-rank; absent in serial runs",
     ),
-    "stats": (
-        False,
-        "StatsCounters deltas of the streaming-statistics accumulator (samples, merges, "
-        "publishes, restores, sample_seconds); sample_seconds is the accumulator's "
-        "self-measured wall time, the numerator of its <1%-of-step-time budget; absent "
-        "when no accumulator is attached (dns.attach_streaming)",
+    "stats": _group(
+        "stats",
+        "of the streaming-statistics accumulator",
+        "`sample_seconds` is the accumulator's self-measured wall time — the numerator of its "
+        "< 1%-of-step-time budget (see `docs/statistics_service.md`); absent when no "
+        "accumulator is attached (`dns.attach_streaming(...)`)",
     ),
 }
 
 #: ``type: "event"`` — recovery / lifecycle events, one per occurrence
 EVENT_FIELDS: dict[str, tuple[bool, str]] = {
-    "type": (True, 'constant "event"'),
+    "type": (True, 'constant `"event"`'),
     "schema": (True, "schema version of this record (integer)"),
     "t_unix": (True, "unix wall-clock timestamp of the event (seconds)"),
-    "step": (True, "driver step count when the event fired (-1 when unknown/job-level)"),
+    "step": (True, "driver step count when the event fired (`-1` when unknown/job-level)"),
     "kind": (
         True,
-        "event kind: failure | rollback | dt_reduction | restart | shrink | grow | "
-        "preempted | giving_up | attach | soak_result | soak_summary | custom kinds; "
-        "manager-level streams add the job lifecycle kinds submitted | placed | "
-        "completed | failed | requeued | quarantine | probe",
+        "event kind: `failure` | `rollback` | `dt_reduction` | `restart` | `shrink` | `grow` | "
+        "`preempted` | `giving_up` | `attach` | `complete` | `soak_result` | `soak_summary` | "
+        "custom kinds; manager-level streams add the job lifecycle kinds `submitted` | "
+        "`placed` | `completed` | `failed` | `requeued` | `quarantine` | `probe`",
     ),
     "detail": (True, "human-readable one-liner"),
     "attempt": (True, "retry attempt index the event belongs to (0 outside retry loops)"),
-    "info": (True, "structured extras, e.g. a shrink's {ranks, pa, pb} (object, may be empty)"),
-    "rank": (True, "emitting rank (-1 for job-level supervisors outside the SPMD program)"),
+    "info": (True, "structured extras, e.g. a shrink's `{ranks, pa, pb}` (object, may be empty)"),
+    "rank": (True, "emitting rank (`-1` for job-level supervisors outside the SPMD program)"),
     "nranks": (True, "world size of the run"),
     "job": (
         False,
         "job name the event belongs to; present in manager-level streams "
-        "(JobManager events.jsonl), absent in single-run streams",
+        "(`JobManager` `events.jsonl`), absent in single-run streams",
     ),
 }
 
 #: ``type: "summary"`` — last record of a cleanly closed stream
 SUMMARY_FIELDS: dict[str, tuple[bool, str]] = {
-    "type": (True, 'constant "summary"'),
+    "type": (True, 'constant `"summary"`'),
     "schema": (True, "schema version of this record (integer)"),
     "steps": (True, "steps recorded into this stream"),
     "records": (True, "step records written"),
     "events": (True, "event records written"),
     "wall_s": (True, "total wall seconds covered by the step records"),
-    "sections": (True, 'cumulative per-section totals {name: {"s": seconds, "calls": n}}'),
+    "sections": (True, 'cumulative per-section totals `{name: {"s": seconds, "calls": n}}`'),
     "overhead_s": (True, "recorder self-time (stream + trace emission)"),
     "overhead_frac": (
         True,
-        "overhead_s / wall_s — the measured recorder overhead (budget: < 0.01); null when "
+        "`overhead_s / wall_s` — the measured recorder overhead (budget: < 0.01); `null` when "
         "no step was recorded",
     ),
     "rank": (True, "emitting rank"),
@@ -179,6 +199,19 @@ def validate_record(rec: dict) -> None:
         for name, cell in sections.items():
             if set(cell) != {"s", "calls"}:
                 raise ValueError(f"section {name!r} must hold exactly {{s, calls}}")
+        for group, cls in GROUPS.items():
+            cell = rec.get(group)
+            if cell is not None and (not isinstance(cell, dict) or set(cell) != set(cls.FIELDS)):
+                raise ValueError(f"{group} must hold exactly the {cls.__name__} fields {cls.FIELDS}")
+
+
+def markdown_table(fields: dict[str, tuple[bool, str]]) -> str:
+    """``fields`` as the markdown table of the operator's guide."""
+    rows = ["| field | required | meaning |", "|---|---|---|"]
+    for name, (required, text) in fields.items():
+        text = text.replace("|", "\\|")
+        rows.append(f"| `{name}` | {'yes' if required else 'no'} | {text} |")
+    return "\n".join(rows)
 
 
 def read_stream(path, *, validate: bool = True) -> Iterator[dict]:

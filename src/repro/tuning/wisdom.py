@@ -43,6 +43,7 @@ import pathlib
 import threading
 import time
 
+from repro.instrument import Counters
 from repro.storage import publish
 from repro.telemetry.manifest import _machine
 
@@ -78,7 +79,7 @@ def _jsonable(p):
     return str(p)
 
 
-class MeasureStats:
+class MeasureStats(Counters):
     """Process-wide census of timing runs the self-tuning sites executed.
 
     Incremented by the sites themselves (wisdom on or off), so a warm
@@ -90,62 +91,32 @@ class MeasureStats:
     :func:`~repro.linalg.engine.measure_block`.
     """
 
-    def __init__(self) -> None:
-        self.fft_candidates_timed = 0
-        self.transpose_methods_timed = 0
-        self.engine_blocks_timed = 0
+    fft_candidates_timed: int = 0
+    transpose_methods_timed: int = 0
+    engine_blocks_timed: int = 0
 
     def total(self) -> int:
-        return (
-            self.fft_candidates_timed
-            + self.transpose_methods_timed
-            + self.engine_blocks_timed
-        )
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        return {
-            "fft_candidates_timed": self.fft_candidates_timed,
-            "transpose_methods_timed": self.transpose_methods_timed,
-            "engine_blocks_timed": self.engine_blocks_timed,
-        }
+        return sum(self.snapshot().values())
 
 
 #: the process-wide measurement census
 MEASURE_STATS = MeasureStats()
 
 
-class WisdomCounters:
-    """Hit/miss/robustness accounting of one store (manifest provenance)."""
+class WisdomCounters(Counters):
+    """Hit/miss/robustness accounting of one store (manifest provenance).
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0  # fingerprint or schema mismatch, entry ignored
-        self.corrupt = 0  # unreadable file or entry, ignored
-        self.writes = 0
-        self.readonly_drops = 0  # record() calls swallowed by readonly mode
+    ``stale`` counts fingerprint or schema mismatches and ``corrupt``
+    unreadable files or entries (both ignored); ``readonly_drops`` counts
+    ``record()`` calls swallowed by readonly mode.
+    """
 
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "corrupt": self.corrupt,
-            "writes": self.writes,
-            "readonly_drops": self.readonly_drops,
-        }
-
-    def report(self) -> str:
-        return (
-            f"hits={self.hits}  misses={self.misses}  stale={self.stale}  "
-            f"corrupt={self.corrupt}  writes={self.writes}"
-        )
+    hits: int = 0
+    misses: int = 0
+    stale: int = 0
+    corrupt: int = 0
+    writes: int = 0
+    readonly_drops: int = 0
 
 
 class WisdomStore:

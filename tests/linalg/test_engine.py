@@ -151,7 +151,7 @@ class TestZeroAllocation:
         eng = lu.engine()
         eng.solve(rng.standard_normal((4, 32)))
         rep = eng.counters.report()
-        assert "workspace=" in rep and "solves=" in rep
+        assert "workspace_bytes=" in rep and "solves=" in rep
 
 
 def shared_lu(rng, mults=range(1, 13), n=40, block=None):

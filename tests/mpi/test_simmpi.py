@@ -365,6 +365,39 @@ class TestInstrumentation:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_snapshot_is_consistent_under_concurrent_records(self):
+        """A snapshot reads both counters under the lock record() holds,
+        so it never sees one message's count without its bytes."""
+        import sys
+        import threading
+
+        from repro.mpi.simmpi import MessageStats
+
+        stats = MessageStats()
+        payload = np.zeros(16)
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                stats.record(payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches between the reads
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        try:
+            for _ in range(10_000):
+                snap = stats.snapshot()
+                assert snap["bytes"] == snap["messages"] * payload.nbytes, snap
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stats.messages > 0
+
     def test_timeout_guard(self):
         def prog(comm):
             if comm.rank == 0:

@@ -109,7 +109,8 @@ class TestSolveCounters:
             "columns": 5,
         }
         rep = c.report()
-        assert "workspace=256B" in rep and "solves=2" in rep
+        assert "workspace_bytes=256" in rep and "workspace_allocs=1" in rep
+        assert "solves=2" in rep
         c.reset()
         assert c.snapshot()["workspace_bytes"] == 0
 
@@ -140,7 +141,7 @@ class TestRecoveryCounters:
             "reshard_restores": 1,
         }
         rep = c.report()
-        assert "checkpoints=4 saved/1 pruned" in rep
+        assert "checkpoints_saved=4" in rep and "checkpoints_pruned=1" in rep
         assert "verify_failures=2" in rep and "rollbacks=2" in rep
         c.reset()
         assert all(v == 0 for v in c.snapshot().values())
