@@ -30,23 +30,31 @@ Quickstart::
     yplus, uplus = stats.wall_units()
 """
 
-from repro.core import ChannelConfig, ChannelDNS, ChannelGrid
-from repro.mpi import run_spmd
-from repro.pencil import P3DFFTBaseline, PencilTransforms
-from repro.pencil.distributed import DistributedChannelDNS
-from repro.telemetry import RunRecorder, TelemetryConfig
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ChannelConfig",
-    "ChannelDNS",
-    "ChannelGrid",
-    "DistributedChannelDNS",
-    "P3DFFTBaseline",
-    "PencilTransforms",
-    "RunRecorder",
-    "TelemetryConfig",
-    "run_spmd",
-    "__version__",
-]
+#: re-exported name -> defining module, imported on first access (PEP 562)
+#: so that ``import repro.serving`` or ``from repro.core import ChannelDNS``
+#: loads none of the layers it does not use
+_EXPORTS = {
+    "ChannelConfig": "repro.core",
+    "ChannelDNS": "repro.core",
+    "ChannelGrid": "repro.core",
+    "DistributedChannelDNS": "repro.pencil.distributed",
+    "P3DFFTBaseline": "repro.pencil",
+    "PencilTransforms": "repro.pencil",
+    "RunRecorder": "repro.telemetry",
+    "TelemetryConfig": "repro.telemetry",
+    "run_spmd": "repro.mpi",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -39,14 +39,31 @@ def collocation_matrix(
     deriv: int = 0,
 ) -> np.ndarray:
     """Dense collocation matrix ``C[i, j] = (d/dx)^deriv B_j(points[i])``."""
+    return collocation_matrices(knots, degree, points, deriv)[1][deriv]
+
+
+def collocation_matrices(
+    knots: np.ndarray,
+    degree: int,
+    points: np.ndarray,
+    nderiv: int,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(spans, mats)``: every collocation matrix up to ``nderiv``, from one
+    basis evaluation.
+
+    ``mats[k]`` is :func:`collocation_matrix` for ``deriv=k``, bit for
+    bit: A2.3's ``k``-th derivative row does not depend on how many rows
+    above it are asked for.
+    """
     points = np.asarray(points, dtype=float)
     n = len(knots) - degree - 1
-    spans, ders = all_basis_functions(knots, degree, points, nderiv=deriv)
-    mat = np.zeros((points.size, n))
+    spans, ders = all_basis_functions(knots, degree, points, nderiv=nderiv)
+    mats = [np.zeros((points.size, n)) for _ in range(nderiv + 1)]
     for i in range(points.size):
         lo = spans[i] - degree
-        mat[i, lo : lo + degree + 1] = ders[i, deriv]
-    return mat
+        for k, mat in enumerate(mats):
+            mat[i, lo : lo + degree + 1] = ders[i, k]
+    return spans, mats
 
 
 def collocation_bandwidths(spans: np.ndarray, degree: int) -> tuple[int, int]:
@@ -58,18 +75,3 @@ def collocation_bandwidths(spans: np.ndarray, degree: int) -> tuple[int, int]:
     ku = int(np.max(hi - idx))
     return kl, ku
 
-
-def to_scipy_banded(dense: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """Pack a dense banded matrix into scipy's diagonal-ordered form.
-
-    ``ab[ku + i - j, j] = a[i, j]`` — the layout consumed by
-    :func:`scipy.linalg.solve_banded`.
-    """
-    n = dense.shape[0]
-    ab = np.zeros((kl + ku + 1, n))
-    for i in range(n):
-        jlo = max(0, i - kl)
-        jhi = min(n, i + ku + 1)
-        for j in range(jlo, jhi):
-            ab[ku + i - j, j] = dense[i, j]
-    return ab

@@ -12,14 +12,13 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from repro.bsplines.basis import all_basis_functions, find_span
 from repro.bsplines.collocation import (
     collocation_bandwidths,
+    collocation_matrices,
     collocation_matrix,
     greville_points,
-    to_scipy_banded,
 )
 from repro.bsplines.knots import channel_breakpoints, clamped_knots, uniform_breakpoints
 from repro.bsplines.quadrature import spline_quadrature
@@ -74,8 +73,7 @@ class BSplineBasis:
     @cached_property
     def bandwidths(self) -> tuple[int, int]:
         """(kl, ku) of the collocation matrices."""
-        spans, _ = all_basis_functions(self.knots, self.degree, self.collocation_points, 0)
-        return collocation_bandwidths(spans, self.degree)
+        return collocation_bandwidths(self._colloc_pass[0], self.degree)
 
     # ------------------------------------------------------------------
     # matrices
@@ -83,15 +81,17 @@ class BSplineBasis:
 
     def colloc_matrix(self, deriv: int = 0) -> np.ndarray:
         """Dense ``(n, n)`` matrix of ``deriv``-th derivatives at collocation points."""
-        return self._colloc_matrices(deriv)
+        mats = self._colloc_pass[1]
+        if deriv not in mats:  # beyond the second derivative: its own pass
+            mats[deriv] = collocation_matrix(self.knots, self.degree, self.collocation_points, deriv)
+        return mats[deriv]
 
-    def _colloc_matrices(self, deriv: int) -> np.ndarray:
-        cache = self.__dict__.setdefault("_colloc_cache", {})
-        if deriv not in cache:
-            cache[deriv] = collocation_matrix(
-                self.knots, self.degree, self.collocation_points, deriv
-            )
-        return cache[deriv]
+    @cached_property
+    def _colloc_pass(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Knot spans and the value, first- and second-derivative matrices,
+        from one basis evaluation at the collocation points."""
+        spans, mats = collocation_matrices(self.knots, self.degree, self.collocation_points, 2)
+        return spans, dict(enumerate(mats))
 
     @cached_property
     def _interp_solve(self) -> PanelSolve:
@@ -158,12 +158,10 @@ class BSplineBasis:
         """Quadrature-like weights for integrating *collocated values*.
 
         ``w @ f(colloc_points)`` integrates the interpolating spline of
-        ``f`` exactly: ``w = basis_integrals @ inv(B)``.
+        ``f`` exactly: ``w = basis_integrals @ inv(B)``, i.e. the solution
+        of ``B^T w = basis_integrals`` (one dense solve per basis).
         """
-        kl, ku = self.bandwidths
-        # Solve B^T w = basis_integrals: transpose banded system.
-        bt = to_scipy_banded(self.colloc_matrix(0).T, ku, kl)
-        return scipy.linalg.solve_banded((ku, kl), bt, self.basis_integrals)
+        return np.linalg.solve(self.colloc_matrix(0).T, self.basis_integrals)
 
     # ------------------------------------------------------------------
 

@@ -15,9 +15,11 @@ OpenMP-threaded FFTs (Table 3):
 
 * ``"numpy"`` — :mod:`numpy.fft` (always available, single-threaded);
 * ``"scipy"`` — :mod:`scipy.fft` pocketfft with a ``workers=`` thread
-  knob; gated behind an import so the package works without scipy.
+  knob.  It is optional: the package works without scipy, and
+  :mod:`scipy.fft` is imported by the first plan that selects it, so a
+  numpy-backend process never loads it.
 
-``backend="auto"`` resolves to scipy when importable, else numpy.  The
+``backend="auto"`` resolves to scipy when installed, else numpy.  The
 module-level :func:`default_planner` is the process-wide plan cache (the
 FFTW "wisdom" analogue) shared by the serial transform pipeline and the
 pencil-decomposed parallel FFT.
@@ -34,6 +36,7 @@ starts assert they measured nothing.
 from __future__ import annotations
 
 import enum
+import importlib.util
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,10 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-try:  # optional threaded backend (pocketfft with a workers pool)
-    import scipy.fft as _scipy_fft
-except ImportError:  # pragma: no cover - environment without scipy
-    _scipy_fft = None
+#: whether the optional threaded backend (pocketfft with a workers pool)
+#: is installed; answered without importing it
+_HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 #: timed runs per candidate under MEASURE; the best (minimum) is kept so
 #: a single noisy sample cannot decide the plan.
@@ -60,16 +62,16 @@ class PlanFlags(enum.Enum):
 
 def available_backends() -> tuple[str, ...]:
     """Execution backends usable in this environment."""
-    return ("numpy", "scipy") if _scipy_fft is not None else ("numpy",)
+    return ("numpy", "scipy") if _HAVE_SCIPY else ("numpy",)
 
 
 def resolve_backend(backend: str) -> str:
     """Map ``"auto"`` to the preferred available backend; validate names."""
     if backend == "auto":
-        return "scipy" if _scipy_fft is not None else "numpy"
+        return "scipy" if _HAVE_SCIPY else "numpy"
     if backend not in ("numpy", "scipy"):
         raise ValueError(f"unknown FFT backend {backend!r}")
-    if backend == "scipy" and _scipy_fft is None:
+    if backend == "scipy" and not _HAVE_SCIPY:
         raise ValueError("scipy backend requested but scipy is not installed")
     return backend
 
@@ -112,6 +114,8 @@ class FFTPlan:
         self.nout = nout
         self.flags = flags
         self.backend = resolve_backend(backend)
+        # imported here, by the first plan that selects the scipy backend
+        self._scipy_fft = importlib.import_module("scipy.fft") if self.backend == "scipy" else None
         self.workers = workers
         #: True when the strategy was loaded from a wisdom store instead
         #: of measured in this process
@@ -138,12 +142,12 @@ class FFTPlan:
             if overwrite:
                 kw["overwrite_x"] = True
             if self.kind == "fft":
-                return _scipy_fft.fft(a, axis=axis, **kw)
+                return self._scipy_fft.fft(a, axis=axis, **kw)
             if self.kind == "ifft":
-                return _scipy_fft.ifft(a, axis=axis, **kw)
+                return self._scipy_fft.ifft(a, axis=axis, **kw)
             if self.kind == "rfft":
-                return _scipy_fft.rfft(a, axis=axis, **kw)
-            return _scipy_fft.irfft(a, n=self.nout, axis=axis, **kw)
+                return self._scipy_fft.rfft(a, axis=axis, **kw)
+            return self._scipy_fft.irfft(a, n=self.nout, axis=axis, **kw)
         if out is None and overwrite and self.kind in ("fft", "ifft") and a.dtype.kind == "c":
             out = a  # same-size c2c: transform the buffer in place
         if self.kind == "fft":

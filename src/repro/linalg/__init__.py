@@ -17,20 +17,17 @@ condition rows of the B-spline collocation systems.  The custom solver
   panels of rows per Python iteration with pre-inverted diagonal blocks
   and persistent (zero-allocation) workspaces.
 
-Reference solvers mirroring the LAPACK/MKL/ESSL paths live in
-:mod:`repro.linalg.reference`; Helmholtz/Poisson collocation assembly in
-:mod:`repro.linalg.helmholtz`.
+Helmholtz/Poisson collocation assembly lives in
+:mod:`repro.linalg.helmholtz`.  The reference solvers mirroring the
+LAPACK/MKL/ESSL paths (:mod:`repro.linalg.reference`, built on
+:mod:`scipy.linalg`) are oracles for tests and the Table 1 benchmark,
+not part of this package's surface: import them from that module, which
+is the only place ``scipy.linalg`` is loaded.
 """
 
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
 from repro.linalg.custom import FoldedLU, solve_corner_banded
 from repro.linalg.engine import BandedSolveEngine, default_block
-from repro.linalg.reference import (
-    netlib_banded_lu,
-    netlib_banded_solve,
-    solve_padded_complex,
-    solve_padded_split,
-)
 from repro.linalg.helmholtz import HelmholtzOperator, helmholtz_system, poisson_system
 
 __all__ = [
@@ -41,10 +38,6 @@ __all__ = [
     "default_block",
     "HelmholtzOperator",
     "helmholtz_system",
-    "netlib_banded_lu",
-    "netlib_banded_solve",
     "poisson_system",
     "solve_corner_banded",
-    "solve_padded_complex",
-    "solve_padded_split",
 ]

@@ -9,10 +9,12 @@ plotting stack.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.solver import ChannelDNS
-from repro.core.transforms import to_quadrature_grid
+if TYPE_CHECKING:  # the DNS is the caller's; importing it here would load every layer
+    from repro.core.solver import ChannelDNS
 
 
 def streamwise_velocity_plane(dns: ChannelDNS, z_index: int = 0) -> np.ndarray:
@@ -35,6 +37,8 @@ def spanwise_vorticity_plane(dns: ChannelDNS, yplus: float = 15.0) -> np.ndarray
     plane of the *lower* wall.  Returns the ``(nxq, nzq)`` physical
     vorticity slice on the dealiased quadrature grid.
     """
+    from repro.core.transforms import to_quadrature_grid
+
     g = dns.grid
     s = dns.stepper
     state = dns.state

@@ -9,10 +9,13 @@ velocity coefficient arrays.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.grid import ChannelGrid
-from repro.core.operators import WallNormalOps
+if TYPE_CHECKING:  # annotations only: the caller brings the grid and operators
+    from repro.core.grid import ChannelGrid
+    from repro.core.operators import WallNormalOps
 
 
 def energy_spectrum_x(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsplines import BSplineBasis
-from repro.bsplines.collocation import collocation_matrix, greville_points, to_scipy_banded
+from repro.bsplines.basis import all_basis_functions
+from repro.bsplines.collocation import collocation_bandwidths, collocation_matrix
+from repro.linalg.reference import to_diagonal_ordered
 
 
 class TestConstruction:
@@ -98,6 +100,39 @@ class TestCollocationWeights:
         exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
         assert abs(b.collocation_weights @ x**deg - exact) < 1e-10
 
+    @pytest.mark.parametrize("ny", [17, 33, 193])
+    def test_matches_banded_lapack_solve(self, ny):
+        """The dense numpy solve agrees with LAPACK's banded ``gbsv`` (scipy
+        as a test-side oracle) on ``B^T w = basis_integrals``."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        b = BSplineBasis(ny, degree=7)
+        kl, ku = b.bandwidths
+        bt = to_diagonal_ordered(b.colloc_matrix(0).T, ku, kl)
+        want = scipy_linalg.solve_banded((ku, kl), bt, b.basis_integrals)
+        got = b.collocation_weights
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestSinglePassMatrices:
+    """The value/D1/D2 matrices and the bandwidths come from one basis
+    evaluation; each matrix is bit for bit the per-derivative assembly."""
+
+    @pytest.mark.parametrize("ny", [17, 25, 33, 40, 193])
+    @pytest.mark.parametrize("degree", [3, 5, 7])
+    def test_bit_identical_to_per_derivative_assembly(self, ny, degree):
+        b = BSplineBasis(ny, degree=degree)
+        for deriv in (0, 1, 2):
+            want = collocation_matrix(b.knots, b.degree, b.collocation_points, deriv)
+            np.testing.assert_array_equal(b.colloc_matrix(deriv), want)
+        spans, _ = all_basis_functions(b.knots, b.degree, b.collocation_points, 0)
+        assert b.bandwidths == collocation_bandwidths(spans, b.degree)
+
+    def test_higher_derivatives_still_served(self):
+        b = BSplineBasis(20, degree=7)
+        want = collocation_matrix(b.knots, b.degree, b.collocation_points, 3)
+        np.testing.assert_array_equal(b.colloc_matrix(3), want)
+        assert b.colloc_matrix(3) is b.colloc_matrix(3)
+
 
 class TestGrevilleHelpers:
     def test_greville_monotone(self):
@@ -108,7 +143,7 @@ class TestGrevilleHelpers:
         b = BSplineBasis(14, degree=3)
         dense = b.colloc_matrix(0)
         kl, ku = b.bandwidths
-        ab = to_scipy_banded(dense, kl, ku)
+        ab = to_diagonal_ordered(dense, kl, ku)
         # unpack and compare
         n = b.n
         rebuilt = np.zeros_like(dense)

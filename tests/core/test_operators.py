@@ -112,13 +112,13 @@ def test_operator_calls_per_step(grid, monkeypatch):
 
 def test_no_operator_work_outside_the_operator_layer():
     """Dense application of B/D1/D2 and ``solve_banded`` live only in the
-    reference module and in ``collocation_weights``."""
+    reference module."""
     dense = re.compile(r"@ ops\.(B|D1|D2)\b|ops\.(B|D1|D2)\.T|self\.(B|D1|D2)\.T")
     for path in SRC.rglob("*.py"):
         text = path.read_text()
         assert not dense.search(text), path
         if path.name != "reference.py":
-            assert text.count("solve_banded(") == (1 if path.name == "spline.py" else 0), path
+            assert text.count("solve_banded(") == 0, path
 
 
 def relative_error(got, want) -> float:
