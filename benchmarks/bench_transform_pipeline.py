@@ -8,8 +8,8 @@ grid through three paths:
 * **naive** — the seed's per-call :func:`to_quadrature_grid` /
   :func:`from_quadrature_grid` (fresh pad/scratch arrays every stage);
 * **planned** — :class:`~repro.fft.pipeline.TransformPipeline` with the
-  numpy backend and MEASURE planning (persistent pad workspaces, fused
-  scaling, plan-selected strategies);
+  numpy backend (persistent pad workspaces, fused scaling, cached
+  last-axis plans);
 * **threaded** — the same pipeline on the scipy pocketfft backend with a
   ``workers`` pool (the paper's OpenMP-threaded FFTs, Table 3).
 
@@ -34,7 +34,7 @@ from repro.core.transforms import (
     to_quadrature_grid,
 )
 from repro.fft.pipeline import TransformPipeline
-from repro.fft.plans import PlanFlags, Planner, available_backends
+from repro.fft.plans import Planner, available_backends
 
 from conftest import emit, fmt_row
 
@@ -102,35 +102,32 @@ def test_transform_pipeline(benchmark):
         return chain
 
     variants = {}
-    planned = TransformPipeline(g, backend="numpy", flags=PlanFlags.MEASURE, planner=Planner())
+    planned = TransformPipeline(g, backend="numpy", planner=Planner())
     planned_chain = make_variant(planned)
-    variants["planned (numpy)"] = (planned_chain, planned)
+    variants["planned (numpy)"] = planned_chain
 
     if "scipy" in available_backends():
         workers = os.cpu_count() or 1
-        threaded = TransformPipeline(
-            g, backend="scipy", workers=workers, flags=PlanFlags.MEASURE, planner=Planner()
-        )
-        variants[f"planned (scipy, workers={workers})"] = (make_variant(threaded), threaded)
+        threaded = TransformPipeline(g, backend="scipy", workers=workers, planner=Planner())
+        variants[f"planned (scipy, workers={workers})"] = make_variant(threaded)
 
     names = list(variants)
-    timed = _time_interleaved([naive_chain] + [variants[n][0] for n in names])
+    timed = _time_interleaved([naive_chain] + [variants[n] for n in names])
     t_naive = timed[0]
-    rows = [("naive (seed)", t_naive, 1.0, "-")]
+    rows = [("naive (seed)", t_naive, 1.0)]
     times = {}
     for name, t in zip(names, timed[1:]):
         times[name] = t
-        strategies = ",".join(p.strategy for p in variants[name][1].plans())
-        rows.append((name, t, t_naive / t, strategies))
+        rows.append((name, t, t_naive / t))
 
     lines = [
         "Transform pipeline — nonlinear-term chain, "
         f"3 forward + 5 backward fields on {GRID[0]}x{GRID[1]}x{GRID[2]}",
         "",
-        fmt_row(("variant", "s/chain", "speedup", "plan strategies"), (30, 10, 9, 40)),
+        fmt_row(("variant", "s/chain", "speedup"), (30, 10, 9)),
     ]
-    for name, t, ratio, strat in rows:
-        lines.append(fmt_row((name, f"{t:.4f}", f"{ratio:.2f}x", strat), (30, 10, 9, 40)))
+    for name, t, ratio in rows:
+        lines.append(fmt_row((name, f"{t:.4f}", f"{ratio:.2f}x"), (30, 10, 9)))
 
     # -- trajectory identity: planned backend reproduces the naive run ----
     cfg = ChannelConfig(nx=32, ny=33, nz=32, dt=2e-4, seed=3)

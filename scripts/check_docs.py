@@ -9,7 +9,7 @@ resolves:
   exist on disk (resolved against the referencing file, with a
   repo-root fallback); ``http(s)``/``mailto`` targets are recorded but
   not fetched (no network in CI);
-* backticked repo paths like ``scripts/wisdom_smoke.py`` or
+* backticked repo paths like ``scripts/telemetry_smoke.py`` or
   ``docs/observability.md`` — any path-shaped reference with a tracked
   source extension must exist (resolved against the repo root, with an
   ``src/`` fallback for module paths like ``repro/telemetry/schema.py``).

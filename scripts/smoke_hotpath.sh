@@ -112,12 +112,6 @@ echo "== overlap micro-benchmark: pipelined vs synchronous pencil transposes =="
 python -m pytest benchmarks/bench_overlap_transpose.py -q --benchmark-disable
 
 echo
-echo "== wisdom cold-vs-warm: second run skips MEASURE, identical plans =="
-WISDOM_DIR="$(mktemp -d)"
-python scripts/wisdom_smoke.py --wisdom "$WISDOM_DIR/wisdom.json" --state "$WISDOM_DIR/state.json" --phase cold
-python scripts/wisdom_smoke.py --wisdom "$WISDOM_DIR/wisdom.json" --state "$WISDOM_DIR/state.json" --phase warm
-
-echo
 echo "== telemetry smoke: stream + manifest + trace, < 1% recorder overhead =="
 python scripts/telemetry_smoke.py --out "$(mktemp -d)/telemetry" --steps 40
 

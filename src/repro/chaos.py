@@ -52,8 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import os
-
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan
@@ -156,47 +154,6 @@ def alltoalls_per_step(config: ChannelConfig, pa: int, pb: int, method=None) -> 
     return run_spmd(pa * pb, program, fault_plan=plan)[1]
 
 
-def resolve_transpose_method(
-    config: ChannelConfig,
-    nranks: int,
-    pa: int,
-    pb: int,
-    *,
-    wisdom=None,
-):
-    """The transpose method a soak sweep should pin, decided once.
-
-    Every soak attempt used to construct fresh transposes (and a plan
-    call inside the sweep would re-time all three methods per attempt).
-    This resolves the choice a single time, in precedence order:
-
-    1. the deterministic ``REPRO_TRANSPOSE_METHOD`` pin (repro runs),
-    2. one collective :meth:`~repro.pencil.parallel_fft.PencilTransforms.plan`
-       routed through the wisdom cache (``wisdom=None`` defers to the
-       ``REPRO_WISDOM`` store) — a warmed machine loads the decision and
-       times nothing; a cold one measures once and records it for every
-       later sweep.
-
-    Returns the CommB (y<->z) choice — the transposes that move the
-    spectral payloads the soak's nonlinear terms hammer hardest.
-    """
-    from repro.mpi.simmpi import run_spmd
-    from repro.pencil.parallel_fft import PencilTransforms
-    from repro.pencil.transpose import ENV_METHOD, TransposeMethod
-
-    pinned = os.environ.get(ENV_METHOD)
-    if pinned:
-        return TransposeMethod(pinned)
-
-    def _plan_prog(comm):
-        cart = comm.cart_create((pa, pb))
-        tr = PencilTransforms(cart, config.nx, config.ny, config.nz, dealias=True)
-        choice = tr.plan(wisdom=wisdom)
-        return choice["CommB"].value
-
-    return TransposeMethod(run_spmd(nranks, _plan_prog)[0])
-
-
 def _serial_reference(config: ChannelConfig, n_steps: int):
     """The uninterrupted serial trajectory — the soak's correctness oracle."""
     dns = ChannelDNS(config)
@@ -233,7 +190,6 @@ def run_chaos_soak(
     method=None,
     wire_precision: str = "full",
     stages: int = DEFAULT_STAGES,
-    wisdom=None,
 ) -> list[SoakResult]:
     """Run one elastic supervised job per seed and classify every outcome.
 
@@ -253,10 +209,8 @@ def run_chaos_soak(
     ``method`` (a :class:`~repro.pencil.transpose.TransposeMethod`) pins
     the transpose implementation of every attempt — e.g. ``PIPELINED``
     to soak the nonblocking/overlap path under faults, in ``stages``
-    slabs per exchange.  ``method=None`` resolves the pin once through
-    :func:`resolve_transpose_method` (env pin, else the wisdom cache)
-    instead of leaving every attempt's transposes on the default — the
-    soak sweep never re-times methods.
+    slabs per exchange.  ``method=None`` is the driver default,
+    ``ALLTOALL``.
 
     ``wire_precision="mixed"`` soaks the reduced-precision wire: pass an
     ``atol`` sized to the single-precision tolerance (DESIGN.md §6h),
@@ -269,8 +223,6 @@ def run_chaos_soak(
     config = config or ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
     if pa is None or pb is None:
         pa, pb = choose_grid(nranks, config.nx // 2, config.nz - 1, config.ny)
-    if method is None:
-        method = resolve_transpose_method(config, nranks, pa, pb, wisdom=wisdom)
     workdir = pathlib.Path(workdir)
     soak_rec = None
     tel_cfg = None

@@ -121,8 +121,13 @@ def _check_fingerprint(stored: dict, config: ChannelConfig) -> None:
             )
 
 
+#: config fields that older checkpoints carry but ChannelConfig no
+#: longer has; dropped on load (any other unknown key still raises)
+_RETIRED_KEYS = ("fft_planning",)
+
+
 def _config_from_fingerprint(stored: dict) -> ChannelConfig:
-    kwargs = dict(stored)
+    kwargs = {k: v for k, v in stored.items() if k not in _RETIRED_KEYS}
     scheme = kwargs.pop("scheme", None)
     if isinstance(scheme, dict):
         kwargs["scheme"] = SMR91(**{k: tuple(v) for k, v in scheme.items()})

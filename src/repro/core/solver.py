@@ -62,9 +62,6 @@ class ChannelConfig:
     #: thread count for the scipy backend (the paper's OpenMP-threaded
     #: FFTs); None leaves the backend single-threaded.
     fft_workers: int | None = None
-    #: plan selection: "estimate" (deterministic default) or "measure"
-    #: (time strategy candidates once at startup, FFTW_MEASURE style).
-    fft_planning: str = "estimate"
 
     @property
     def nu(self) -> float:
@@ -158,7 +155,6 @@ class ChannelDNS:
             self.grid,
             backend=cfg.fft_backend,
             workers=cfg.fft_workers,
-            planning=cfg.fft_planning,
         )
         return None, None, transforms
 

@@ -47,11 +47,10 @@ class SerialTransformBackend:
     :class:`~repro.fft.pipeline.TransformPipeline`.  The distributed
     solver substitutes the pencil pipeline.
 
-    With the default ``backend="numpy"`` / ``planning="estimate"`` the
-    results are bit-for-bit identical to :func:`to_quadrature_grid` /
-    :func:`from_quadrature_grid`; ``backend="scipy"`` adds a ``workers``
-    thread knob and ``planning="measure"`` lets the planner time
-    strategy candidates (both agree with the reference to roundoff).
+    With the default ``backend="numpy"`` the results are bit-for-bit
+    identical to :func:`to_quadrature_grid` / :func:`from_quadrature_grid`;
+    ``backend="scipy"`` adds a ``workers`` thread knob and agrees with
+    the reference to roundoff.
     """
 
     def __init__(
@@ -59,7 +58,6 @@ class SerialTransformBackend:
         grid: ChannelGrid,
         backend: str = "numpy",
         workers: int | None = None,
-        planning: str = "estimate",
         planner=None,
         counters=None,
     ) -> None:
@@ -70,7 +68,6 @@ class SerialTransformBackend:
             grid,
             backend=backend,
             workers=workers,
-            flags=planning,
             planner=planner,
             counters=counters,
         )

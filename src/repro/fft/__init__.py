@@ -14,9 +14,8 @@ here:
   :func:`pad_for_quadrature`/:func:`truncate_from_quadrature` implement
   the zero-padding of steps (b)/(e) of the simulation loop.
 
-:mod:`repro.fft.plans` provides an FFTW-style plan/planner API (the paper
-relies on FFTW 3.3 planning to pick transform and transpose variants) with
-numpy and threaded-scipy execution backends, and
+:mod:`repro.fft.plans` provides an FFTW-style plan-once/execute-many API
+with numpy and threaded-scipy execution backends, and
 :mod:`repro.fft.pipeline` the planned, buffer-reusing transform pipeline
 that executes the dealiased (b)-(f)/(h) chain for the serial solver.
 """
@@ -39,7 +38,6 @@ from repro.fft.fourier import (
 from repro.fft.pipeline import TransformPipeline
 from repro.fft.plans import (
     FFTPlan,
-    PlanFlags,
     Planner,
     available_backends,
     default_planner,
@@ -48,7 +46,6 @@ from repro.fft.plans import (
 
 __all__ = [
     "FFTPlan",
-    "PlanFlags",
     "Planner",
     "TransformPipeline",
     "available_backends",

@@ -1,8 +1,8 @@
 """Planned, buffer-reusing serial transform pipeline (steps (b)-(f)/(h)).
 
 This is the serial analogue of the paper's planned FFT machinery: FFTW
-3.3 plans chosen by measurement (§4.3), threaded FFTs (Table 3) and the
-1x-buffer discipline of the custom parallel FFT (§4.4).  The naive
+3.3 plans built once and executed many times (§4.3), threaded FFTs
+(Table 3) and the 1x-buffer discipline of the custom parallel FFT (§4.4).  The naive
 reference in :mod:`repro.core.transforms` allocates two zero-filled pad
 arrays, two scaling temporaries and two truncation copies per field per
 direction, and runs every FFT along a strided axis of a C-ordered
@@ -29,8 +29,8 @@ cost of the nonlinear term.  :class:`TransformPipeline` removes it:
   loop's only fresh allocations are the caller-owned output arrays.
 * **Planned transforms** — every FFT goes through a
   :class:`~repro.fft.plans.FFTPlan` drawn from a shared
-  :class:`~repro.fft.plans.Planner` cache, so strategy selection and
-  backend threading follow the FFTW plan-once/execute-many contract.
+  :class:`~repro.fft.plans.Planner` cache, so backend threading follows
+  the FFTW plan-once/execute-many contract.
   The pencil-decomposed parallel FFT draws from the same cache.
 * **Stack entry points** — :meth:`to_physical_many` /
   :meth:`from_physical_many` take a list of fields for callers that
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.plans import FFTPlan, PlanFlags, Planner, default_planner, resolve_backend
+from repro.fft.plans import FFTPlan, Planner, default_planner, resolve_backend
 from repro.instrument import TransformCounters
 
 
@@ -78,20 +78,11 @@ class TransformPipeline:
     workers:
         Thread count for the scipy backend (the paper's OpenMP-threaded
         FFTs, Table 3); ignored by the numpy backend.
-    flags:
-        :class:`~repro.fft.plans.PlanFlags` or its string value —
-        ``"estimate"`` (deterministic, default) or ``"measure"``
-        (best-of-:data:`~repro.fft.plans.MEASURE_RUNS` candidate timing).
     planner:
         Plan cache to draw from; defaults to the process-wide
         :func:`~repro.fft.plans.default_planner`.
     counters:
         Optional shared :class:`~repro.instrument.TransformCounters`.
-    wisdom:
-        Optional :class:`~repro.tuning.WisdomStore` persisting MEASURE
-        outcomes across processes; ``None`` defers to the planner's
-        store (itself defaulting to the ``REPRO_WISDOM`` env selection),
-        so a warm start re-plans the four stages without re-timing.
     """
 
     def __init__(
@@ -99,17 +90,13 @@ class TransformPipeline:
         grid,
         backend: str = "numpy",
         workers: int | None = None,
-        flags: PlanFlags | str = PlanFlags.ESTIMATE,
         planner: Planner | None = None,
         counters: TransformCounters | None = None,
-        wisdom=None,
     ) -> None:
         self.grid = grid
         self.planner = planner if planner is not None else default_planner()
-        self.flags = PlanFlags(flags) if isinstance(flags, str) else flags
         self.backend = backend
         self.workers = workers
-        self.wisdom = wisdom
         self.counters = counters if counters is not None else TransformCounters()
 
         g = grid
@@ -124,7 +111,7 @@ class TransformPipeline:
 
         # plan-once: the four 1-D stages of the (b)-(f)/(h) chain, each on
         # the contiguous last axis of its transform-major workspace layout
-        kw = dict(backend=backend, workers=workers, flags=self.flags, wisdom=wisdom)
+        kw = dict(backend=backend, workers=workers)
         zshape = (self._mx, self._ny, self._nzq)  # (x, y, z)
         self._plan_ifft_z = self.planner.plan("ifft", zshape, 2, **kw)
         self._plan_irfft_x = self.planner.plan(

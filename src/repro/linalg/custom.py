@@ -61,7 +61,7 @@ class FoldedLU:
         self,
         matrix: FoldedBanded,
         check: bool = False,
-        block: int | str | None = None,
+        block: int | None = None,
         rows: SharedRows | None = None,
     ) -> None:
         self.spec = matrix.spec
@@ -130,24 +130,11 @@ class FoldedLU:
     # solving (blocked engine)
     # ------------------------------------------------------------------
 
-    def engine(self, block=None, wisdom=None) -> BandedSolveEngine:
+    def engine(self, block: int | None = None) -> BandedSolveEngine:
         """The blocked sweep engine over these factors (built lazily,
-        cached per panel height).
-
-        ``block="measure"`` (at construction or here) selects the panel
-        height by timing candidates through
-        :func:`~repro.linalg.engine.measure_block` — wisdom-backed, so a
-        warmed machine re-selects without re-timing.
-        """
-        from_default = block is None
-        block = block if block is not None else self._block
-        if block == "measure":
-            from repro.linalg.engine import measure_block
-
-            block = measure_block(self, wisdom=wisdom)
-            if from_default:
-                self._block = block  # resolve once; hot solves skip the lookup
-        b = int(block or default_block(self.spec.n))
+        cached per panel height; ``None`` takes the construction-time
+        block, else :func:`~repro.linalg.engine.default_block`)."""
+        b = int(block or self._block or default_block(self.spec.n))
         if b not in self._engines:
             self._engines[b] = BandedSolveEngine(self, block=b)
         return self._engines[b]

@@ -426,71 +426,3 @@ class BandedSolveEngine:
                 else:
                     self._store_col(outs[idx], c)
         return outs
-
-
-# ----------------------------------------------------------------------
-# measured panel selection (wisdom-backed)
-# ----------------------------------------------------------------------
-
-#: panel heights tried by :func:`measure_block` (clamped to n)
-BLOCK_CANDIDATES = (8, 16, 32)
-
-#: timed solves per candidate; best (minimum) wins, like the FFT planner
-BLOCK_MEASURE_RUNS = 3
-
-
-def measure_block(
-    lu,
-    candidates=BLOCK_CANDIDATES,
-    runs: int = BLOCK_MEASURE_RUNS,
-    wisdom=None,
-) -> int:
-    """Measure candidate panel heights on ``lu`` and return the fastest.
-
-    The static :func:`default_block` heuristic (16 rows) is the measured
-    optimum of the committed benchmarks, but the balance between Python
-    iteration count and dense panel flops shifts with ``n``, the batch
-    size and the BLAS build — this is the measuring counterpart, keyed
-    into the :class:`~repro.tuning.WisdomStore` (``wisdom=None`` defers
-    to the ``REPRO_WISDOM`` selection) so one machine measures once.
-    Engines built for the losing candidates stay in ``lu._engines`` —
-    they cost workspace but make re-selection free.
-
-    Different panel heights produce results differing in the last bits
-    (panel matmuls associate differently), so callers wanting bit-pinned
-    trajectories should keep the default block; wisdom guarantees warm
-    runs re-select the *same* block a cold run chose, which is what
-    keeps a warmed machine reproducible.
-    """
-    from repro.tuning import MEASURE_STATS, default_store
-
-    spec = lu.spec
-    usable = sorted({min(int(b), spec.n) for b in candidates if int(b) >= 1})
-    if len(usable) == 1:
-        return usable[0]
-    wisdom = wisdom if wisdom is not None else default_store()
-    # keyed and timed on the per-member batch every sweep runs over
-    key = [spec.n, spec.window, lu.nbatch, str(lu.data.dtype), usable]
-    if wisdom is not None:
-        hit = wisdom.lookup("solve_block", key)
-        if hit is not None and hit.get("block") in usable:
-            return int(hit["block"])
-    rng = np.random.default_rng(0)
-    rhs = rng.standard_normal((lu.nbatch, spec.n))
-    timings: dict[str, float] = {}
-    import time
-
-    for b in usable:
-        engine = lu.engine(block=b)
-        engine.solve(rhs)  # warm-up (allocates the sweep workspace)
-        best = np.inf
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            engine.solve(rhs)
-            best = min(best, time.perf_counter() - t0)
-            MEASURE_STATS.engine_blocks_timed += 1
-        timings[str(b)] = best
-    block = int(min(timings, key=timings.get))
-    if wisdom is not None:
-        wisdom.record("solve_block", key, {"block": block}, timings)
-    return block

@@ -8,8 +8,8 @@ This package is the distributed-memory heart of the paper (§2.2–2.3 and
 * :mod:`repro.pencil.reorder` — the on-node transpose
   ``A(i,j,k) -> A(j,k,i)`` (§4.2, Table 4),
 * :mod:`repro.pencil.transpose` — global transposes over the CommA/CommB
-  sub-communicators, planned FFTW-style between ``alltoall`` and pairwise
-  ``sendrecv`` implementations (§4.3),
+  sub-communicators, by ``alltoall``, pairwise ``sendrecv`` or pipelined
+  exchanges (§4.3),
 * :mod:`repro.pencil.parallel_fft` — the customized parallel FFT kernel
   (Nyquist-free, 1x work buffer, dealiasing pads) of §4.4,
 * :mod:`repro.pencil.p3dfft` — a baseline re-implementing P3DFFT's

@@ -14,8 +14,8 @@ identifies as the performance differences with the customized kernel:
    only the bare-grid transform is offered (the Table 6 benchmark is run
    exactly this way: "the padding and truncating of data for 3/2
    dealiasing is not performed, as this is not supported in P3DFFT").
-4. **No planning, no overlap**: the transpose implementation is fixed
-   (blocking alltoall) — the baseline never takes the pipelined
+4. **No overlap**: the transpose implementation is fixed (blocking
+   alltoall) — the baseline never takes the pipelined
    communication/compute-overlap path of the custom kernel, matching
    P3DFFT 2.5.1's synchronous exchange.
 """
@@ -58,6 +58,3 @@ class P3DFFTBaseline(PencilTransforms):
 
     def work_buffer_elements(self) -> int:
         return self._work.size
-
-    def plan(self, probe=None):  # pragma: no cover - guard
-        raise NotImplementedError("P3DFFT has no transpose planner")

@@ -74,8 +74,7 @@ class PencilTransforms:
         the bare grid (the Table 6 benchmark configuration, matching
         P3DFFT's feature set).
     method:
-        Fixed transpose method, or None to keep the default (alltoall);
-        call :meth:`plan` to measure and choose per communicator.
+        Transpose method of both exchanges; None means ``ALLTOALL``.
     timers:
         Optional :class:`SectionTimers` receiving transpose/fft sections.
     planner:
@@ -296,25 +295,6 @@ class PencilTransforms:
         two directions only (no y transform) and comes back spectral.
         """
         return self.from_physical(self.to_physical(spec))
-
-    def plan(self, probe: np.ndarray | None = None, wisdom=None) -> dict[str, TransposeMethod]:
-        """Collectively measure transpose methods and fix the best ones.
-
-        ``PIPELINED`` competes at this instance's slab count.  Each
-        choice is made over the whole cartesian grid, so both CommB (and
-        both CommA) groups adopt the same method.  ``wisdom`` (or the
-        ``REPRO_WISDOM`` default) makes the choice persistent: a warmed
-        machine re-plans without re-timing.
-        """
-        d = self.decomp
-        if probe is None:
-            probe = np.zeros(d.y_pencil_shape, dtype=complex)
-        choice_yz = self.t_yz.plan(probe, wisdom=wisdom, over=self.cart)
-        self.t_zy.method = choice_yz
-        probe_zx = np.zeros(d.z_pencil_shape_phys, dtype=complex)
-        choice_zx = self.t_zx.plan(probe_zx, wisdom=wisdom, over=self.cart)
-        self.t_xz.method = choice_zx
-        return {"CommB": choice_yz, "CommA": choice_zx}
 
     # ------------------------------------------------------------------
     # accounting (the §4.4 memory claim)

@@ -8,11 +8,11 @@ becomes distributed and vice versa.  Concretely, each rank
 2. exchanges chunks all-to-all within the sub-communicator,
 3. concatenates the received chunks along the axis that becomes local.
 
-Like FFTW 3.3's transpose planner, multiple implementations are
-available and a measuring planner picks whichever is fastest on this
-machine for this shape ("multiple implementations of the global
-transposes are tested ... the implementation with the best performance
-on simple tests is selected", §4.3):
+The paper's FFTW 3.3 planner times several transpose implementations
+and keeps the fastest (§4.3).  Here the implementation is a static
+choice, ``method=`` at construction (default ``ALLTOALL``): the methods
+only move data, so they give bit-identical results and differ in speed
+alone.
 
 * ``ALLTOALL`` — one blocking collective exchange,
 * ``PAIRWISE`` — a pairwise MPI_sendrecv loop (XOR schedule when P is a
@@ -36,15 +36,6 @@ still reads it.  The pipelined method has no such global synchronization
 and instead runs the explicit ack credit protocol of
 :meth:`repro.mpi.simmpi.Request.wait_acks`.
 
-Set ``REPRO_TRANSPOSE_METHOD`` (``alltoall`` / ``pairwise_sendrecv`` /
-``pipelined``) to pin the method: :meth:`GlobalTranspose.plan` then
-skips measurement and deterministically applies the pin on every rank.
-Without a pin, :meth:`plan` consults the persistent
-:class:`~repro.tuning.WisdomStore` (rank 0 looks up, the decision is
-broadcast, so hit/miss patterns can never desynchronize the collective)
-and only measures on a true miss — the FFTW §4.3 "plan once per
-machine" contract.
-
 **Mixed-precision wire mode** (``wire="mixed"``): float64/complex128
 payloads are staged down to float32/complex64 before the exchange and
 accumulated back at full precision during assembly (``np.copyto`` /
@@ -64,7 +55,6 @@ in-flight receivers keep the underlying arrays alive.
 from __future__ import annotations
 
 import enum
-import os
 import time
 import weakref
 from collections import OrderedDict
@@ -80,9 +70,6 @@ class TransposeMethod(enum.Enum):
     PAIRWISE = "pairwise_sendrecv"
     PIPELINED = "pipelined"
 
-
-#: env var pinning the transpose method (checked by :meth:`GlobalTranspose.plan`)
-ENV_METHOD = "REPRO_TRANSPOSE_METHOD"
 
 #: LRU cap on distinct (shape, dtype) keys per staging/slab buffer pool
 MAX_POOL_ENTRIES = 8
@@ -120,7 +107,7 @@ class GlobalTranspose:
         decomposition.  Required by the pipelined method, which
         assembles each slab in place from them.
     method:
-        Fixed method, or None to let :meth:`plan` measure and choose.
+        The exchange implementation; None means ``ALLTOALL``.
     stages:
         Slab count of the pipelined method (bounded by the stage-axis
         extent).  More stages expose more overlap at the cost of one
@@ -172,7 +159,6 @@ class GlobalTranspose:
             )
         self.concat_sizes = None if concat_sizes is None else [int(c) for c in concat_sizes]
         self.method = method or TransposeMethod.ALLTOALL
-        self.measured: dict[str, float] = {}
         self.timers = timers
         self.overlap = overlap
         self.counters = counters
@@ -324,83 +310,6 @@ class GlobalTranspose:
         # assembly up-casts back to the payload dtype when the wire ran
         # narrow (full-precision accumulation downstream of the exchange)
         return np.concatenate(received, axis=self.concat_axis, dtype=a.dtype)
-
-    def _wisdom_key(self, probe: np.ndarray) -> list:
-        return [
-            self.comm.size,
-            self.split_axis,
-            self.concat_axis,
-            self.split_sizes,
-            self.pipelined.stages,
-            list(probe.shape),
-            str(probe.dtype),
-            self.wire,
-        ]
-
-    def plan(
-        self, probe: np.ndarray, wisdom=None, over: Communicator | None = None
-    ) -> TransposeMethod:
-        """Measure every method on a probe array and fix the fastest one.
-
-        ``PIPELINED`` is timed at its current slab count
-        (``self.pipelined.stages``), which the wisdom key records.
-        Collective: every member must call ``plan`` together.  When
-        ``REPRO_TRANSPOSE_METHOD`` is set, measurement is skipped and the
-        pinned method applied deterministically on every rank (the env is
-        process-wide, so the choice is trivially collective).  Otherwise
-        the wisdom store is consulted first — rank 0 alone looks up and
-        the verdict is broadcast, so a store present on some ranks'
-        filesystem view but not others can never desynchronize the
-        collective — and only a true miss measures (recorded by rank 0).
-        ``wisdom=None`` defers to the ``REPRO_WISDOM`` selection.
-
-        ``over`` widens the decision to a communicator spanning this
-        one and its sibling sub-communicators (the cartesian grid of
-        the pencil transforms), which must all plan together: times are
-        maxed over it and its rank 0 alone looks up and records.  Every
-        group then adopts the same method, and no two groups record
-        rival picks under one wisdom key.
-        """
-        over = over if over is not None else self.comm
-        pinned = os.environ.get(ENV_METHOD)
-        if pinned:
-            self.method = TransposeMethod(pinned)
-            self.measured = {}
-            return self.method
-        from repro.tuning import MEASURE_STATS, default_store
-
-        wisdom = wisdom if wisdom is not None else default_store()
-        key = self._wisdom_key(probe)
-        hit = None
-        if wisdom is not None:
-            if over.rank == 0:
-                entry = wisdom.lookup("transpose", key)
-                value = entry.get("method") if entry else None
-            else:
-                value = None
-            value = over.bcast(value, root=0)
-            if value in (m.value for m in TransposeMethod):
-                hit = TransposeMethod(value)
-        if hit is not None:
-            self.method = hit
-            self.measured = {}
-            return self.method
-        timings = {}
-        for method in TransposeMethod:
-            self.method = method
-            self.comm.barrier()
-            t0 = time.perf_counter()
-            self.execute(probe)
-            self.comm.barrier()
-            local = time.perf_counter() - t0
-            timings[method.value] = max(over.allgather(local))
-            MEASURE_STATS.transpose_methods_timed += 1
-        self.measured = timings
-        best = min(timings, key=timings.get)
-        self.method = TransposeMethod(best)
-        if wisdom is not None and over.rank == 0:
-            wisdom.record("transpose", key, {"method": best}, timings)
-        return self.method
 
 
 class PipelinedTranspose:

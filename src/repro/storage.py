@@ -2,8 +2,7 @@
 
 Every file the package persists goes through this module — checkpoints
 and their shards, streaming-statistics sidecars, published statistics
-results, plan wisdom, telemetry manifests and traces.  It owns three
-decisions:
+results, telemetry manifests and traces.  It owns three decisions:
 
 * **Publish** (:func:`publish`) — write a unique temp sibling, ``fsync``
   it, move it into place with :func:`os.replace` (atomic on POSIX) and

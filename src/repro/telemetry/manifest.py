@@ -2,8 +2,7 @@
 
 A stream of timings is only an artefact if a later reader can tell what
 was run: the configuration (fingerprinted, so two streams are comparable
-at a glance), the code revision, the package versions, the machine and
-the plan-wisdom provenance (store path, schema, hit/miss counts).
+at a glance), the code revision, the package versions and the machine.
 :func:`build_manifest` collects all of it; :class:`~repro.telemetry.RunRecorder`
 writes it as ``manifest.json`` next to the stream.  Everything is
 best-effort — a missing git binary or package never fails a run.
@@ -110,12 +109,6 @@ def build_manifest(
     snapshot plus submitted-job metadata); ``None`` for single runs.
     """
     cfg_dict, fingerprint = config_fingerprint(config)
-    try:
-        from repro.tuning import wisdom_provenance
-
-        wisdom = wisdom_provenance()
-    except Exception:  # noqa: BLE001 - provenance is best-effort, like git/versions
-        wisdom = {"enabled": False}
     return {
         "schema": SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -127,7 +120,6 @@ def build_manifest(
         "machine": _machine(),
         "nranks": int(nranks),
         "process_grid": list(grid) if grid is not None else None,
-        "wisdom": wisdom,
         "pool": dict(pool) if pool else None,
         "extra": dict(extra) if extra else {},
     }

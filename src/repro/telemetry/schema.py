@@ -35,7 +35,8 @@ from repro.instrument import GROUPS, SectionTimers
 #: v5 added the optional ``stats`` step group (streaming-statistics
 #: accumulator counters, :mod:`repro.serving`) and the ``stats`` entry
 #: in the section-timer enumeration.
-SCHEMA_VERSION = 5
+#: v6 removed the manifest's ``wisdom`` block (plan-wisdom provenance).
+SCHEMA_VERSION = 6
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")

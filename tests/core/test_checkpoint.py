@@ -15,6 +15,7 @@ from repro.core.checkpoint import (
     verify_checkpoint,
 )
 from repro.instrument import RecoveryCounters
+from repro.storage import read_npz, write_npz
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=13)
 
@@ -194,6 +195,32 @@ class TestFingerprint:
         save_checkpoint(dns, ckpt_path)
         restored = load_checkpoint(ckpt_path)
         assert restored.stepper.dt == 5e-5
+
+    @staticmethod
+    def _save_with_config_key(path, key, value):
+        """A checkpoint whose stored config carries one extra key, as an
+        older writer with that ChannelConfig field would have stored it."""
+        dns = ChannelDNS(CFG)
+        dns.initialize()
+        dns.run(1)
+        save_checkpoint(dns, path)
+        manifest, arrays = read_npz(path)
+        manifest["config"][key] = value
+        write_npz(path, manifest, arrays)
+        return dns
+
+    def test_retired_planning_key_is_dropped(self, ckpt_path):
+        """Checkpoints written while ChannelConfig had ``fft_planning``
+        still load without a config."""
+        dns = self._save_with_config_key(ckpt_path, "fft_planning", "estimate")
+        restored = load_checkpoint(ckpt_path)
+        assert restored.config == CFG
+        np.testing.assert_array_equal(restored.state.v, dns.state.v)
+
+    def test_other_unknown_config_key_raises(self, ckpt_path):
+        self._save_with_config_key(ckpt_path, "fft_flavour", "estimate")
+        with pytest.raises(TypeError, match="fft_flavour"):
+            load_checkpoint(ckpt_path)
 
 
 class TestCorruption:

@@ -11,7 +11,7 @@ from repro.core.transforms import (
     to_quadrature_grid,
 )
 from repro.fft.pipeline import TransformPipeline
-from repro.fft.plans import PlanFlags, Planner, available_backends
+from repro.fft.plans import Planner, available_backends
 
 GRIDS = [(16, 10, 16), (16, 9, 24), (8, 8, 8), (24, 11, 16), (32, 17, 32)]
 
@@ -29,7 +29,7 @@ class TestAgainstNaiveReference:
     def test_numpy_estimate_is_bit_for_bit(self, shape):
         """The default pipeline reproduces the naive chain exactly."""
         g = ChannelGrid(*shape)
-        pipe = TransformPipeline(g, backend="numpy", flags=PlanFlags.ESTIMATE, planner=Planner())
+        pipe = TransformPipeline(g, backend="numpy", planner=Planner())
         for f in random_fields(g, seed=3, n=2):
             phys = pipe.to_physical(f)
             np.testing.assert_array_equal(phys, to_quadrature_grid(f, g))
@@ -38,11 +38,9 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("shape", [(16, 10, 16), (24, 9, 24)])
     def test_measured_backends_match_reference(self, backend, shape):
-        """MEASURE-planned strategies on every backend agree to roundoff."""
+        """Every backend, threaded, agrees with the reference to roundoff."""
         g = ChannelGrid(*shape)
-        pipe = TransformPipeline(
-            g, backend=backend, workers=2, flags=PlanFlags.MEASURE, planner=Planner()
-        )
+        pipe = TransformPipeline(g, backend=backend, workers=2, planner=Planner())
         (f,) = random_fields(g, seed=5)
         phys = pipe.to_physical(f)
         ref = to_quadrature_grid(f, g)

@@ -11,8 +11,7 @@ from repro.pencil.decomp import choose_grid
 from repro.pencil.distributed import DistributedChannelDNS
 from repro.pencil.p3dfft import P3DFFTBaseline
 from repro.pencil.parallel_fft import PencilTransforms
-from repro.pencil.transpose import ENV_METHOD, TransposeMethod
-from repro.tuning import WisdomStore
+from repro.pencil.transpose import TransposeMethod
 
 NX, NY, NZ = 16, 12, 16
 
@@ -97,38 +96,6 @@ class TestCustomKernel:
             assert elapsed["transpose"] > 0.0
             assert elapsed["fft"] > 0.0
 
-    def test_planner_collective(self):
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
-            choices = tr.plan()
-            assert set(choices) == {"CommA", "CommB"}
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_planner_decides_over_the_whole_grid(self, tmp_path):
-        """Each CommB group is skewed towards a different method (every
-        rank stalls in pipelined posts, world ranks 0-1 in alltoall too,
-        2-3 in pairwise sends), so groups deciding alone would disagree.
-        The grid-wide max puts them on one method, and the single record
-        reproduces it warm."""
-        slow = {0: "alltoall", 1: "alltoall", 2: "send", 3: "send"}
-        plan = FaultPlan(
-            [FaultEvent("delay", rank=r, op=op, call=c, delay=0.05)
-             for r in range(4) for op in (slow[r], "ialltoallv") for c in range(4)]
-        )
-        path = tmp_path / "wisdom.json"
-
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
-            return tr.plan(wisdom=WisdomStore(path))
-
-        cold = run_spmd(4, prog, fault_plan=plan)
-        assert all(c == cold[0] for c in cold)
-        assert run_spmd(4, prog) == cold
-
 
 def _pipelined_vs_sync(comm, pa, pb, seed=9):
     """Build the blocking kernel and the pipelined one at 1, 2 and 4
@@ -192,25 +159,6 @@ class TestPipelinedKernel:
                 lambda comm: _pipelined_vs_sync(comm, pa, pb, seed=13),
             )
         )
-
-    def test_env_pin_plans_deterministically(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pipelined")
-
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
-            choices = tr.plan()
-            assert choices == {
-                "CommB": TransposeMethod.PIPELINED,
-                "CommA": TransposeMethod.PIPELINED,
-            }
-            for t in (tr.t_yz, tr.t_zy, tr.t_zx, tr.t_xz):
-                assert t.method is TransposeMethod.PIPELINED
-            # the pin decided: nothing was measured anywhere
-            assert tr.t_yz.measured == {} and tr.t_zx.measured == {}
-            return True
-
-        assert all(run_spmd(4, prog))
 
     def test_fft_cycle_identity_pipelined(self):
         grid = ChannelGrid(NX, NY, NZ)
@@ -363,14 +311,3 @@ class TestP3DFFTBaseline:
         res = run_spmd(4, prog)
         c_in, p_in = res[0]
         assert p_in > c_in
-
-    def test_no_planner(self):
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            p3 = P3DFFTBaseline(cart, NX, NY, NZ)
-            with pytest.raises(NotImplementedError):
-                p3.plan()
-            comm.barrier()
-            return True
-
-        assert all(run_spmd(4, prog))

@@ -7,7 +7,6 @@ from repro.mpi.simmpi import run_spmd
 from repro.pencil.decomp import block_range, block_sizes
 from repro.pencil.reorder import chunked_reorder, reorder
 from repro.pencil.transpose import (
-    ENV_METHOD,
     MAX_POOL_ENTRIES,
     GlobalTranspose,
     TransposeMethod,
@@ -253,32 +252,3 @@ class TestGlobalTranspose:
             return True
 
         assert all(run_spmd(2, prog))
-
-    def test_env_pin_skips_measurement(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pairwise_sendrecv")
-
-        def prog(comm):
-            lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2)
-            choice = t.plan(np.zeros((8, 2, hi - lo)))
-            assert choice is TransposeMethod.PAIRWISE
-            assert t.measured == {}  # nothing was measured: the pin decided
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_planner_picks_and_pins(self):
-        def prog(comm):
-            lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2, concat_sizes=block_sizes(8, comm.size))
-            probe = np.zeros((8, 2, hi - lo))
-            choice = t.plan(probe)
-            assert choice in list(TransposeMethod)
-            assert t.method is choice
-            assert len(t.measured) == 3
-            # choices must agree across ranks (collective measurement)
-            choices = comm.allgather(choice)
-            assert len(set(choices)) == 1
-            return True
-
-        assert all(run_spmd(4, prog))

@@ -5,18 +5,21 @@ import pytest
 
 from repro.chaos import (
     JOB_HEALTHY,
-    ChannelConfig,
     random_fault_plan,
-    resolve_transpose_method,
     run_chaos_soak,
     run_scheduler_soak,
     scheduler_soak_summary,
     soak_summary,
 )
-from repro.pencil.transpose import ENV_METHOD, TransposeMethod
-from repro.tuning import MEASURE_STATS, WisdomStore
+from repro.pencil.transpose import TransposeMethod
 
 HEALTHY = {"completed", "recovered", "degraded"}
+
+#: the blocking methods a soak sweep is run under, each named explicitly
+#: so two sweeps of one method run the same code
+SOAK_METHODS = pytest.mark.parametrize(
+    "method", [TransposeMethod.ALLTOALL, TransposeMethod.PAIRWISE], ids=lambda m: m.name
+)
 
 
 class TestScheduleGenerator:
@@ -41,8 +44,9 @@ class TestScheduleGenerator:
 
 
 class TestShortSoak:
-    def test_short_sweep_all_graceful(self, tmp_path):
-        results = run_chaos_soak(range(3), tmp_path)
+    @SOAK_METHODS
+    def test_short_sweep_all_graceful(self, tmp_path, method):
+        results = run_chaos_soak(range(3), tmp_path, method=method)
         summary = soak_summary(results)
         assert summary["all_graceful"], [
             (r.seed, r.classification, r.detail) for r in results
@@ -76,29 +80,6 @@ class TestShortSoak:
         assert set(summary["classifications"]) <= HEALTHY
         # the sweep really exercised the fault machinery under mixed wire
         assert summary["events_fired"] > 0
-
-
-class TestMethodResolution:
-    """The soak's transpose pin comes from the env or the wisdom cache —
-    the sweep itself never re-times methods per attempt."""
-
-    def test_env_pin_wins_without_timing(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pipelined")
-        MEASURE_STATS.reset()
-        m = resolve_transpose_method(None, 4, 2, 2)
-        assert m is TransposeMethod.PIPELINED
-        assert MEASURE_STATS.transpose_methods_timed == 0
-
-    def test_wisdom_warm_resolution_skips_timing(self, tmp_path):
-        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
-        store = WisdomStore(tmp_path / "wisdom.json")
-        MEASURE_STATS.reset()
-        cold = resolve_transpose_method(cfg, 4, 2, 2, wisdom=store)
-        assert MEASURE_STATS.transpose_methods_timed > 0
-        MEASURE_STATS.reset()
-        warm = resolve_transpose_method(cfg, 4, 2, 2, wisdom=store)
-        assert MEASURE_STATS.transpose_methods_timed == 0
-        assert warm is cold
 
 
 class TestSchedulerShortSoak:
@@ -143,11 +124,12 @@ class TestSchedulerFullSoak:
 
 @pytest.mark.soak
 class TestFullSoak:
-    def test_25_seed_sweep_never_hangs_or_diverges(self, tmp_path):
+    @SOAK_METHODS
+    def test_25_seed_sweep_never_hangs_or_diverges(self, tmp_path, method):
         """THE chaos acceptance criterion: >= 25 seeded random fault
         schedules, zero deadlocks, every run classified completed /
         recovered / degraded — never hung, never silently diverged."""
-        results = run_chaos_soak(range(25), tmp_path, verbose=True)
+        results = run_chaos_soak(range(25), tmp_path, verbose=True, method=method)
         summary = soak_summary(results)
         bad = [(r.seed, r.classification, r.detail) for r in results if not r.ok]
         assert summary["all_graceful"], bad
