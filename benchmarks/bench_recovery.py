@@ -11,10 +11,11 @@ cheap next to the integration it protects.  This bench measures, on a
   shrinking-allocation cascade ``8 -> 6 -> 4`` ranks (each stage
   reassembles from the previous stage's shards) plus the collapse to
   serial ``1x1`` via ``load_serial``,
-* **grow cascade** — the elastic-expansion path in the other direction:
-  a serial ``1x1`` snapshot grows back through ``2x2`` to ``2x4``
-  (what :func:`~repro.pencil.distributed.run_supervised_spmd` pays at
-  every ``GrowRequired`` boundary), bit-exact at every stage.
+* **reshard-up cascade** — the same reader in the other direction: a
+  serial ``1x1`` snapshot reassembles onto ``2x2`` and then ``2x4``
+  (what a later :func:`~repro.pencil.distributed.run_supervised_spmd`
+  call on more ranks pays to resume a shrunken run's checkpoints),
+  bit-exact at every stage.
 
 Reported as wall time and effective MB/s over the snapshot's on-disk
 bytes; written to ``benchmarks/results/recovery.txt``.
@@ -138,29 +139,29 @@ def test_recovery_throughput(benchmark, tmp_path):
     row("reshard (4->serial 1x1)", 1, serial_s)
     np.testing.assert_array_equal(serial_dns.state.v, ref.v)
 
-    # the grow cascade: a serial 1x1 seed snapshot expands back through
-    # 2x2 to 2x4 — the price of every GrowRequired boundary in the
-    # elastic supervisor (same trajectory, so the shrink ref still pins)
-    grow_dir = tmp_path / "grow"
+    # the reshard-up cascade: a serial 1x1 seed snapshot reassembles onto
+    # 2x2, then 2x4 — the price of resuming a shrunken run's checkpoints
+    # on more ranks (same trajectory, so the shrink ref still pins)
+    up_dir = tmp_path / "reshard-up"
 
     def serial_seed(comm):
         dns = DistributedChannelDNS(comm, CFG, pa=1, pb=1)
         dns.initialize()
         dns.run(2)
-        rot = ShardedCheckpointRotation(grow_dir, keep=2)
+        rot = ShardedCheckpointRotation(up_dir, keep=2)
         return _median_timed(lambda: rot.save(dns))
 
     row("save (serial 1x1)", 1, run_spmd(1, serial_seed)[0])
     prev = 1
     for nranks in (4, 8):
-        grow_s, full = _restore_stage(grow_dir, nranks, reshard=True)
+        up_s, full = _restore_stage(up_dir, nranks, reshard=True)
         pa, pb = choose_grid(nranks, MX, MZ, CFG.ny)
-        row(f"grow reshard ({prev}->{pa}x{pb})", nranks, grow_s)
-        np.testing.assert_array_equal(full.v, ref.v)  # growth stays bit-exact
+        row(f"reshard-up ({prev}->{pa}x{pb})", nranks, up_s)
+        np.testing.assert_array_equal(full.v, ref.v)  # reshard-up stays bit-exact
 
         def resnap(comm, pa=pa, pb=pb):
             dns = DistributedChannelDNS(comm, CFG, pa=pa, pb=pb)
-            rot = ShardedCheckpointRotation(grow_dir, keep=2)
+            rot = ShardedCheckpointRotation(up_dir, keep=2)
             rot.load_latest(dns, reshard=True)
             rot.save(dns)
             return True
@@ -171,9 +172,9 @@ def test_recovery_throughput(benchmark, tmp_path):
     lines += [
         "",
         f"snapshot size: {nbytes} bytes ({mb:.2f} MB) across the shard files;",
-        "the 8->6->4->1x1 shrink cascade and the 1x1->2x2->2x4 grow",
+        "the 8->6->4->1x1 shrink cascade and the 1x1->2x2->2x4 reshard-up",
         "cascade both reassemble bit-exactly at every stage.",
     ]
     emit("recovery", "\n".join(lines))
     shutil.rmtree(stage_dir, ignore_errors=True)
-    shutil.rmtree(grow_dir, ignore_errors=True)
+    shutil.rmtree(up_dir, ignore_errors=True)

@@ -116,9 +116,5 @@ echo "== telemetry smoke: stream + manifest + trace, < 1% recorder overhead =="
 python scripts/telemetry_smoke.py --out "$(mktemp -d)/telemetry" --steps 40
 
 echo
-echo "== scheduler smoke: multi-job manager, nested streams, bit-exact isolation =="
-python scripts/scheduler_smoke.py --out "$(mktemp -d)/scheduler"
-
-echo
 echo "== kill-restart-verify: crash at step 7, supervised restart, identity at step 10 =="
 python scripts/supervision_smoke.py

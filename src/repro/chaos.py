@@ -12,14 +12,8 @@ hand-placed fault but a stream of randomized ones.  This module provides
   hand-placed kill lands inside the step it names,
 * :func:`run_chaos_soak` — a driver that runs N schedules through the
   elastic supervisor (:func:`~repro.pencil.distributed.run_supervised_spmd`
-  with ``elastic=True, integrity=True``) and classifies every run,
-* :func:`run_scheduler_soak` — the scheduler-level soak: per seed,
-  *concurrent* jobs on one shared :class:`~repro.mpi.pool.RankPool`
-  under a :class:`~repro.core.jobs.JobManager`, with randomized faults
-  in some jobs, an optional late high-priority preemptor, and an
-  optional health prober — asserting the fault-isolation contract
-  bit-for-bit: every job that completes matches its own serial oracle
-  exactly, whatever happened to its neighbours.
+  with ``elastic=True, integrity=True``), one job at a time, and
+  classifies every run.
 
 Classification is strict about the two failure modes a recovery stack
 must never exhibit:
@@ -331,210 +325,4 @@ def soak_summary(results) -> dict:
         "restarts": sum(r.restarts for r in results),
         "shrinks": sum(r.shrinks for r in results),
         "events_fired": sum(r.events_fired for r in results),
-    }
-
-
-# ---------------------------------------------------------------------------
-# scheduler-level soak: concurrent jobs on one pool
-# ---------------------------------------------------------------------------
-
-#: graceful terminal outcomes of a scheduled job (the manager's
-#: classification precedence; anything else is a visible failure)
-JOB_HEALTHY = ("completed", "recovered", "degraded", "grown", "preempted-resumed")
-
-
-@dataclass
-class SchedulerSoakResult:
-    """Outcome of one seeded multi-job scheduler run."""
-
-    seed: int
-    #: job name -> manager outcome (``failed`` included verbatim)
-    outcomes: dict
-    #: the manager-level zero-hang guard tripped, or a job never finished
-    hung: bool = False
-    #: every *completed* job matched its serial oracle bit-for-bit
-    isolated: bool = True
-    preemptions: int = 0
-    shrinks: int = 0
-    grows: int = 0
-    restarts: int = 0
-    retries: int = 0
-    #: validated records in the manager's events.jsonl
-    manager_events: int = 0
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.hung
-            and self.isolated
-            and all(o in JOB_HEALTHY for o in self.outcomes.values())
-        )
-
-
-def run_scheduler_soak(
-    seeds,
-    workdir,
-    *,
-    config: ChannelConfig | None = None,
-    pool_size: int = 6,
-    n_steps: int = 6,
-    checkpoint_every: int = 2,
-    max_events: int = 3,
-    timeout: float = 300.0,
-    preemptor_delay: float = 0.05,
-    verbose: bool = False,
-) -> list[SchedulerSoakResult]:
-    """Soak the multi-job scheduler: one seeded scenario per seed.
-
-    Every scenario runs two concurrent jobs on a shared ``pool_size``
-    pool through a :class:`~repro.core.jobs.JobManager`:
-
-    * ``alpha`` (4 ranks) always carries a :func:`random_fault_plan`;
-    * ``beta`` (2 ranks) is the *isolation witness* — clean on half the
-      seeds, faulted (with an independent schedule) on the other half;
-    * on half the seeds a high-priority ``gamma`` arrives
-      ``preemptor_delay`` seconds in and must preempt a running job
-      (checkpoint + requeue — never lost work);
-    * half the seeds run a health prober, so quarantined ranks return
-      and jobs grow back; the other half leave the quarantine sticky.
-
-    Classification is the manager's (``completed`` / ``recovered`` /
-    ``degraded`` / ``grown`` / ``preempted-resumed``); the isolation
-    assertion is *exact*: a completed job's final state must equal its
-    own uninterrupted serial trajectory bit-for-bit — the distributed
-    solver is grid-invariant to the bit and restores are bit-exact, so
-    any cross-job interference whatsoever shows up here.  ``timeout``
-    is the per-seed zero-hang guard.  Each scenario leaves its manager
-    ``events.jsonl`` (validated, schema v4) and per-job streams under
-    ``workdir/sched-NNNNN/``; checkpoints are cleaned up.
-    """
-    from dataclasses import replace
-
-    from repro.core.jobs import JobManager, JobSpec
-    from repro.mpi.pool import RankPool
-    from repro.telemetry import read_stream
-
-    config = config or ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
-    workdir = pathlib.Path(workdir)
-    cfg = {
-        "alpha": replace(config, seed=config.seed),
-        "beta": replace(config, seed=config.seed + 13),
-        "gamma": replace(config, seed=config.seed + 26),
-    }
-    steps = {"alpha": n_steps, "beta": n_steps, "gamma": max(2, n_steps // 2)}
-    # one oracle per job config, shared by every seed (exact, atol=0)
-    oracles = {name: _serial_reference(cfg[name], steps[name]) for name in cfg}
-    results: list[SchedulerSoakResult] = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed + 777_000)
-        fault_beta = bool(rng.integers(0, 2))
-        with_gamma = bool(rng.integers(0, 2))
-        with_prober = bool(rng.integers(0, 2))
-        directory = workdir / f"sched-{seed:05d}"
-        shutil.rmtree(directory, ignore_errors=True)
-        mgr = JobManager(
-            RankPool(pool_size),
-            directory=directory,
-            prober=(lambda _r: True) if with_prober else None,
-            backoff_base=0.01,
-            backoff_max=0.05,
-        )
-
-        def _spec(name, ranks, priority=0, plan=None, start_after=0.0):
-            budget = (len(plan.events) + 2) if plan is not None else 3
-            return JobSpec(
-                name,
-                cfg[name],
-                n_steps=steps[name],
-                ranks=ranks,
-                priority=priority,
-                min_ranks=min(2, ranks) if name == "gamma" else 1,
-                checkpoint_every=checkpoint_every,
-                max_restarts=budget,
-                max_retries=2,
-                # same stateful plan on every attempt of the placement
-                fault_plans=[plan] * (budget + 1) if plan is not None else (),
-                start_after=start_after,
-            )
-
-        mgr.submit(_spec("alpha", 4, plan=random_fault_plan(seed, 4, max_events=max_events)))
-        mgr.submit(
-            _spec(
-                "beta",
-                2,
-                plan=random_fault_plan(seed + 10_000, 2, max_events=max_events)
-                if fault_beta
-                else None,
-            )
-        )
-        if with_gamma:
-            mgr.submit(_spec("gamma", 2, priority=5, start_after=preemptor_delay))
-        records = mgr.run(timeout=timeout)
-
-        res = SchedulerSoakResult(
-            seed=seed,
-            outcomes={n: (r.outcome or r.state) for n, r in records.items()},
-            hung=mgr.timed_out or not all(r.finished for r in records.values()),
-        )
-        mismatches = []
-        for name, rec in records.items():
-            res.preemptions += rec.preemptions
-            res.shrinks += rec.counters.shrinks
-            res.grows += rec.counters.grows
-            res.restarts += rec.counters.restarts
-            res.retries += rec.retries
-            if rec.state == "completed":
-                ref = oracles[name]
-                exact = all(
-                    np.array_equal(a, b)
-                    for a, b in (
-                        (rec.result.v, ref.v),
-                        (rec.result.omega_y, ref.omega_y),
-                        (rec.result.u00, ref.u00),
-                        (rec.result.w00, ref.w00),
-                    )
-                ) and rec.result.time == ref.time
-                if not exact:
-                    mismatches.append(name)
-        if mismatches:
-            res.isolated = False
-            res.detail = f"bit divergence vs serial oracle: {mismatches}"
-        # the manager stream must validate record-for-record (schema v4)
-        res.manager_events = sum(
-            1 for r in read_stream(directory / "events.jsonl") if r["type"] == "event"
-        )
-        results.append(res)
-        if verbose:
-            print(
-                f"seed {seed:5d}: {res.outcomes} "
-                f"hung={res.hung} isolated={res.isolated} "
-                f"preempt={res.preemptions} shrinks={res.shrinks} "
-                f"grows={res.grows} retries={res.retries} {res.detail}"
-            )
-        # keep the event streams (CI artifact), drop the bulky snapshots
-        for ckpt in directory.glob("job-*/checkpoints"):
-            shutil.rmtree(ckpt, ignore_errors=True)
-    return results
-
-
-def scheduler_soak_summary(results) -> dict:
-    """Aggregate a scheduler soak sweep: outcome histogram + invariants."""
-    hist: dict[str, int] = {}
-    for r in results:
-        for outcome in r.outcomes.values():
-            hist[outcome] = hist.get(outcome, 0) + 1
-    return {
-        "runs": len(results),
-        "jobs": sum(len(r.outcomes) for r in results),
-        "outcomes": hist,
-        "all_ok": all(r.ok for r in results),
-        "hangs": sum(1 for r in results if r.hung),
-        "isolation_breaks": sum(1 for r in results if not r.isolated),
-        "preemptions": sum(r.preemptions for r in results),
-        "shrinks": sum(r.shrinks for r in results),
-        "grows": sum(r.grows for r in results),
-        "restarts": sum(r.restarts for r in results),
-        "retries": sum(r.retries for r in results),
-        "manager_events": sum(r.manager_events for r in results),
     }

@@ -259,6 +259,9 @@ class CheckpointRotation:
         """The pointer target when it exists, else the newest snapshot."""
         return self.generations.head()
 
+    def refuse(self, dns: ChannelDNS) -> None:
+        """A serial save has no peers to stop (see the sharded rotation's)."""
+
     def save(self, dns: ChannelDNS) -> pathlib.Path:
         path = save_checkpoint(dns, self.directory / f"{self.basename}-{dns.step_count:09d}.npz")
         # a streaming-statistics sidecar rides along with every snapshot
@@ -342,6 +345,14 @@ class ShardedCheckpointRotation:
         return self.generations.paths()
 
     # -- write ----------------------------------------------------------
+
+    def refuse(self, ddns) -> None:
+        """Fail the peers' :meth:`save` at its opening barrier.
+
+        A rank that will not save calls this before it raises: it returns
+        once every peer has reached the save, so none is torn down
+        mid-step, and no peer writes a shard."""
+        ddns.comm.break_barrier()
 
     def save(self, ddns) -> pathlib.Path:
         """Collectively write one sharded snapshot of ``ddns``."""

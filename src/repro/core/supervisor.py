@@ -4,12 +4,14 @@ The paper's campaign spans months of allocations where node failures
 and queue-limit kills are routine; the run harness, not the operator,
 absorbs them.  :class:`Supervisor` is that harness, written once.  It
 owns the policy: the per-step body (step, controllers, callback,
-watchdog, a snapshot on cadence that refuses a non-finite state, then
-the scheduler probe), the :data:`RECOVERABLE` set, both retry budgets
-(``max_retries`` without forward progress, ``max_restarts`` in total),
-the bounded jittered backoff (:func:`backoff_delay`), a dt reduction
-after :class:`UnstableError`, shrink/grow re-planning, preemption, and
-the :class:`RecoveryEvent` log mirrored into telemetry.
+watchdog, a snapshot on cadence that refuses a non-finite state), the
+:data:`RECOVERABLE` set, both retry budgets (``max_retries`` without
+forward progress, ``max_restarts`` in total), the bounded exponential
+backoff (:func:`backoff_delay`), a dt reduction after
+:class:`UnstableError`, re-planning onto the survivors of an elastic
+shrink, and the :class:`RecoveryEvent` log mirrored into telemetry.
+One job runs per allocation, as in the paper: the loop never grows a
+run or yields its ranks to another job.
 
 A *launch* owns only what differs: :class:`InThreadLaunch` steps one
 :class:`~repro.core.solver.ChannelDNS` in the caller's thread and rolls
@@ -28,7 +30,6 @@ the uninterrupted one (``tests/core/test_supervisor.py``,
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -36,13 +37,7 @@ from typing import Any, Callable, Sequence
 from repro.core.checkpoint import CheckpointCorruptError, CheckpointRotation
 from repro.core.health import DivergedError, HealthCheckError, UnstableError
 from repro.instrument import RecoveryCounters, SectionTimers
-from repro.mpi.simmpi import (
-    GrowRequired,
-    PreemptRequired,
-    RankFailure,
-    ShrinkRequired,
-    SimMPIError,
-)
+from repro.mpi.simmpi import RankFailure, ShrinkRequired, SimMPIError
 from repro.pencil.decomp import choose_grid
 
 #: failure types the supervisor absorbs; anything else propagates raw
@@ -67,10 +62,6 @@ class SupervisorPolicy:
     backoff_factor: float = 2.0
     #: delay ceiling in seconds
     backoff_max: float = 60.0
-    #: symmetric jitter fraction applied to each (bounded) delay so
-    #: co-scheduled jobs don't retry in lockstep; the draw sequence is
-    #: deterministic from the run seed.  0 disables (exact schedule).
-    backoff_jitter: float = 0.0
     #: dt multiplier applied after an UnstableError (graceful degradation)
     dt_factor: float = 0.5
     #: dt floor for degradation
@@ -83,8 +74,6 @@ class SupervisorPolicy:
             raise ValueError("max_retries must be >= 1")
         if not 0.0 < self.dt_factor < 1.0:
             raise ValueError("dt_factor must lie in (0, 1)")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("backoff_jitter must lie in [0, 1)")
 
 
 @dataclass
@@ -93,7 +82,7 @@ class RecoveryEvent:
 
     step: int
     #: "failure" | "rollback" | "dt_reduction" | "restart" | "shrink" |
-    #: "grow" | "preempted" | "giving_up"
+    #: "giving_up"
     kind: str
     detail: str
     #: the attempt (launch) the event belongs to, counted from 0
@@ -102,17 +91,10 @@ class RecoveryEvent:
     info: dict = field(default_factory=dict)
 
 
-def backoff_delay(retry: int, base: float, factor: float, ceiling: float,
-                  jitter: float = 0.0, rng: random.Random | None = None) -> float:
+def backoff_delay(retry: int, base: float, factor: float, ceiling: float) -> float:
     """The delay before retry number ``retry`` (from 1):
-    ``base * factor^(retry - 1)`` capped at ``ceiling``, scaled by ``1 ± jitter``
-    from one ``rng.random()`` draw when both the delay and the jitter are
-    non-zero.  Seeding ``rng`` per job makes the schedule reproducible
-    while co-scheduled jobs desynchronize."""
-    delay = min(ceiling, base * factor ** (retry - 1))
-    if jitter > 0.0 and delay > 0:
-        delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
-    return delay
+    ``base * factor^(retry - 1)`` capped at ``ceiling``."""
+    return min(ceiling, base * factor ** (retry - 1))
 
 
 @dataclass(eq=False)
@@ -121,13 +103,10 @@ class Supervisor:
 
     ``launch`` provides ``config``, ``grid`` (``(ranks, pa, pb)``),
     ``where()`` (the step and dt the run stands at), ``attempt(supervisor,
-    target, callback)``, ``recover(supervisor, exc, step)``, ``set_dt(dt)``
-    and, with scheduler hooks, ``agree(dns, decide)``.  ``monitor_factory``
-    builds each driver's watchdog.  ``max_restarts`` caps the recoveries of
-    one :meth:`run_to` (None: only the per-frontier budget binds).
-    ``should_stop``/``grow_source`` are the scheduler's boundary hooks,
-    ``max_ranks``/``min_ranks`` bound growth and shrinking, and
-    ``on_shrink(dead, survivors)`` lets a pool quarantine lost ranks.
+    target, callback)``, ``recover(supervisor, exc, step)`` and
+    ``set_dt(dt)``.  ``monitor_factory`` builds each driver's watchdog.
+    ``max_restarts`` caps the recoveries of one :meth:`run_to` (None: only
+    the per-frontier budget binds).  ``min_ranks`` bounds shrinking.
     """
 
     launch: Any
@@ -139,14 +118,10 @@ class Supervisor:
     timers: SectionTimers | None = None
     sleep: Callable[[float], Any] = time.sleep
     recorder: Any = None
-    should_stop: Callable[[], Any] | None = None
-    grow_source: Any = None
-    max_ranks: int | None = None
     min_ranks: int = 1
-    on_shrink: Callable[[Sequence[int], Sequence[int]], Any] | None = None
     log: list[RecoveryEvent] = field(default_factory=list, init=False)
-    #: attempts launched so far (a rollback, restart, shrink or grow
-    #: starts the next one)
+    #: attempts launched so far (a rollback, restart or shrink starts the
+    #: next one)
     attempt: int = field(default=0, init=False)
     #: recoveries within the current run_to (the ``max_restarts`` budget)
     restarts: int = field(default=0, init=False)
@@ -156,10 +131,6 @@ class Supervisor:
         self.controllers = tuple(self.controllers)
         self.counters = self.counters if self.counters is not None else RecoveryCounters()
         self.timers = self.timers if self.timers is not None else SectionTimers()
-        # jitter draws come from the run seed, so a job's retry schedule is
-        # reproducible while co-scheduled jobs (different seeds) desynchronize
-        self._jitter_rng = random.Random(self.launch.config.seed)
-        self.rank_cap = max(self.max_ranks or 0, self.launch.grid[0])
         if self.recorder is not None:
             self.recorder.add_group("recovery", self.counters)
 
@@ -193,10 +164,7 @@ class Supervisor:
                 if self._budget_spent(exc, failed_at, consecutive):
                     raise  # the rank's own failure, type and message intact
                 p = self.policy
-                delay = backoff_delay(
-                    consecutive, p.backoff_base, p.backoff_factor, p.backoff_max,
-                    p.backoff_jitter, self._jitter_rng,
-                )
+                delay = backoff_delay(consecutive, p.backoff_base, p.backoff_factor, p.backoff_max)
                 if delay > 0:
                     self.sleep(delay)
                 self.launch.recover(self, exc, failed_at)
@@ -204,34 +172,18 @@ class Supervisor:
                     self._reduce_dt(dt)
             except ShrinkRequired as exc:
                 n = len(exc.survivors)
-                # quarantine the dead ranks even when the job is about to
-                # give up — the pool must stay honest either way
-                if self.on_shrink is not None:
-                    self.on_shrink(exc.dead, exc.survivors)
                 if n < self.min_ranks:
                     detail = f"{n} survivors < min_ranks={self.min_ranks}"
                     self.record("giving_up", -1, detail, {"ranks": n})
                     raise
-                self._replan("shrink", exc, n)
+                self._replan(exc, n)
                 self.counters.shrinks += 1
-            except GrowRequired as exc:
-                # a concurrent job may have won the free ranks between
-                # probe and commit: then resume at the current size, no event
-                with self.timers.section(SectionTimers.ELASTIC):
-                    claimed = self.grow_source.claim(exc.ranks - self.launch.grid[0])
-                if claimed:
-                    self._replan("grow", exc, exc.ranks)
-                    self.counters.grows += 1
-            except PreemptRequired as exc:
-                info = {"ranks": self.launch.grid[0], "reason": exc.reason}
-                self.record("preempted", exc.step, f"PreemptRequired: {exc}", info)
-                raise
             self.attempt += 1
 
     def advance(self, dns, rotation, target: int, callback, timers: SectionTimers) -> None:
         """The per-step body on one driver (one rank's, under the ranks
         launch): step until ``target`` or the first failure, snapshotting
-        on cadence and probing the scheduler at each snapshot boundary."""
+        on cadence."""
         monitor = self.monitor_factory() if self.monitor_factory is not None else None
         while dns.step_count < target:
             dns.step()
@@ -243,16 +195,16 @@ class Supervisor:
                 monitor(dns)
             if dns.step_count % self.policy.checkpoint_every == 0 or dns.step_count >= target:
                 self.checkpoint(dns, rotation, timers)
-                if dns.step_count < target:
-                    self._probe(dns)
 
     def checkpoint(self, dns, rotation, timers: SectionTimers) -> None:
         """Snapshot ``dns`` — never a poisoned state, even with the watchdog
         off or on a sparse cadence.  Each driver tests its own block: a
-        rank that refuses fails the collective save for all, so no shard
-        of that step is written, and no extra collective shifts the call
-        counts fault plans are placed by."""
+        rank that refuses fails the collective save for all, but only
+        once every peer has finished the step, so no shard of that step
+        is written, and no extra collective shifts the call counts fault
+        plans are placed by."""
         if not dns._require_state().finite():
+            rotation.refuse(dns)
             raise DivergedError(
                 f"non-finite state at checkpoint (step {dns.step_count})",
                 step=dns.step_count,
@@ -293,52 +245,15 @@ class Supervisor:
         self.counters.dt_reductions += 1
         self.record("dt_reduction", self.launch.where()[0], f"dt -> {new_dt:.3e}")
 
-    def _replan(self, kind: str, exc: BaseException, n: int) -> None:
-        """Re-plan the process grid for ``n`` ranks and relaunch on it."""
+    def _replan(self, exc: ShrinkRequired, n: int) -> None:
+        """Re-plan the process grid for the ``n`` survivors and relaunch on it."""
+        cfg = self.launch.config
         with self.timers.section(SectionTimers.ELASTIC):
-            pa, pb = self._grid_for(n)
+            pa, pb = choose_grid(n, cfg.nx // 2, cfg.nz - 1, cfg.ny)
         _, old_pa, old_pb = self.launch.grid
         detail = f"{exc}; re-planned {old_pa}x{old_pb} -> {pa}x{pb} on {n} ranks"
-        self.record(kind, -1, detail, {"ranks": n, "pa": pa, "pb": pb})
+        self.record("shrink", -1, detail, {"ranks": n, "pa": pa, "pb": pb})
         self.launch.grid = (n, pa, pb)
-
-    def _grid_for(self, n: int) -> tuple[int, int]:
-        cfg = self.launch.config
-        return choose_grid(n, cfg.nx // 2, cfg.nz - 1, cfg.ny)
-
-    def _probe(self, dns) -> None:
-        """Scheduler control point: the boundary snapshot just landed, so
-        a stop here loses nothing.  One driver decides, every driver hears
-        the same verdict, and none is inside a collective when the typed
-        control exception fires."""
-        if self.should_stop is None and self.grow_source is None:
-            return
-        reason, grow_to = self.launch.agree(dns, self._decide)
-        if reason:
-            raise PreemptRequired(reason, step=dns.step_count)
-        if grow_to is not None:
-            raise GrowRequired(grow_to, self.launch.grid[0])
-
-    def _decide(self) -> tuple[str | None, int | None]:
-        reason = self.should_stop() if self.should_stop is not None else None
-        return (str(reason), None) if reason else (None, self._grow_target())
-
-    def _grow_target(self) -> int | None:
-        """Largest world size up to ``rank_cap`` and the free ranks that
-        :func:`choose_grid` accepts (a prime count may admit no grid)."""
-        cur = self.launch.grid[0]
-        if self.grow_source is None or cur >= self.rank_cap:
-            return None
-        avail = self.grow_source.available()
-        if avail <= 0:
-            return None
-        for n in range(min(self.rank_cap, cur + avail), cur, -1):
-            try:
-                self._grid_for(n)
-            except ValueError:
-                continue
-            return n
-        return None
 
     # ------------------------------------------------------------------
 

@@ -247,9 +247,8 @@ class RecoveryCounters(Counters):
     verification, ``failures`` watchdog/collective trips the supervisor
     caught, ``rollbacks`` in-thread restores, ``restarts`` relaunches of
     an SPMD program.  The elastic path adds ``shrinks`` (survivor-set
-    reductions after a rank death), ``grows`` (re-expansions onto
-    returned ranks) and ``reshard_restores`` (snapshots reassembled onto
-    a different process grid).
+    reductions after a rank death) and ``reshard_restores`` (snapshots
+    reassembled onto a different process grid).
     """
 
     checkpoints_saved: int = 0
@@ -260,7 +259,6 @@ class RecoveryCounters(Counters):
     restarts: int = 0
     dt_reductions: int = 0
     shrinks: int = 0
-    grows: int = 0
     reshard_restores: int = 0
 
 

@@ -15,12 +15,9 @@ Performance *at scale* is not measured here — that is the job of
 :mod:`repro.perfmodel`, which models the four benchmark machines.
 """
 
-from repro.mpi.pool import LeaseGrowSource, PoolExhausted, RankLease, RankPool
 from repro.mpi.simmpi import (
     Communicator,
     CartesianCommunicator,
-    GrowRequired,
-    PreemptRequired,
     ShrinkRequired,
     SimMPIError,
     run_spmd,
@@ -31,12 +28,6 @@ __all__ = [
     "CartesianCommunicator",
     "CommPattern",
     "Communicator",
-    "GrowRequired",
-    "LeaseGrowSource",
-    "PoolExhausted",
-    "PreemptRequired",
-    "RankLease",
-    "RankPool",
     "ShrinkRequired",
     "SimMPIError",
     "comm_grid",

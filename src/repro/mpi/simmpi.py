@@ -10,7 +10,10 @@ Failure semantics are hardened for the fault-tolerant run harness: the
 first failure on a communicator is *recorded* (which world rank, inside
 which operation, with what error) before the barrier is aborted, so
 every surviving rank raises a :class:`SimMPIError` that names the
-culprit instead of deadlocking or guessing.  A seeded
+culprit instead of deadlocking or guessing.  A barrier that released
+every rank stays passed for all of them, even when one rank fails
+before a peer it released has woken up: the abort belongs to whatever
+comes next.  A seeded
 :class:`FaultPlan` can be attached to :func:`run_spmd` to deterministically
 kill a rank at the N-th collective, corrupt or drop a payload, or delay
 a deposit — the failure modes a 786K-core machine serves up routinely —
@@ -144,42 +147,6 @@ class ShrinkRequired(RuntimeError):
         self.survivors = survivors
         self.dead = dead
         self.op = op
-
-
-class GrowRequired(RuntimeError):
-    """The supervisor should relaunch this program on more ranks.
-
-    Raised *collectively* (every rank, after a rank-0 broadcast of the
-    decision at a checkpoint boundary — so no rank is inside a collective
-    when it fires) by an elastic program that observed freed/returned
-    ranks in its :class:`~repro.mpi.pool.RankPool`.  ``ranks`` is the
-    target world size; the supervisor re-plans the grid and resumes
-    through the resharding reader.  Not a failure: it must escape
-    :func:`run_spmd` unwrapped, which the error-precedence rules
-    guarantee (it is not a ``SimMPIError``).
-    """
-
-    def __init__(self, ranks: int, current: int) -> None:
-        super().__init__(f"grow from {current} to {ranks} ranks")
-        self.ranks = int(ranks)
-        self.current = int(current)
-
-
-class PreemptRequired(RuntimeError):
-    """The supervisor should checkpoint-stop this program and requeue it.
-
-    Raised collectively (same broadcast-then-raise discipline as
-    :class:`GrowRequired`) when a scheduler asks a running job to yield
-    its ranks to a higher-priority job.  The program checkpoints before
-    raising, so preemption never loses work.  ``reason`` is the
-    scheduler-provided cause; ``step`` the last completed (and
-    checkpointed) step.
-    """
-
-    def __init__(self, reason: str = "preempted", step: int = -1) -> None:
-        super().__init__(f"{reason} at step {step}")
-        self.reason = reason
-        self.step = int(step)
 
 
 class _CheckedPayload:
@@ -520,12 +487,32 @@ class _FailureDomain:
         )
 
 
+class _Generations:
+    """A barrier's ``action``: counts the generations it released, or
+    breaks the barrier instead once a party has refused it.
+
+    The last party runs it under the barrier's own lock, before it wakes
+    the others, so it costs no extra lock round."""
+
+    __slots__ = ("count", "refused")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.refused = False
+
+    def __call__(self) -> None:
+        if self.refused:
+            raise threading.BrokenBarrierError  # nobody passes
+        self.count += 1
+
+
 class _Context:
     """Shared state of one communicator (one instance per comm, not per rank)."""
 
     def __init__(self, size: int, domain: _FailureDomain | None = None) -> None:
         self.size = size
-        self.barrier = threading.Barrier(size)
+        self.passed = _Generations()
+        self.barrier = threading.Barrier(size, action=self.passed)
         self.board: list[Any] = [None] * size
         self.lock = threading.Lock()
         self.domain = domain if domain is not None else _FailureDomain()
@@ -575,9 +562,15 @@ class _Context:
     def sync(self, op: str = "collective", world_rank: int | None = None) -> None:
         if self.domain.error.is_set():
             raise self.domain.peer_error(op, world_rank)
+        generation = self.passed.count
         try:
             self.barrier.wait()
         except threading.BrokenBarrierError as exc:
+            # a party already released, but not yet awake, sees a later
+            # abort as a broken barrier: if this generation was released,
+            # the barrier completed and the abort belongs to what follows
+            if self.passed.count != generation:
+                return
             raise self.domain.peer_error(op, world_rank) from exc
 
     def fail(self, world_rank: int | None, op: str, exc: BaseException) -> None:
@@ -1004,6 +997,20 @@ class Communicator:
         self._inject("barrier", None)
         self._sync("barrier")
 
+    def break_barrier(self) -> None:
+        """Arrive at the next barrier and break it once every member has
+        arrived: nobody passes, so each peer's :meth:`barrier` raises.  A
+        rank that must fail a collective phase calls this first, so it
+        fails only after every peer has reached that phase.  No fault is
+        injected: the call counts fault plans are placed by stay as they
+        were without it."""
+        ctx = self._ctx
+        ctx.passed.refused = True
+        try:
+            ctx.barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+
     def bcast(self, obj: Any, root: int = 0) -> Any:
         ctx = self._ctx
         if self.rank == root:
@@ -1304,11 +1311,6 @@ def run_spmd(
         except ShrinkRequired as exc:
             # an agreed shrink is an outcome, not a new failure: the
             # domain is already aborted and the census already complete
-            errors[rank] = exc
-        except (GrowRequired, PreemptRequired) as exc:
-            # cooperative outcomes, raised collectively after a rank-0
-            # broadcast at a checkpoint boundary — no rank is inside a
-            # collective, so there are no peers to abort
             errors[rank] = exc
         except BaseException as exc:  # noqa: BLE001 - must not deadlock peers
             errors[rank] = exc

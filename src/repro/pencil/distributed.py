@@ -322,10 +322,6 @@ def run_supervised_spmd(
     telemetry=None,
     wire_precision: str = "full",
     stages: int = DEFAULT_STAGES,
-    grow_source=None,
-    max_ranks: int | None = None,
-    should_stop: Callable[[], Any] | None = None,
-    on_shrink: Callable[[Sequence[int], Sequence[int]], Any] | None = None,
     streaming_every: int = 0,
     publish=None,
 ):
@@ -345,17 +341,12 @@ def run_supervised_spmd(
     ``elastic=True`` turns a rank death into a
     :class:`~repro.mpi.simmpi.ShrinkRequired`: the grid is re-planned for
     the agreed survivors (down to ``min_ranks``) and the job continues
-    through the resharding reader.  ``grow_source``
-    (``available()``/``claim(n)``, e.g.
-    :class:`~repro.mpi.pool.LeaseGrowSource`) is probed at every snapshot
-    boundary to grow back toward ``max_ranks`` (default ``nranks``).
-    Neither move consumes the restart budget.  ``on_shrink(dead,
-    survivors)`` lets a pool quarantine lost ranks; ``should_stop`` is
-    the scheduler's preemption hook, raising
-    :class:`~repro.mpi.simmpi.PreemptRequired` after a boundary snapshot
-    landed.  A recovered run is bit-for-bit the uninterrupted one, a
-    shrunken or grown run a fresh one at the new grid
-    (``tests/pencil/test_checkpoint.py``, ``tests/pencil/test_elastic.py``).
+    through the resharding reader, without consuming the restart budget.
+    The job never grows back within one call; a later call on more ranks
+    resumes the same ``checkpoint_dir`` through the same reader.  A
+    recovered run is bit-for-bit the uninterrupted one, a shrunken run a
+    fresh one at the survivor grid (``tests/pencil/test_checkpoint.py``,
+    ``tests/pencil/test_elastic.py``).
 
     ``telemetry`` writes each attempt's per-rank streams under
     ``<dir>/attempt-NN/`` and the job's decisions into
@@ -377,8 +368,7 @@ def run_supervised_spmd(
         # is set past the point where max_restarts binds
         policy=SupervisorPolicy(checkpoint_every=checkpoint_every, max_retries=max_restarts + 1),
         max_restarts=max_restarts, monitor_factory=monitor_factory, counters=counters,
-        timers=timers, recorder=launch.recorder, should_stop=should_stop,
-        grow_source=grow_source, max_ranks=max_ranks, min_ranks=min_ranks, on_shrink=on_shrink,
+        timers=timers, recorder=launch.recorder, min_ranks=min_ranks,
     )
     try:
         return sup.run_to(n_steps), sup.log

@@ -287,9 +287,9 @@ class StreamingStatistics:
 
         Collective (performs the packed merge); only the lead rank
         writes.  The sidecar holds *global* sums, so any later
-        decomposition — including a serial collapse or an elastic
-        shrink/grow — can restore it.  Returns the written path on the
-        writing rank, ``None`` elsewhere.
+        decomposition — including a serial collapse, an elastic shrink or
+        a later run on more ranks — can restore it.  Returns the written
+        path on the writing rank, ``None`` elsewhere.
         """
         import pathlib
 

@@ -76,7 +76,7 @@ class CheckpointUnrecoverableError(CheckpointCorruptError):
     one was rejected.  ``generations`` preserves the full attribution as
     ``[(snapshot_name, [failure, ...]), ...]`` in the order tried, where
     each failure is ``{"rank", "path", "reason", "message"}`` (``rank``
-    is None for the serial rotation) — so a job manager can report which
+    is None for the serial rotation) — so a caller can report which
     rank's shard broke in which generation without parsing the message.
     """
 

@@ -98,15 +98,12 @@ def build_manifest(
     nranks: int = 1,
     grid: tuple[int, int] | None = None,
     extra: dict | None = None,
-    pool: dict | None = None,
 ) -> dict:
     """Assemble the manifest dict for one run.
 
     ``grid`` is the SPMD process grid ``(pa, pb)`` when applicable;
     ``extra`` is merged in verbatim under ``"extra"`` (campaign ids,
-    scheduler job ids, ...).  ``pool`` is the rank-pool block of a
-    multi-job scheduler manifest (a :meth:`~repro.mpi.pool.RankPool.census`
-    snapshot plus submitted-job metadata); ``None`` for single runs.
+    batch job ids, ...).
     """
     cfg_dict, fingerprint = config_fingerprint(config)
     return {
@@ -120,7 +117,6 @@ def build_manifest(
         "machine": _machine(),
         "nranks": int(nranks),
         "process_grid": list(grid) if grid is not None else None,
-        "pool": dict(pool) if pool else None,
         "extra": dict(extra) if extra else {},
     }
 

@@ -337,15 +337,8 @@ class RunRecorder:
         detail: str = "",
         attempt: int = 0,
         info: dict | None = None,
-        job: str | None = None,
     ) -> None:
-        """Emit one ``event`` record (opens the stream if needed).
-
-        ``job`` tags the record with the owning job's name — set by
-        manager-level streams (a :class:`~repro.core.jobs.JobManager`
-        ``events.jsonl`` interleaves several jobs' events), absent in
-        single-run streams.
-        """
+        """Emit one ``event`` record (opens the stream if needed)."""
         self.open()
         if step is None:
             dns = self._driver()
@@ -362,8 +355,6 @@ class RunRecorder:
             "rank": self.rank,
             "nranks": self.nranks,
         }
-        if job is not None:
-            rec["job"] = job
         self._write(rec)
         self.counters.events += 1
         self.flush()

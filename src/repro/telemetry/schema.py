@@ -29,14 +29,17 @@ from typing import Iterator
 from repro.instrument import GROUPS, SectionTimers
 
 #: version stamped into every record and the manifest.
-#: v4 added the optional ``job`` event field (multi-job scheduler: a
-#: manager-level ``events.jsonl`` interleaves events of several jobs)
-#: and the pool/job lifecycle event kinds.
+#: v4 added the optional ``job`` event field and the pool/job lifecycle
+#: event kinds of a multi-job scheduler.
 #: v5 added the optional ``stats`` step group (streaming-statistics
 #: accumulator counters, :mod:`repro.serving`) and the ``stats`` entry
 #: in the section-timer enumeration.
 #: v6 removed the manifest's ``wisdom`` block (plan-wisdom provenance).
-SCHEMA_VERSION = 6
+#: v7 removed what only that scheduler wrote: the ``job`` event field,
+#: the job lifecycle and ``grow``/``preempted`` event kinds, the
+#: manifest's ``pool`` block and the ``recovery`` group's ``grows``
+#: counter.
+SCHEMA_VERSION = 7
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -138,21 +141,14 @@ EVENT_FIELDS: dict[str, tuple[bool, str]] = {
     "step": (True, "driver step count when the event fired (`-1` when unknown/job-level)"),
     "kind": (
         True,
-        "event kind: `failure` | `rollback` | `dt_reduction` | `restart` | `shrink` | `grow` | "
-        "`preempted` | `giving_up` | `attach` | `complete` | `soak_result` | `soak_summary` | "
-        "custom kinds; manager-level streams add the job lifecycle kinds `submitted` | "
-        "`placed` | `completed` | `failed` | `requeued` | `quarantine` | `probe`",
+        "event kind: `failure` | `rollback` | `dt_reduction` | `restart` | `shrink` | "
+        "`giving_up` | `attach` | `complete` | `soak_result` | `soak_summary` | custom kinds",
     ),
     "detail": (True, "human-readable one-liner"),
     "attempt": (True, "retry attempt index the event belongs to (0 outside retry loops)"),
     "info": (True, "structured extras, e.g. a shrink's `{ranks, pa, pb}` (object, may be empty)"),
     "rank": (True, "emitting rank (`-1` for job-level supervisors outside the SPMD program)"),
     "nranks": (True, "world size of the run"),
-    "job": (
-        False,
-        "job name the event belongs to; present in manager-level streams "
-        "(`JobManager` `events.jsonl`), absent in single-run streams",
-    ),
 }
 
 #: ``type: "summary"`` — last record of a cleanly closed stream

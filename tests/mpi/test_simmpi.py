@@ -1,5 +1,7 @@
 """SimMPI collective/point-to-point/topology semantics tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,24 @@ class TestErrorHandling:
 
         with pytest.raises(ValueError, match="rank 1 exploded"):
             run_spmd(4, prog)
+
+    def test_completed_barrier_survives_a_later_abort(self):
+        """A rank the barrier already released keeps that barrier when the
+        releasing peer fails before this rank wakes up: it passed."""
+        for trial in range(20):
+            passed = []
+
+            def prog(comm):
+                if comm.rank == 0:
+                    time.sleep(0.002)  # arrive last: rank 0 releases rank 1
+                    comm.barrier()
+                    raise ValueError("rank 0 failed after the barrier")
+                comm.barrier()
+                passed.append(comm.rank)
+
+            with pytest.raises(ValueError, match="after the barrier"):
+                run_spmd(2, prog)
+            assert passed == [1], f"trial {trial}: rank 1 lost its completed barrier"
 
     def test_recv_timeout_raises(self):
         def prog(comm):

@@ -5,6 +5,8 @@ mid-transpose and that is relaunched by the job-level supervisor lands
 bit-for-bit on the uninterrupted trajectory.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,34 @@ class TestRanksLaunchGuards:
         for shard in shards:
             _, arrays = read_npz(shard)
             assert all(np.all(np.isfinite(a)) for a in arrays.values()), shard
+
+    def test_refusal_waits_until_every_peer_finished_the_step(self, tmp_path):
+        """Rank 0 refuses its step-5 snapshot while rank 3 is still busy
+        after step 5: the attempt fails only once rank 3 has reached the
+        save too, never while a peer is still stepping."""
+        poisoned, failed_before_rank3_saved = [], []
+
+        def monitor_factory():
+            def monitor(dns) -> None:
+                if dns.step_count != 5:
+                    return
+                if dns.comm.rank == 0 and not poisoned:
+                    poisoned.append(True)
+                    dns.state.v[0, 0, 0] = np.nan
+                elif dns.comm.rank == 3 and not failed_before_rank3_saved:
+                    time.sleep(0.2)
+                    failed_before_rank3_saved.append(dns.comm._ctx.error.is_set())
+
+            return monitor
+
+        final, log = run_supervised_spmd(
+            4, CFG, pa=2, pb=2, n_steps=5, checkpoint_dir=tmp_path,
+            checkpoint_every=5, monitor_factory=monitor_factory,
+        )
+
+        assert [e.kind for e in log] == ["restart"] and "DivergedError" in log[0].detail
+        assert failed_before_rank3_saved == [False]
+        np.testing.assert_array_equal(final.v, _uninterrupted_state(5).v)
 
     def test_unstable_relaunches_at_reduced_dt(self, tmp_path):
         """A monitor that trips while the configured dt is in force: one

@@ -4,7 +4,8 @@ The distributed acceptance property: a run killed at rank ``r`` mid-step
 shrinks to ``P-1`` survivors, restores from the sharded snapshot via the
 resharding reader, and lands bit-for-bit on a fresh ``P-1`` run started
 from that snapshot — pinned for a ``2x2 -> 1x3`` shrink and for the
-shrink to serial ``1x1``.
+shrink to serial ``1x1``.  A later run at the full width resumes the
+shrunken run's snapshots and lands on the uninterrupted bits.
 """
 
 import shutil
@@ -15,8 +16,7 @@ import pytest
 from repro.core import ChannelConfig
 from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.instrument import RecoveryCounters, SectionTimers
-from repro.mpi.pool import LeaseGrowSource, RankPool
-from repro.mpi.simmpi import PreemptRequired, ShrinkRequired, run_spmd
+from repro.mpi.simmpi import ShrinkRequired, run_spmd
 from repro.mpi.topology import factor_pairs
 from repro.pencil.decomp import choose_grid
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
@@ -257,55 +257,40 @@ def _uninterrupted(nranks, pa, pb, n_steps):
 
 
 class TestElasticGrowIdentity:
-    """THE expansion acceptance criterion: a degraded run grown back to
-    its original rank count is bit-identical to an uninterrupted run."""
+    """A degraded run is brought back to its original rank count by a
+    later launch at that size: the second job resumes the shrunken run's
+    checkpoint directory through the resharding reader and is
+    bit-identical to an uninterrupted run."""
 
     @pytest.mark.parametrize(
         "nranks,pa,pb",
         [(4, 2, 2), (2, 2, 1)],  # 4 -> 3 -> 4, and 2 -> serial 1 -> 2
     )
     def test_collapse_then_expansion_is_bit_identical(self, tmp_path, nranks, pa, pb):
-        """Kill a rank mid-run (shrink), return it through the quarantine
-        probe, and let the supervisor grow back at the next checkpoint
-        boundary: shrink -> grow in the recovery log, and the final
-        trajectory lands on the uninterrupted run's exact bits."""
-        pool = RankPool(nranks)
-        pool.acquire("job", nranks)
+        """Kill rank 1 mid-run: the run shrinks to ``nranks - 1`` and
+        finishes step 10; a second ``nranks`` job resumes that directory
+        and lands on the uninterrupted run's exact bits at step 15."""
         plan = rank1_kill_plan(CFG, nranks, pa, pb)
         counters = RecoveryCounters()
-        timers = SectionTimers()
-        final, log = run_supervised_spmd(
-            nranks,
-            CFG,
-            pa=pa,
-            pb=pb,
-            n_steps=15,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=5,
-            fault_plans=[plan],
-            counters=counters,
-            elastic=True,
-            integrity=True,
-            timers=timers,
-            grow_source=LeaseGrowSource(pool, "job", prober=lambda r: True),
-            on_shrink=lambda dead, surv: pool.shrink("job", dead),
+        _, log = run_supervised_spmd(
+            nranks, CFG, pa, pb, n_steps=10, checkpoint_dir=tmp_path,
+            checkpoint_every=5, fault_plans=[plan], counters=counters,
+            elastic=True, integrity=True,
         )
-
         assert plan.triggered
-        assert counters.shrinks == 1 and counters.grows == 1
-        assert counters.restarts == 0  # neither move consumed the budget
-        kinds = [e.kind for e in log]
-        assert kinds == ["shrink", "grow"]
-        grow = log[1]
-        assert grow.info["ranks"] == nranks
-        assert (grow.info["pa"], grow.info["pb"]) == choose_grid(
-            nranks, MX, MZ, CFG.ny
-        )
-        # the pool saw the full cycle: quarantine emptied, lease back to size
-        assert pool.quarantined_ranks() == ()
-        assert pool.lease("job").size == nranks
+        assert [e.kind for e in log] == ["shrink"]
+        assert log[0].info["ranks"] == nranks - 1
+        assert counters.shrinks == 1 and counters.restarts == 0
+        assert (tmp_path / "latest").read_text().strip() == "step-000000010"
 
-        ref = _uninterrupted(nranks, *choose_grid(nranks, MX, MZ, CFG.ny), 15)
+        counters = RecoveryCounters()
+        final, log = run_supervised_spmd(
+            nranks, CFG, pa, pb, n_steps=15, checkpoint_dir=tmp_path,
+            checkpoint_every=5, counters=counters, elastic=True,
+        )
+        assert log == [] and counters.reshard_restores == nranks
+
+        ref = _uninterrupted(nranks, pa, pb, 15)
         np.testing.assert_array_equal(final.v, ref.v)
         np.testing.assert_array_equal(final.omega_y, ref.omega_y)
         np.testing.assert_array_equal(final.u00, ref.u00)
@@ -313,92 +298,16 @@ class TestElasticGrowIdentity:
         assert final.time == ref.time
 
     def test_growth_capped_at_original_request(self, tmp_path):
-        """A healthy run never grows past its requested world size even
-        when the pool has plenty of free ranks."""
-        pool = RankPool(8)
-        pool.acquire("job", 2)
+        """Elasticity only ever shrinks: a healthy elastic run stays at
+        its requested world size, logs no event, and is bit-identical to
+        the uninterrupted run at that size."""
         counters = RecoveryCounters()
         final, log = run_supervised_spmd(
-            2,
-            CFG,
-            pa=2,
-            pb=1,
-            n_steps=10,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=5,
-            counters=counters,
-            elastic=True,
-            grow_source=LeaseGrowSource(pool, "job"),
-        )
-        assert log == [] and counters.grows == 0
-        assert pool.lease("job").size == 2
-        assert np.all(np.isfinite(final.v))
-
-    def test_lost_claim_race_resumes_at_current_size(self, tmp_path):
-        """When the free ranks vanish between probe and commit the job
-        simply continues degraded — no event, no error."""
-        pool = RankPool(4)
-        pool.acquire("job", 2)
-
-        class RacingSource(LeaseGrowSource):
-            def claim(self, n):
-                # a rival job grabs the free ranks right before our commit
-                if pool.free_count() >= 2:
-                    pool.acquire("rival", 2)
-                return super().claim(n)
-
-        counters = RecoveryCounters()
-        final, log = run_supervised_spmd(
-            4,
-            CFG,
-            pa=2,
-            pb=2,
-            n_steps=15,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=5,
-            fault_plans=[rank1_kill_plan(CFG, 4, 2, 2)],
-            counters=counters,
-            elastic=True,
-            grow_source=RacingSource(pool, "job"),
-            on_shrink=lambda dead, surv: pool.shrink("job", dead),
-        )
-        assert counters.shrinks == 1 and counters.grows == 0
-        assert [e.kind for e in log] == ["shrink"]
-        assert np.all(np.isfinite(final.v))
-
-
-class TestPreemption:
-    def test_preempt_checkpoints_then_raises(self, tmp_path):
-        """A stop request fires at the next checkpoint boundary, after the
-        snapshot landed: the typed PreemptRequired carries the step, and
-        the rotation's newest snapshot is exactly that step."""
-        with pytest.raises(PreemptRequired) as excinfo:
-            run_supervised_spmd(
-                2,
-                CFG,
-                pa=2,
-                pb=1,
-                n_steps=20,
-                checkpoint_dir=tmp_path,
-                checkpoint_every=5,
-                should_stop=lambda: "higher-priority job arrived",
-            )
-        assert excinfo.value.step == 5
-        assert (tmp_path / "latest").read_text().strip() == "step-000000005"
-
-    def test_resume_after_preemption_loses_nothing(self, tmp_path):
-        """Preempt at step 5, resume without the stop request: the final
-        state is bit-identical to an uninterrupted run."""
-        with pytest.raises(PreemptRequired):
-            run_supervised_spmd(
-                2, CFG, pa=2, pb=1, n_steps=15, checkpoint_dir=tmp_path,
-                checkpoint_every=5, should_stop=lambda: "yield",
-            )
-        final, log = run_supervised_spmd(
-            2, CFG, pa=2, pb=1, n_steps=15, checkpoint_dir=tmp_path,
-            checkpoint_every=5,
+            2, CFG, pa=2, pb=1, n_steps=10, checkpoint_dir=tmp_path,
+            checkpoint_every=5, counters=counters, elastic=True,
         )
         assert log == []
-        ref = _uninterrupted(2, 2, 1, 15)
+        assert counters.shrinks == 0 and counters.reshard_restores == 0
+        ref = _uninterrupted(2, 2, 1, 10)
         np.testing.assert_array_equal(final.v, ref.v)
         assert final.time == ref.time

@@ -20,7 +20,7 @@ SHAPE = {
     "solve": ["workspace_bytes", "workspace_allocs", "solves", "sweeps", "columns"],
     "recovery": [
         "checkpoints_saved", "checkpoints_pruned", "verify_failures", "failures", "rollbacks",
-        "restarts", "dt_reductions", "shrinks", "grows", "reshard_restores",
+        "restarts", "dt_reductions", "shrinks", "reshard_restores",
     ],
     "mpi": ["messages", "bytes"],
     "overlap": [

@@ -3,14 +3,7 @@ and the full 25-seed sweep behind the ``soak`` marker."""
 
 import pytest
 
-from repro.chaos import (
-    JOB_HEALTHY,
-    random_fault_plan,
-    run_chaos_soak,
-    run_scheduler_soak,
-    scheduler_soak_summary,
-    soak_summary,
-)
+from repro.chaos import random_fault_plan, run_chaos_soak, soak_summary
 from repro.pencil.transpose import TransposeMethod
 
 HEALTHY = {"completed", "recovered", "degraded"}
@@ -80,46 +73,6 @@ class TestShortSoak:
         assert set(summary["classifications"]) <= HEALTHY
         # the sweep really exercised the fault machinery under mixed wire
         assert summary["events_fired"] > 0
-
-
-class TestSchedulerShortSoak:
-    def test_short_scheduler_sweep_isolated(self, tmp_path):
-        """Tier-1 slice of the scheduler soak: concurrent jobs on one
-        pool, faults in one of them, zero hangs, and every completed job
-        bit-for-bit on its own serial oracle."""
-        results = run_scheduler_soak(range(3), tmp_path)
-        summary = scheduler_soak_summary(results)
-        assert summary["all_ok"], [
-            (r.seed, r.outcomes, r.detail) for r in results if not r.ok
-        ]
-        assert summary["hangs"] == 0
-        assert summary["isolation_breaks"] == 0
-        assert set(summary["outcomes"]) <= set(JOB_HEALTHY)
-        # every scenario left a validated manager event stream behind
-        assert all(r.manager_events > 0 for r in results)
-
-
-@pytest.mark.soak
-class TestSchedulerFullSoak:
-    def test_25_seed_scheduler_sweep_never_hangs_or_leaks_faults(self, tmp_path):
-        """THE scheduler acceptance criterion: >= 25 seeded multi-job
-        scenarios (faults, preemptors, sticky and probed quarantines) —
-        zero hangs, zero cross-job divergence (every completed job
-        bit-identical to its serial oracle), preempted jobs lose no
-        checkpointed progress."""
-        results = run_scheduler_soak(range(25), tmp_path, verbose=True)
-        summary = scheduler_soak_summary(results)
-        bad = [(r.seed, r.outcomes, r.detail) for r in results if not r.ok]
-        assert summary["all_ok"], bad
-        assert summary["hangs"] == 0
-        assert summary["isolation_breaks"] == 0
-        assert set(summary["outcomes"]) <= set(JOB_HEALTHY)
-        # the sweep must actually have exercised the recovery machinery
-        assert summary["shrinks"] + summary["restarts"] + summary["retries"] > 0
-        # ... and any preempted-and-finished job is exact by construction
-        # of all_ok; record that preemption really happened somewhere
-        preempted = summary["outcomes"].get("preempted-resumed", 0)
-        assert summary["preemptions"] >= preempted
 
 
 @pytest.mark.soak

@@ -126,7 +126,6 @@ class TestRecoveryCounters:
         c.restarts += 1
         c.dt_reductions += 1
         c.shrinks += 2
-        c.grows += 1
         c.reshard_restores += 1
         assert c.snapshot() == {
             "checkpoints_saved": 4,
@@ -137,7 +136,6 @@ class TestRecoveryCounters:
             "restarts": 1,
             "dt_reductions": 1,
             "shrinks": 2,
-            "grows": 1,
             "reshard_restores": 1,
         }
         rep = c.report()
