@@ -92,8 +92,9 @@ def test_table06(benchmark):
     def functional(comm):
         cart = comm.cart_create((2, 2))
         custom = PencilTransforms(cart, nx, ny, nz, dealias=False)
+        # 4 slabs: one slab is the blocking exchange and posts nothing
         pipelined = PencilTransforms(
-            cart, nx, ny, nz, dealias=False, method=TransposeMethod.PIPELINED
+            cart, nx, ny, nz, dealias=False, method=TransposeMethod.PIPELINED, stages=4
         )
         p3 = P3DFFTBaseline(cart, nx, ny, nz)
         d = custom.decomp

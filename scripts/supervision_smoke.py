@@ -9,12 +9,14 @@ end over each of its launches on a 16x24x16 channel:
   and a retry — the step-10 state must be bit-for-bit an uninterrupted
   serial run's;
 * **SimMPI ranks** (:func:`~repro.pencil.distributed.run_supervised_spmd`):
-  rank 1 killed inside a pencil-transpose alltoall past three steps,
-  the 2x2 job relaunched from its sharded snapshot — the step-10 state
-  must be bit-for-bit an uninterrupted 2x2 run's.  The job runs with
-  the cyclic garbage collector off, and the relaunch must hold one
-  generation of rank drivers: when attempt 1 starts stepping, no driver
-  of the killed attempt 0 may be alive.
+  once per blocking exchange path — ``ALLTOALL``, ``PAIRWISE`` and
+  one-slab ``PIPELINED`` transposes — rank 1 is killed at the exchange
+  call its transport makes (``alltoall``, ``send``, ``alltoall``) past
+  three steps, and the 2x2 job relaunched from its sharded snapshot —
+  the step-10 state must be bit-for-bit an uninterrupted 2x2 run's.
+  Each job runs with the cyclic garbage collector off, and the relaunch
+  must hold one generation of rank drivers: when attempt 1 starts
+  stepping, no driver of the killed attempt 0 may be alive.
 
 Usage:
     PYTHONPATH=src python scripts/supervision_smoke.py [--out DIR]
@@ -45,6 +47,7 @@ from repro.core import (  # noqa: E402
 from repro.core.checkpoint import CheckpointRotation  # noqa: E402
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd  # noqa: E402
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd  # noqa: E402
+from repro.pencil.transpose import TransposeMethod, exchange_op  # noqa: E402
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 FIELDS = ("v", "omega_y", "u00", "w00")
@@ -87,7 +90,8 @@ def in_thread(workdir: pathlib.Path) -> list[str]:
 
 
 def ranks(workdir: pathlib.Path) -> list[str]:
-    """Rank 1 killed in step 4 of a 2x2 job: one restart, identical bits."""
+    """Rank 1 killed in step 4 of a 2x2 job on each blocking exchange
+    path: one restart each, identical bits."""
 
     def straight(comm):
         d = DistributedChannelDNS(comm, CFG, pa=2, pb=2)
@@ -96,9 +100,18 @@ def ranks(workdir: pathlib.Path) -> list[str]:
         return d.gather_state()
 
     ref = run_spmd(4, straight)[0]
-    # past three steps' worth of rank 1's alltoalls, counted by a dry run
-    kill_call = 3 * alltoalls_per_step(CFG, 2, 2) + 6
-    plan = FaultPlan([FaultEvent(action="kill", rank=1, op="alltoall", call=kill_call)])
+    failures = []
+    for method in (TransposeMethod.ALLTOALL, TransposeMethod.PAIRWISE, TransposeMethod.PIPELINED):
+        failures += _killed_job(workdir / method.name.lower(), method, ref)
+    return failures
+
+
+def _killed_job(workdir: pathlib.Path, method: TransposeMethod, ref) -> list[str]:
+    name = f"ranks {method.name.lower()}"
+    op = exchange_op(method)
+    # past three steps' worth of rank 1's exchange calls, counted by a dry run
+    kill_call = 3 * alltoalls_per_step(CFG, 2, 2, method) + 6
+    plan = FaultPlan([FaultEvent(action="kill", rank=1, op=op, call=kill_call)])
 
     calls = itertools.count()
     drivers: dict[int, dict[int, weakref.ref]] = {}  # attempt -> rank -> its driver
@@ -122,29 +135,31 @@ def ranks(workdir: pathlib.Path) -> list[str]:
         full, log = run_supervised_spmd(
             4, CFG, pa=2, pb=2, n_steps=10, checkpoint_dir=workdir / "sharded",
             checkpoint_every=5, fault_plans=[plan], monitor_factory=monitor_factory,
+            method=method,
         )
     finally:
         gc.enable()
     failures = []
-    if not plan.triggered:
-        failures.append("ranks: the planned rank kill never fired")
+    if [t["op"] for t in plan.triggered] != [op]:
+        failures.append(f"{name}: the planned kill at {op!r} call {kill_call} never fired")
     if len(drivers.get(0, {})) != 4 or not alive_at_relaunch:
-        failures.append(f"ranks: expected 4 attempt-0 drivers and a relaunch, got {drivers}")
+        failures.append(f"{name}: expected 4 attempt-0 drivers and a relaunch, got {drivers}")
     elif alive_at_relaunch != [0]:
         failures.append(
-            f"ranks: {alive_at_relaunch[0]} of 4 attempt-0 drivers alive at the relaunch"
+            f"{name}: {alive_at_relaunch[0]} of 4 attempt-0 drivers alive at the relaunch"
         )
     if [e.kind for e in log] != ["restart"]:
-        failures.append(f"ranks: expected one restart, got {log}")
+        failures.append(f"{name}: expected one restart, got {log}")
     failures += [
-        f"ranks: {name} diverged after the restart"
-        for name in FIELDS
-        if not np.array_equal(getattr(full, name), getattr(ref, name))
+        f"{name}: {field} diverged after the restart"
+        for field in FIELDS
+        if not np.array_equal(getattr(full, field), getattr(ref, field))
     ]
     if log:
-        print(f"ranks:     1 restart ({log[0].detail.split('(')[0].strip()})")
+        print(f"{name}: 1 restart at {op!r} call {kill_call} "
+              f"({log[0].detail.split('(')[0].strip()})")
     if alive_at_relaunch:
-        print(f"ranks:     {alive_at_relaunch[0]} attempt-0 drivers alive at the relaunch")
+        print(f"{name}: {alive_at_relaunch[0]} attempt-0 drivers alive at the relaunch")
     return failures
 
 

@@ -7,9 +7,10 @@ hand-placed fault but a stream of randomized ones.  This module provides
 * :func:`random_fault_plan` — a seeded generator of
   :class:`~repro.mpi.simmpi.FaultPlan` schedules (kill / corrupt / drop /
   delay at random collectives on random ranks, deterministic per seed),
-* :func:`alltoalls_per_step` — a dry run counting rank 1's exchanges
-  (``alltoall``, or ``ialltoallv`` when pipelined) per step, so a
-  hand-placed kill lands inside the step it names,
+* :func:`alltoalls_per_step` — a dry run counting rank 1's exchange
+  calls per step (the operation
+  :func:`~repro.pencil.transpose.exchange_op` names), so a hand-placed
+  kill lands inside the step it names,
 * :func:`run_chaos_soak` — a driver that runs N schedules through the
   elastic supervisor (:func:`~repro.pencil.distributed.run_supervised_spmd`
   with ``elastic=True, integrity=True``), one job at a time, and
@@ -49,7 +50,7 @@ import numpy as np
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan
-from repro.pencil.transpose import DEFAULT_STAGES
+from repro.pencil.transpose import DEFAULT_STAGES, exchange_op
 
 #: collectives the distributed DNS actually exercises every step; ``None``
 #: is the wildcard (matches whatever operation the victim reaches next)
@@ -120,32 +121,40 @@ def random_fault_plan(
     return FaultPlan(events, seed=seed)
 
 
-def alltoalls_per_step(config: ChannelConfig, pa: int, pb: int, method=None) -> int:
-    """Fault-free dry run: the exchanges rank 1 makes in one step.
+def alltoalls_per_step(
+    config: ChannelConfig, pa: int, pb: int, method=None, stages: int = DEFAULT_STAGES
+) -> int:
+    """Fault-free dry run: the exchange calls rank 1 makes in one step.
 
     A :class:`~repro.mpi.simmpi.FaultEvent` names its victim's n-th
     matching call, so this count places a kill inside a chosen step
     without assuming how many transposes a step makes.  The calls are
     counted by the matcher a kill goes through: a plan whose one event
-    never fires.  ``method`` is the transpose method of the run: its
-    exchanges are ``alltoall`` calls, or ``ialltoallv`` posts (one per
-    slab) when it is ``PIPELINED``.
+    never fires.  ``method`` and ``stages`` are the run's transport; the
+    counted operation is theirs, :func:`~repro.pencil.transpose.exchange_op`
+    (``alltoall``, ``send`` or ``ialltoallv``).  Raises if the step
+    makes no such call: a kill placed by it would never fire.
     """
     from repro.mpi.simmpi import run_spmd
     from repro.pencil.distributed import DistributedChannelDNS
-    from repro.pencil.transpose import TransposeMethod
 
-    op = "ialltoallv" if method is TransposeMethod.PIPELINED else "alltoall"
+    op = exchange_op(method, stages)
     plan = FaultPlan([FaultEvent("delay", rank=1, op=op, call=2**62, delay=0.0)])
 
     def program(comm):
-        dns = DistributedChannelDNS(comm, config, pa, pb, method=method)
+        dns = DistributedChannelDNS(comm, config, pa, pb, method=method, stages=stages)
         dns.initialize()
         before = plan.seen()
         dns.step()
         return plan.seen() - before
 
-    return run_spmd(pa * pb, program, fault_plan=plan)[1]
+    count = run_spmd(pa * pb, program, fault_plan=plan)[1]
+    if count == 0:
+        raise RuntimeError(
+            f"rank 1 made no {op!r} call in a step of the {pa}x{pb} run "
+            f"(method={method}, stages={stages})"
+        )
+    return count
 
 
 def _serial_reference(config: ChannelConfig, n_steps: int):

@@ -69,7 +69,9 @@ class DistributedChannelDNS(ChannelDNS):
         (DESIGN.md §6h), not bit-for-bit.
     stages:
         Slab count of pipelined transposes; any count gives the same
-        bits.
+        bits.  One slab (the default) is one blocking ``alltoall`` per
+        transpose; more post one ``ialltoallv`` per slab
+        (:func:`~repro.pencil.transpose.exchange_op`).
     """
 
     def __init__(

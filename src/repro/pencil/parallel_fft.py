@@ -27,9 +27,10 @@ identical to the synchronous one at any slab count; its hidden compute
 is timed under the nested ``overlap`` section and accounted in
 :attr:`overlap_counters`.  Every slab is one more exchange, so the slab
 count defaults to one (``stages``): more only pays where there is wire
-latency to hide.  The receive extents of every exchange come from the
-decomposition, so a pipelined execute runs no collective besides its
-``ialltoallv`` posts.
+latency to hide.  One slab hides nothing, so it runs the FFT stage
+around one blocking ``alltoall`` and posts nothing.  The receive
+extents of every exchange come from the decomposition, so a pipelined
+execute runs no collective besides its exchange calls.
 
 Construction is collective over the cartesian communicator.
 """
@@ -43,7 +44,12 @@ from repro.fft.plans import Planner, default_planner
 from repro.instrument import OverlapCounters, PrecisionCounters, SectionTimers
 from repro.mpi.simmpi import CartesianCommunicator
 from repro.pencil.decomp import PencilDecomp, block_sizes
-from repro.pencil.transpose import DEFAULT_STAGES, GlobalTranspose, TransposeMethod
+from repro.pencil.transpose import (
+    DEFAULT_STAGES,
+    GlobalTranspose,
+    TransposeMethod,
+    exchange_op,
+)
 
 
 def _insert_fft_modes(uh: np.ndarray, npoints: int, axis: int) -> np.ndarray:
@@ -89,7 +95,8 @@ class PencilTransforms:
         :attr:`precision_counters`.
     stages:
         Slab count of the pipelined transposes (default one: one
-        exchange per transpose, nothing overlapped).
+        blocking ``alltoall`` per transpose, nothing overlapped; more
+        post one ``ialltoallv`` per slab).
     """
 
     drop_nyquist = True
@@ -132,7 +139,8 @@ class PencilTransforms:
         self.comm_b = cart.cart_sub([False, True])
 
         #: communication/compute overlap accounting, shared by the four
-        #: transposes (populated only when a pipelined method is active)
+        #: transposes (populated only by pipelined transposes in more
+        #: than one slab)
         self.overlap_counters = OverlapCounters()
         #: mixed-precision wire accounting, shared by the four transposes
         self.precision_counters = PrecisionCounters()
@@ -164,6 +172,18 @@ class PencilTransforms:
             self.comm_a, split_axis=0, concat_axis=1,
             concat_sizes=block_sizes(self.nzq, self.pa), **kw,
         )
+
+    def transport(self) -> dict:
+        """How the four transposes move data — ``method``, ``stages``,
+        ``wire`` and ``exchange_op``, the SimMPI operation their
+        exchanges call — as the run manifest records it."""
+        t = self.t_yz
+        return {
+            "method": t.method.name,
+            "stages": t.pipelined.stages,
+            "wire": self.wire,
+            "exchange_op": exchange_op(t.method, t.pipelined.stages),
+        }
 
     def counter_groups(self) -> dict:
         """Step-record counter groups: the transposes' ``overlap`` and

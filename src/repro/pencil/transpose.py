@@ -22,8 +22,12 @@ alone.
   exchange is posted nonblocking (``ialltoallv``) and the wait for slab
   *k* overlaps the post — and, through the ``pre``/``post`` compute
   hooks, the FFT work — of the neighbouring slabs.  The slab count is
-  fixed at construction (``stages``, default :data:`DEFAULT_STAGES`;
-  one slab is the plain exchange, with no overlap at all).
+  fixed at construction (``stages``, default :data:`DEFAULT_STAGES`).
+  One slab has nothing to overlap, so it runs as the blocking
+  ``alltoall`` between its hooks.
+
+:func:`exchange_op` names the SimMPI operation each method's exchanges
+call, which is what a fault plan must name to land on them.
 
 Send chunks are built into persistent, double-buffered contiguous
 staging buffers instead of per-call slice copies, so the steady-state
@@ -32,9 +36,11 @@ suffice for the blocking methods because both are synchronizing: a rank
 cannot finish exchange ``N+1`` before every peer has deposited into it,
 which it only does after consuming (concatenating) exchange ``N`` — so
 by the time parity ``N % 2`` is refilled for exchange ``N+2``, no peer
-still reads it.  The pipelined method has no such global synchronization
-and instead runs the explicit ack credit protocol of
-:meth:`repro.mpi.simmpi.Request.wait_acks`.
+still reads it.  The pipelined method in more than one slab has no such
+global synchronization and instead runs the explicit ack credit
+protocol of :meth:`repro.mpi.simmpi.Request.wait_acks`; it drains every
+ack before it returns, so a later blocking exchange may refill any
+parity.
 
 **Mixed-precision wire mode** (``wire="mixed"``): float64/complex128
 payloads are staged down to float32/complex64 before the exchange and
@@ -79,6 +85,21 @@ MAX_POOL_ENTRIES = 8
 #: (DESIGN.md §6g)
 DEFAULT_STAGES = 1
 
+
+def exchange_op(method: TransposeMethod | None, stages: int = DEFAULT_STAGES) -> str:
+    """The SimMPI operation a transpose's exchanges call: ``alltoall``
+    for ``ALLTOALL`` and one-slab ``PIPELINED``, ``send`` (one per peer)
+    for ``PAIRWISE``, ``ialltoallv`` (one per slab) for ``PIPELINED`` in
+    more than one slab.  A pipelined transpose whose stage axis is
+    shorter than ``stages`` runs fewer slabs, and in one slab calls
+    ``alltoall``."""
+    if method is TransposeMethod.PAIRWISE:
+        return "send"
+    if method is TransposeMethod.PIPELINED and stages > 1:
+        return "ialltoallv"
+    return "alltoall"
+
+
 #: full-precision dtype -> wire dtype of the mixed-precision mode
 _WIRE_NARROW = {
     np.dtype(np.float64): np.dtype(np.float32),
@@ -111,14 +132,14 @@ class GlobalTranspose:
     stages:
         Slab count of the pipelined method (bounded by the stage-axis
         extent).  More stages expose more overlap at the cost of one
-        exchange per slab.
+        exchange per slab; one slab is one blocking ``alltoall``.
     timers:
-        Optional :class:`SectionTimers`; the pipelined path times hidden
-        compute under the nested ``overlap`` section and emits comm-lane
-        trace spans through ``timers.tracer``.
+        Optional :class:`SectionTimers`; the multi-slab pipelined path
+        times hidden compute under the nested ``overlap`` section and
+        emits comm-lane trace spans through ``timers.tracer``.
     overlap:
         Optional :class:`OverlapCounters` receiving posted / overlapped
-        bytes and wait time from the pipelined path.
+        bytes and wait time from the multi-slab pipelined path.
     counters:
         Optional :class:`~repro.instrument.TransformCounters`; staging
         buffers are registered as pipeline workspace so the
@@ -302,11 +323,16 @@ class GlobalTranspose:
         """Perform the transpose on this rank's block (output is a fresh array)."""
         if self.method is TransposeMethod.PIPELINED:
             return self.pipelined.execute(a)
+        return self._blocking(a)
+
+    def _blocking(self, a: np.ndarray) -> np.ndarray:
+        """Stage, exchange in one blocking call, assemble: ``sendrecv``
+        rounds under ``PAIRWISE``, one ``alltoall`` otherwise."""
         chunks = self._chunks(a)
-        if self.method is TransposeMethod.ALLTOALL:
-            received = self._exchange_alltoall(chunks)
-        else:
+        if self.method is TransposeMethod.PAIRWISE:
             received = self._exchange_pairwise(chunks)
+        else:
+            received = self._exchange_alltoall(chunks)
         # assembly up-casts back to the payload dtype when the wire ran
         # narrow (full-precision accumulation downstream of the exchange)
         return np.concatenate(received, axis=self.concat_axis, dtype=a.dtype)
@@ -330,9 +356,12 @@ class PipelinedTranspose:
       ``k+1`` is in flight.
 
     Every slab costs one exchange, so more slabs only pay where there
-    is wire time to hide.  With one slab nothing runs while the
-    exchange is in flight: the path is the plain exchange, and
-    ``bytes_overlapped`` stays 0 by construction.
+    is wire time to hide.  With one slab nothing could run while the
+    exchange is in flight, so one slab is the blocking exchange:
+    ``pre``, staging, one ``alltoall``, assembly, ``post`` — the same
+    chunks, so the same bits, without the nonblocking round trip
+    (sequence-tagged queues, consumption acks, per-source wake-ups).
+    It posts nothing, so the overlap counters stay 0.
 
     Receive extents: a source's chunk spans its own block of the concat
     axis.  They come from the owning transpose's ``concat_sizes`` — a
@@ -349,7 +378,7 @@ class PipelinedTranspose:
     nothing beyond the returned output.
 
     Results are bit-for-bit identical to the synchronous methods at any
-    slab count: the same chunks travel, assembly is pure ``copyto``, and
+    slab count: the same chunks travel, assembly only copies, and
     the hooks process exactly the slab the synchronous path would (1-D
     FFTs are independent per pencil, so slab-wise transforms reproduce
     the full-array transforms bitwise).
@@ -441,6 +470,11 @@ class PipelinedTranspose:
             )
         extent = a.shape[stage_ax]
         nstages = max(1, min(self.stages, extent))
+        if nstages == 1:
+            if pre is not None:
+                a = pre(a, 0)
+            out = base._blocking(a)
+            return out if post is None else post(out, 0)
         slabs = block_slices(extent, nstages)
         reqs: list = [None] * nstages
         t_posts = [0.0] * nstages
@@ -495,8 +529,7 @@ class PipelinedTranspose:
             if base.overlap is not None:
                 base.overlap.waits += 1
                 base.overlap.bytes_completed += req.posted_bytes
-                if nstages > 1:  # one slab: no compute ran while it flew
-                    base.overlap.bytes_overlapped += req.overlapped_bytes
+                base.overlap.bytes_overlapped += req.overlapped_bytes
                 base.overlap.wait_seconds += req.waited_s
             tracer = base.timers.tracer if base.timers is not None else None
             if tracer is not None:

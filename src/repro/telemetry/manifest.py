@@ -97,11 +97,14 @@ def build_manifest(
     *,
     nranks: int = 1,
     grid: tuple[int, int] | None = None,
+    transport: dict | None = None,
     extra: dict | None = None,
 ) -> dict:
     """Assemble the manifest dict for one run.
 
     ``grid`` is the SPMD process grid ``(pa, pb)`` when applicable;
+    ``transport`` how its transposes move data
+    (:meth:`~repro.pencil.parallel_fft.PencilTransforms.transport`);
     ``extra`` is merged in verbatim under ``"extra"`` (campaign ids,
     batch job ids, ...).
     """
@@ -117,6 +120,7 @@ def build_manifest(
         "machine": _machine(),
         "nranks": int(nranks),
         "process_grid": list(grid) if grid is not None else None,
+        "transport": dict(transport) if transport else None,
         "extra": dict(extra) if extra else {},
     }
 

@@ -153,7 +153,9 @@ class RunRecorder:
     def stream_path(self) -> pathlib.Path:
         return self.directory / self._stream_name()
 
-    def open(self, config=None, grid: tuple[int, int] | None = None) -> None:
+    def open(
+        self, config=None, grid: tuple[int, int] | None = None, transport: dict | None = None
+    ) -> None:
         """Open the stream (idempotent); write the manifest on rank <= 0."""
         if self._fh is not None:
             return
@@ -163,7 +165,9 @@ class RunRecorder:
         if self.config.manifest and self.rank <= 0:
             write_manifest(
                 self.directory,
-                build_manifest(config, nranks=self.nranks, grid=grid, extra=self.extra),
+                build_manifest(
+                    config, nranks=self.nranks, grid=grid, transport=transport, extra=self.extra
+                ),
             )
         self._fh = open(self.stream_path(), "a", encoding="utf-8")
 
@@ -177,8 +181,11 @@ class RunRecorder:
         self._dns = weakref.ref(dns)
         dns.recorder = self
         self._timers = dns.timers
-        grid = None if dns.decomp is None else (dns.decomp.pa, dns.decomp.pb)
-        self.open(config=dns.config, grid=grid)
+        if dns.decomp is None:
+            grid = transport = None
+        else:
+            grid, transport = (dns.decomp.pa, dns.decomp.pb), dns.transforms.transport()
+        self.open(config=dns.config, grid=grid, transport=transport)
         if self.config.trace and self.trace is None:
             self.trace = TraceWriter(
                 pid=max(self.rank, 0),

@@ -39,7 +39,9 @@ from repro.instrument import GROUPS, SectionTimers
 #: the job lifecycle and ``grow``/``preempted`` event kinds, the
 #: manifest's ``pool`` block and the ``recovery`` group's ``grows``
 #: counter.
-SCHEMA_VERSION = 7
+#: v8 added the manifest's ``transport`` block (``method``, ``stages``,
+#: ``wire`` and ``exchange_op`` of a distributed run's transposes).
+SCHEMA_VERSION = 8
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -112,10 +114,10 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     "overlap": _group(
         "overlap",
         "of the pipelined transposes",
-        "per-rank, not world totals; absent in serial runs and all-zero when no transpose "
-        "runs pipelined; with one slab per exchange (the default `stages=1`) no compute runs "
-        "while an exchange is in flight, so `bytes_overlapped` and `overlap_seconds` are 0 by "
-        "construction while `posts`/`waits` count one per transpose",
+        "per-rank, not world totals; absent in serial runs; all-zero unless a transpose runs "
+        "pipelined in more than one slab: one slab (the default `stages=1`) is the blocking "
+        "`alltoall`, which posts and waits on nothing, so `posts` and `waits` are 0 too (the "
+        "manifest's `transport` block says which ran)",
     ),
     "precision": _group(
         "precision",

@@ -1,5 +1,5 @@
-"""Hand-placed faults: rank kills that follow the number of alltoalls a
-step makes, and snapshots stamped as written by a newer build."""
+"""Hand-placed faults: rank kills that follow the number of exchange
+calls a step makes, and snapshots stamped as written by a newer build."""
 
 from __future__ import annotations
 
@@ -11,24 +11,29 @@ import numpy as np
 from repro.chaos import alltoalls_per_step
 from repro.mpi.simmpi import FaultEvent, FaultPlan
 from repro.pencil.decomp import choose_grid
-from repro.pencil.transpose import TransposeMethod
+from repro.pencil.transpose import DEFAULT_STAGES, exchange_op
 from repro.storage import FORMAT_VERSION
 
 
 def rank1_kill_plan(
-    config, nranks: int, pa: int | None = None, pb: int | None = None, method=None
+    config,
+    nranks: int,
+    pa: int | None = None,
+    pb: int | None = None,
+    method=None,
+    stages: int = DEFAULT_STAGES,
 ) -> FaultPlan:
-    """Rank 1 dies at its exchange number ``3 * per_step + 6``: past three
-    steps' worth of exchanges, early in the next one.
+    """Rank 1 dies at its exchange call number ``3 * per_step + 6``: past
+    three steps' worth of exchanges, early in the next one.
 
     ``per_step`` comes from a dry run on the ``pa x pb`` grid (by default
-    the one a job manager or an elastic restart picks for ``nranks``).
-    The exchanges are ``alltoall`` calls, or ``ialltoallv`` posts when
-    ``method`` is ``PIPELINED``."""
+    the one an elastic restart picks for ``nranks``).  The exchange calls
+    are those of the ``method``/``stages`` transport:
+    :func:`~repro.pencil.transpose.exchange_op` names the operation."""
     if pa is None or pb is None:
         pa, pb = choose_grid(nranks, config.nx // 2, config.nz - 1, config.ny)
-    call = 3 * alltoalls_per_step(config, pa, pb, method) + 6
-    op = "ialltoallv" if method is TransposeMethod.PIPELINED else "alltoall"
+    call = 3 * alltoalls_per_step(config, pa, pb, method, stages) + 6
+    op = exchange_op(method, stages)
     return FaultPlan([FaultEvent(action="kill", rank=1, op=op, call=call)])
 
 

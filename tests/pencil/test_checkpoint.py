@@ -275,12 +275,14 @@ class TestKillRestartIdentity:
         np.testing.assert_array_equal(final.u00, straight.u00)
         assert final.time == straight.time
 
-    def test_killed_pipelined_run_matches_uninterrupted(self, tmp_path):
-        """The same criterion on the pipelined transposes, the kill placed
-        at rank 1's ialltoallv post ``3 * per_step + 6`` (counted by a dry
-        run), so it lands in step 3 (0-based) of the first attempt."""
+    @staticmethod
+    def _kill_and_compare(tmp_path, method, stages, op):
+        """Rank 1 killed at its exchange call ``3 * per_step + 6`` of the
+        ``method``/``stages`` transport (counted by a dry run), so in step
+        3 (0-based) of the first attempt, before the step-5 snapshot; the
+        relaunch re-runs every step and lands on the uninterrupted bits."""
         straight = _uninterrupted_state(10)
-        plan = rank1_kill_plan(CFG, 4, 2, 2, method=TransposeMethod.PIPELINED)
+        plan = rank1_kill_plan(CFG, 4, 2, 2, method=method, stages=stages)
         counters = RecoveryCounters()
         rank1_steps: list[int] = []  # across attempts
 
@@ -301,11 +303,12 @@ class TestKillRestartIdentity:
             checkpoint_every=5,
             fault_plans=[plan],
             counters=counters,
-            method=TransposeMethod.PIPELINED,
+            method=method,
+            stages=stages,
             monitor_factory=monitor_factory,
         )
 
-        assert plan.triggered and plan.triggered[0]["op"] == "ialltoallv"
+        assert [(t["op"], t["action"]) for t in plan.triggered] == [(op, "kill")]
         assert [e.kind for e in log] == ["restart"]
         assert counters.restarts == 1
         # rank 1 finished steps 1-3, died in the next; the relaunch re-ran all
@@ -314,6 +317,21 @@ class TestKillRestartIdentity:
         np.testing.assert_array_equal(final.omega_y, straight.omega_y)
         np.testing.assert_array_equal(final.u00, straight.u00)
         assert final.time == straight.time
+
+    def test_killed_pipelined_run_matches_uninterrupted(self, tmp_path):
+        """The same criterion on the pipelined transposes in two slabs:
+        the kill is deferred from an ``ialltoallv`` post to its wait."""
+        self._kill_and_compare(tmp_path, TransposeMethod.PIPELINED, 2, "ialltoallv")
+
+    @pytest.mark.parametrize(
+        "method, op",
+        [(TransposeMethod.PIPELINED, "alltoall"), (TransposeMethod.PAIRWISE, "send")],
+        ids=["pipelined-one-slab", "pairwise"],
+    )
+    def test_killed_blocking_exchange_run_matches_uninterrupted(self, tmp_path, method, op):
+        """The kill lands on the call a blocking exchange makes: one-slab
+        pipelined transposes call ``alltoall``, pairwise ones ``send``."""
+        self._kill_and_compare(tmp_path, method, 1, op)
 
     def test_unfaulted_supervised_run_needs_no_restart(self, tmp_path):
         straight = _uninterrupted_state(6)

@@ -8,7 +8,9 @@ from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS
 from repro.pencil.transpose import TransposeMethod
 
-ALLTOALL, PIPELINED = TransposeMethod.ALLTOALL, TransposeMethod.PIPELINED
+ALLTOALL, PAIRWISE, PIPELINED = (
+    TransposeMethod.ALLTOALL, TransposeMethod.PAIRWISE, TransposeMethod.PIPELINED
+)
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 #: blocks of unequal size: 19 spanwise modes and 21 wall-normal points over 2 or 3 ranks
 UNEVEN = ChannelConfig(nx=24, ny=21, nz=20, dt=2e-4, init_amplitude=0.5, seed=8)
@@ -29,9 +31,9 @@ def serial_after_3():
     return state
 
 
-def _after_3(config, pa, pb, method=None):
+def _after_3(config, pa, pb, method=None, stages=1):
     def prog(comm):
-        dns = DistributedChannelDNS(comm, config, pa=pa, pb=pb, method=method)
+        dns = DistributedChannelDNS(comm, config, pa=pa, pb=pb, method=method, stages=stages)
         dns.initialize()
         dns.run(3)
         return dns.gather_state()
@@ -54,24 +56,30 @@ class TestParity:
         _assert_same_bits(_after_3(CFG, pa, pb), serial_after_3(CFG))
 
     @pytest.mark.parametrize(
-        "config,pa,pb,method",
+        "config,pa,pb,method,stages",
         [
-            (CFG, 2, 2, PIPELINED),
-            (CFG, 4, 1, PIPELINED),
-            (CFG, 1, 4, PIPELINED),
-            (UNEVEN, 3, 2, ALLTOALL),
-            (UNEVEN, 3, 2, PIPELINED),
-            (UNEVEN, 2, 3, ALLTOALL),
-            (UNEVEN, 2, 3, PIPELINED),
+            (CFG, 2, 2, PIPELINED, 1),
+            (CFG, 4, 1, PIPELINED, 1),
+            (CFG, 1, 4, PIPELINED, 1),
+            (UNEVEN, 3, 2, ALLTOALL, 1),
+            (UNEVEN, 3, 2, PIPELINED, 1),
+            (UNEVEN, 2, 3, ALLTOALL, 1),
+            (UNEVEN, 2, 3, PIPELINED, 1),
+            (CFG, 2, 2, PAIRWISE, 1),
+            (UNEVEN, 3, 2, PAIRWISE, 1),
+            (CFG, 2, 2, PIPELINED, 2),
+            (UNEVEN, 2, 3, PIPELINED, 4),
         ],
         ids=[
             "even-2x2-pipelined", "even-4x1-pipelined", "even-1x4-pipelined",
             "uneven-3x2-alltoall", "uneven-3x2-pipelined",
             "uneven-2x3-alltoall", "uneven-2x3-pipelined",
+            "even-2x2-pairwise", "uneven-3x2-pairwise",
+            "even-2x2-pipelined-2slabs", "uneven-2x3-pipelined-4slabs",
         ],
     )
-    def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method):
-        _assert_same_bits(_after_3(config, pa, pb, method), serial_after_3(config))
+    def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method, stages):
+        _assert_same_bits(_after_3(config, pa, pb, method, stages), serial_after_3(config))
 
     def test_divergence_free(self):
         def prog(comm):

@@ -99,7 +99,8 @@ class TestCustomKernel:
 
 def _pipelined_vs_sync(comm, pa, pb, seed=9):
     """Build the blocking kernel and the pipelined one at 1, 2 and 4
-    slabs on one cartesian grid and compare bitwise."""
+    slabs on one cartesian grid and compare bitwise.  One slab is the
+    blocking exchange and posts nothing; more slabs post nonblocking."""
     grid = ChannelGrid(NX, NY, NZ)
     spec = make_spectral(grid, seed=seed)
     cart = comm.cart_create((pa, pb))
@@ -116,7 +117,10 @@ def _pipelined_vs_sync(comm, pa, pb, seed=9):
         np.testing.assert_array_equal(phys_p, phys_s)
         back_p = pipe.from_physical(phys_p)
         np.testing.assert_array_equal(back_p, back_s)
-        if comm.size > 1:
+        if stages == 1:
+            assert pipe.overlap_counters.posts == 0
+            assert pipe.overlap_counters.bytes_posted == 0
+        elif comm.size > 1:
             # the exchanges really went through the nonblocking path
             assert pipe.overlap_counters.posts > 0
             assert pipe.overlap_counters.bytes_posted > 0
@@ -240,9 +244,10 @@ class TestSlabCount:
     @pytest.mark.parametrize("stages", [1, 2, 4])
     def test_steady_state_execute_posts_only(self, stages):
         """A warm pipelined exchange makes no collective besides its
-        ``ialltoallv`` posts: the receive extents come from the
+        exchange calls: ``ialltoallv`` posts in more than one slab, one
+        blocking ``alltoall`` in one.  The receive extents come from the
         decomposition, not from a per-call allgather."""
-        ops = (None, "ialltoallv")  # None watches every operation
+        ops = (None, "ialltoallv", "alltoall")  # None watches every operation
         plan = FaultPlan(
             [FaultEvent("delay", rank=r, op=op, call=2**62) for r in range(4) for op in ops]
         )
@@ -253,20 +258,25 @@ class TestSlabCount:
             tr = PencilTransforms(cart, NX, NY, NZ, method=TransposeMethod.PIPELINED, stages=stages)
             local = np.zeros(tr.decomp.y_pencil_shape, complex)
             tr.fft_cycle(local)
-            mine = (2 * comm.rank, 2 * comm.rank + 1)
+            mine = range(len(ops) * comm.rank, len(ops) * (comm.rank + 1))
             before = [plan.seen(i) for i in mine]
             for _ in range(cycles):
                 local = tr.fft_cycle(local)
             after = [plan.seen(i) for i in mine]
             comm.barrier()
             ov = tr.overlap_counters
-            if stages == 1:  # nothing computes while a lone slab flies
-                assert ov.bytes_overlapped == 0 and ov.overlap_seconds == 0.0
-            assert ov.posts == 4 * stages * (cycles + 1)
+            if stages == 1:  # the blocking exchange: nothing posted, nothing waited on
+                assert ov.snapshot() == dict.fromkeys(ov.FIELDS, 0)
+            else:
+                assert ov.posts == ov.waits == 4 * stages * (cycles + 1)
             return [b - a for a, b in zip(before, after)]
 
         # 4 transposes per cycle, each in `stages` slabs (both stage axes >= 4)
-        assert run_spmd(4, prog, fault_plan=plan) == [[4 * stages * cycles] * 2] * 4
+        if stages == 1:
+            seen = [4 * cycles, 0, 4 * cycles]
+        else:
+            seen = [4 * stages * cycles, 4 * stages * cycles, 0]
+        assert run_spmd(4, prog, fault_plan=plan) == [seen] * 4
 
 
 class TestP3DFFTBaseline:

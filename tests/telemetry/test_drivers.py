@@ -8,6 +8,7 @@ from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.supervisor import RunSupervisor, SupervisorPolicy
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
+from repro.pencil.transpose import TransposeMethod
 from repro.telemetry import merge_traces, read_manifest, read_stream
 
 CFG = ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, seed=3, init_amplitude=0.5)
@@ -37,6 +38,9 @@ def test_distributed_per_rank_streams(tmp_path):
     # one manifest (rank 0), carrying the process grid
     doc = read_manifest(tel)
     assert doc["nranks"] == 4 and doc["process_grid"] == [2, 2]
+    assert doc["transport"] == {
+        "method": "ALLTOALL", "stages": 1, "wire": "full", "exchange_op": "alltoall",
+    }
     merged = merge_traces(
         [tel / f"trace-rank{r:03d}.json" for r in range(4)], tel / "merged.json"
     )
@@ -77,6 +81,34 @@ def test_supervisor_mirrors_recovery_log(tmp_path):
     # recovery counter deltas ride the step records
     post = [r for r in recs if r["type"] == "step"]
     assert sum(r.get("recovery", {}).get("rollbacks", 0) for r in post) == 1
+
+
+def test_manifest_explains_a_zero_overlap_pipelined_run(tmp_path):
+    """A one-slab pipelined run posts nothing, so its ``overlap`` group
+    reads all zeros; the manifest's transport says why (the exchanges
+    were ``alltoall``), and at two slabs it names ``ialltoallv``."""
+    for stages, op in ((1, "alltoall"), (2, "ialltoallv")):
+        tel = tmp_path / f"stages-{stages}"
+
+        def prog(comm):
+            dns = DistributedChannelDNS(
+                comm, CFG, pa=2, pb=2, method=TransposeMethod.PIPELINED,
+                wire_precision="mixed", stages=stages, telemetry=tel,
+            )
+            dns.initialize()
+            dns.run(2)
+            dns.finalize_telemetry()
+
+        run_spmd(4, prog)
+        assert read_manifest(tel)["transport"] == {
+            "method": "PIPELINED", "stages": stages, "wire": "mixed", "exchange_op": op,
+        }
+        steps = [r for r in read_stream(tel / "telemetry-rank000.jsonl") if r["type"] == "step"]
+        posts = sum(r["overlap"]["posts"] for r in steps)
+        if stages == 1:
+            assert all(v == 0 for r in steps for v in r["overlap"].values())
+        else:
+            assert posts == 2 * 48 * 2  # 48 exchanges per step, each in 2 slabs
 
 
 def test_supervised_spmd_attempt_streams_and_job_events(tmp_path):

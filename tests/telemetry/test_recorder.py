@@ -103,6 +103,7 @@ def test_manifest_written(tmp_path):
     assert doc["config"]["nx"] == CFG.nx
     assert doc["nranks"] == 1
     assert doc["config_fingerprint"]
+    assert doc["transport"] is None  # no transposes in a serial run
 
 
 def test_trace_disabled(tmp_path):

@@ -3,7 +3,9 @@ and the full 25-seed sweep behind the ``soak`` marker."""
 
 import pytest
 
-from repro.chaos import random_fault_plan, run_chaos_soak, soak_summary
+import repro.chaos
+from repro.chaos import alltoalls_per_step, random_fault_plan, run_chaos_soak, soak_summary
+from repro.core import ChannelConfig
 from repro.pencil.transpose import TransposeMethod
 
 HEALTHY = {"completed", "recovered", "degraded"}
@@ -34,6 +36,32 @@ class TestScheduleGenerator:
             plan = random_fault_plan(seed, 4, max_events=6)
             kills = sum(1 for e in plan.events if e.action == "kill")
             assert kills <= 3
+
+
+class TestExchangeCount:
+    """The dry run that places hand-placed kills counts the call each
+    transport's exchanges make."""
+
+    CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
+
+    @pytest.mark.parametrize(
+        "method, stages, per_step",
+        [
+            (TransposeMethod.ALLTOALL, 1, 48),
+            (TransposeMethod.PAIRWISE, 1, 48),  # one send per peer: one peer on 2x2
+            (TransposeMethod.PIPELINED, 1, 48),  # one slab: one alltoall
+            (TransposeMethod.PIPELINED, 2, 96),  # one ialltoallv post per slab
+        ],
+        ids=["alltoall", "pairwise", "pipelined-1", "pipelined-2"],
+    )
+    def test_counts_the_exchange_op(self, method, stages, per_step):
+        assert alltoalls_per_step(self.CFG, 2, 2, method, stages) == per_step
+
+    def test_no_exchange_call_is_an_error(self, monkeypatch):
+        """A count of zero would place a kill that never fires."""
+        monkeypatch.setattr(repro.chaos, "exchange_op", lambda method, stages: "isend")
+        with pytest.raises(RuntimeError, match="no 'isend' call"):
+            alltoalls_per_step(self.CFG, 2, 2)
 
 
 class TestShortSoak:
