@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.grid import ChannelGrid
 from repro.mpi import run_spmd
 from repro.pencil import P3DFFTBaseline, PencilTransforms
-from repro.pencil.transpose import TransposeMethod
 from repro.perfmodel import paper_data as P
 from repro.perfmodel.fftbench import ParallelFFTModel
 from repro.perfmodel.machine import LONESTAR, MIRA, STAMPEDE
@@ -92,17 +91,10 @@ def test_table06(benchmark):
     def functional(comm):
         cart = comm.cart_create((2, 2))
         custom = PencilTransforms(cart, nx, ny, nz, dealias=False)
-        # 4 slabs: one slab is the blocking exchange and posts nothing
-        pipelined = PencilTransforms(
-            cart, nx, ny, nz, dealias=False, method=TransposeMethod.PIPELINED, stages=4
-        )
         p3 = P3DFFTBaseline(cart, nx, ny, nz)
         d = custom.decomp
         loc = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
         err = np.abs(custom.fft_cycle(loc) - loc).max()
-        # the overlapped path is the same mathematics, bit for bit
-        np.testing.assert_array_equal(pipelined.fft_cycle(loc), custom.fft_cycle(loc))
-        assert pipelined.overlap_counters.posts > 0
         return err, p3.work_buffer_elements() / p3.input_elements(), (
             custom.comm_a.stats.bytes + custom.comm_b.stats.bytes,
             p3.comm_a.stats.bytes + p3.comm_b.stats.bytes,

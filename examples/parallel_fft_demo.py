@@ -101,7 +101,7 @@ def main() -> None:
     print("\nFFT-cycle timing on SimMPI (Table 6 protocol, functional):")
     print(f"  customized kernel : {t_custom * 1e3:8.2f} ms/cycle")
     print(f"  P3DFFT baseline   : {t_p3 * 1e3:8.2f} ms/cycle "
-          f"(keeps Nyquist, 3x buffers, no overlap)")
+          f"(keeps Nyquist, 3x buffers, fixed alltoall)")
     print(f"  ratio             : {t_p3 / t_custom:.2f}x")
     print("  (SimMPI has no real network, so the paper's 2x+ communication")
     print("   advantage does not appear here; see examples/scaling_study.py")

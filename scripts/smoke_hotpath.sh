@@ -107,9 +107,6 @@ assert t.elapsed[t.SOLVE] > 0.0, "SOLVE section never timed"
 print("trajectory identity OK")
 EOF
 
-echo
-echo "== overlap micro-benchmark: pipelined vs synchronous pencil transposes =="
-python -m pytest benchmarks/bench_overlap_transpose.py -q --benchmark-disable
 
 echo
 echo "== telemetry smoke: stream + manifest + trace, < 1% recorder overhead =="

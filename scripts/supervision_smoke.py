@@ -9,8 +9,8 @@ end over each of its launches on a 16x24x16 channel:
   and a retry — the step-10 state must be bit-for-bit an uninterrupted
   serial run's;
 * **SimMPI ranks** (:func:`~repro.pencil.distributed.run_supervised_spmd`):
-  once per blocking exchange path — ``ALLTOALL``, ``PAIRWISE`` and
-  one-slab ``PIPELINED`` transposes — rank 1 is killed at the exchange
+  once per exchange path — ``ALLTOALL``, ``PAIRWISE`` and
+  ``PIPELINED`` transposes — rank 1 is killed at the exchange
   call its transport makes (``alltoall``, ``send``, ``alltoall``) past
   three steps, and the 2x2 job relaunched from its sharded snapshot —
   the step-10 state must be bit-for-bit an uninterrupted 2x2 run's.

@@ -8,8 +8,9 @@ acceptance criteria of the observability layer end to end:
 * the JSON-lines stream parses and every record validates against
   ``repro.telemetry.schema``;
 * a short 2x2 SimMPI run (16x17x16) writes four rank streams that
-  validate too, so the ``mpi``/``overlap``/``precision`` counter groups
-  are checked beside serial's ``transforms``/``solve``;
+  validate too, so the ``mpi``/``precision`` counter groups are checked
+  beside serial's ``transforms``/``solve``, and each rank books one
+  ``fft`` section per ``transpose`` section;
 * the manifest and the Chrome trace exist and are well-formed;
 * the self-measured recorder overhead of the serial run stays under the
   1% budget (``--budget`` to override; the 32^3 step is heavy enough
@@ -93,8 +94,13 @@ def main(argv: list[str] | None = None) -> int:
         rank_steps = [r for r in read_stream(rank_stream) if r["type"] == "step"]
         if len(rank_steps) != spmd_steps:
             failures.append(f"{rank_stream}: expected {spmd_steps} step records, got {len(rank_steps)}")
-        elif not {"mpi", "overlap", "precision"} <= set(rank_steps[0]):
+        elif not {"mpi", "precision"} <= set(rank_steps[0]):
             failures.append(f"{rank_stream}: step records lack the pencil counter groups")
+        else:
+            sections = rank_steps[0]["sections"]
+            calls = {name: sections.get(name, {}).get("calls", 0) for name in ("transpose", "fft")}
+            if not calls["transpose"] or calls["fft"] != calls["transpose"]:
+                failures.append(f"{rank_stream}: one fft section per transpose expected, got {calls}")
 
     overhead = summaries[0]["overhead_frac"] if summaries else None
     if overhead is None:

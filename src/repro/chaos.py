@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan
-from repro.pencil.transpose import DEFAULT_STAGES, exchange_op
+from repro.pencil.transpose import exchange_op
 
 #: collectives the distributed DNS actually exercises every step; ``None``
 #: is the wildcard (matches whatever operation the victim reaches next)
@@ -96,7 +96,7 @@ def random_fault_plan(
     one epoch can never lose every rank at once (the stack still
     tolerates a lone rank dying — that surfaces as a restart, not a
     shrink).  Passing a different ``ops`` tuple retargets the sweep —
-    e.g. at the nonblocking ``ialltoall``/``isend`` path — without
+    e.g. at the ``send`` calls of ``PAIRWISE`` exchanges — without
     perturbing the default schedules existing seeds pin down.
     """
     rng = np.random.default_rng(seed)
@@ -121,28 +121,26 @@ def random_fault_plan(
     return FaultPlan(events, seed=seed)
 
 
-def alltoalls_per_step(
-    config: ChannelConfig, pa: int, pb: int, method=None, stages: int = DEFAULT_STAGES
-) -> int:
+def alltoalls_per_step(config: ChannelConfig, pa: int, pb: int, method=None) -> int:
     """Fault-free dry run: the exchange calls rank 1 makes in one step.
 
     A :class:`~repro.mpi.simmpi.FaultEvent` names its victim's n-th
     matching call, so this count places a kill inside a chosen step
     without assuming how many transposes a step makes.  The calls are
     counted by the matcher a kill goes through: a plan whose one event
-    never fires.  ``method`` and ``stages`` are the run's transport; the
-    counted operation is theirs, :func:`~repro.pencil.transpose.exchange_op`
-    (``alltoall``, ``send`` or ``ialltoallv``).  Raises if the step
+    never fires.  ``method`` is the run's transpose method; the counted
+    operation is its :func:`~repro.pencil.transpose.exchange_op`
+    (``alltoall`` or ``send``).  Raises if the step
     makes no such call: a kill placed by it would never fire.
     """
     from repro.mpi.simmpi import run_spmd
     from repro.pencil.distributed import DistributedChannelDNS
 
-    op = exchange_op(method, stages)
+    op = exchange_op(method)
     plan = FaultPlan([FaultEvent("delay", rank=1, op=op, call=2**62, delay=0.0)])
 
     def program(comm):
-        dns = DistributedChannelDNS(comm, config, pa, pb, method=method, stages=stages)
+        dns = DistributedChannelDNS(comm, config, pa, pb, method=method)
         dns.initialize()
         before = plan.seen()
         dns.step()
@@ -152,7 +150,7 @@ def alltoalls_per_step(
     if count == 0:
         raise RuntimeError(
             f"rank 1 made no {op!r} call in a step of the {pa}x{pb} run "
-            f"(method={method}, stages={stages})"
+            f"(method={method})"
         )
     return count
 
@@ -192,7 +190,6 @@ def run_chaos_soak(
     telemetry=None,
     method=None,
     wire_precision: str = "full",
-    stages: int = DEFAULT_STAGES,
 ) -> list[SoakResult]:
     """Run one elastic supervised job per seed and classify every outcome.
 
@@ -210,10 +207,9 @@ def run_chaos_soak(
     its full per-attempt streams under ``<dir>/soak-NNNNN/``.
 
     ``method`` (a :class:`~repro.pencil.transpose.TransposeMethod`) pins
-    the transpose implementation of every attempt — e.g. ``PIPELINED``
-    to soak the nonblocking/overlap path under faults, in ``stages``
-    slabs per exchange.  ``method=None`` is the driver default,
-    ``ALLTOALL``.
+    the transpose implementation of every attempt — e.g. ``PAIRWISE``
+    to soak the ``send``/``recv`` exchange under faults.  ``method=None``
+    is the driver default, ``ALLTOALL``.
 
     ``wire_precision="mixed"`` soaks the reduced-precision wire: pass an
     ``atol`` sized to the single-precision tolerance (DESIGN.md §6h),
@@ -269,7 +265,6 @@ def run_chaos_soak(
                     telemetry=seed_tel,
                     method=method,
                     wire_precision=wire_precision,
-                    stages=stages,
                 )
             except Exception as exc:  # noqa: BLE001 - classified, not propagated
                 hung = "timed out" in str(exc)

@@ -59,18 +59,14 @@ class SectionTimers:
     #: streaming-statistics section: accumulator sampling inside the step
     #: loop (disjoint — it runs after the RK3 advance returned)
     STATS = "stats"
-    #: compute executed while a nonblocking exchange was in flight (the
-    #: pipelined transposes run FFT slabs inside the transpose section,
-    #: so this is nested — it measures hidden time, not extra time)
-    OVERLAP = "overlap"
 
     #: every canonical name, in the order the operator's guide lists them
     NAMES = (
-        TRANSPOSE, FFT, ADVANCE, NONLINEAR, SOLVE, OVERLAP,
+        TRANSPOSE, FFT, ADVANCE, NONLINEAR, SOLVE,
         REORDER, CHECKPOINT, RECOVERY, ELASTIC, STATS,
     )
     #: sections nested inside another section (not added to the total)
-    NESTED = frozenset({SOLVE, OVERLAP})
+    NESTED = frozenset({SOLVE})
 
     def __init__(self) -> None:
         self.elapsed: dict[str, float] = defaultdict(float)
@@ -194,28 +190,6 @@ class SolveCounters(WorkspaceCounters):
     columns: int = 0
 
 
-class OverlapCounters(Counters):
-    """Communication/compute overlap of the pipelined transposes.
-
-    ``bytes_posted`` counts off-rank payload posted through nonblocking
-    exchanges, ``bytes_completed`` the portion whose requests finished,
-    and ``bytes_overlapped`` the portion already delivered when the wait
-    first checked — communication fully hidden behind the FFT compute
-    that ran between post and wait.  ``wait_seconds`` is time blocked in
-    ``Request.wait`` (exposed comm), ``overlap_seconds`` compute executed
-    while an exchange was in flight.  ``posts`` and ``waits`` count the
-    staged exchanges.
-    """
-
-    posts: int = 0
-    waits: int = 0
-    bytes_posted: int = 0
-    bytes_completed: int = 0
-    bytes_overlapped: int = 0
-    wait_seconds: float = 0.0
-    overlap_seconds: float = 0.0
-
-
 class PrecisionCounters(Counters):
     """Mixed-precision wire accounting of the global transposes.
 
@@ -310,7 +284,6 @@ GROUPS: dict[str, type[Counters]] = {
     "solve": SolveCounters,
     "recovery": RecoveryCounters,
     "mpi": MPICounters,
-    "overlap": OverlapCounters,
     "precision": PrecisionCounters,
     "stats": StatsCounters,
 }

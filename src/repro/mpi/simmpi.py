@@ -44,8 +44,8 @@ timeout uses it directly, the :func:`run_spmd` join timeout is
 ``JOIN_TIMEOUT_FACTOR`` times it, and the agreement round waits at most
 one default before freezing a decision among the ranks that checked in.
 
-A nonblocking layer mirrors MPI-3's request model for the pipelined
-pencil transposes: :meth:`Communicator.ialltoall` /
+A nonblocking layer mirrors MPI-3's request model:
+:meth:`Communicator.ialltoall` /
 :meth:`Communicator.ialltoallv`, :meth:`Communicator.isend` and
 :meth:`Communicator.irecv` return :class:`Request` handles with
 ``test`` / ``wait`` (plus module-level :func:`waitall`).  Posting is
@@ -59,8 +59,12 @@ injection point, but an injected ``kill``/``delay`` surfaces at
 receiver's ``wait``.  Because payloads move by reference, the buffer a
 rank posted belongs to its receivers until they complete: receivers
 acknowledge each consumed chunk at ``wait`` time and a sender calls
-:meth:`Request.wait_acks` before refilling a staging buffer (the
-credit protocol the double-buffered pipelined transpose runs on).
+:meth:`Request.wait_acks` before refilling a staging buffer.  No
+transpose calls this layer (every transpose is one blocking exchange,
+DESIGN.md §6g); it stays, pinned by its fault tests, while the
+end-to-end benchmark's span table wraps ``ialltoall``, ``ialltoallv``
+and ``Request.wait``, and goes with the benchmark change that retires
+the ``dist4_pipelined_mixed`` workload (ROADMAP item 2(d)).
 """
 
 from __future__ import annotations

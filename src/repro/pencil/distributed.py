@@ -31,7 +31,7 @@ from repro.instrument import SectionTimers
 from repro.mpi.simmpi import Communicator, run_spmd
 from repro.pencil.decomp import block_range
 from repro.pencil.parallel_fft import PencilTransforms
-from repro.pencil.transpose import DEFAULT_STAGES, TransposeMethod
+from repro.pencil.transpose import TransposeMethod
 
 
 class DistributedChannelDNS(ChannelDNS):
@@ -67,11 +67,6 @@ class DistributedChannelDNS(ChannelDNS):
         accumulation in the solves; the trajectory then matches the
         full-precision one to the documented single-precision tolerance
         (DESIGN.md §6h), not bit-for-bit.
-    stages:
-        Slab count of pipelined transposes; any count gives the same
-        bits.  One slab (the default) is one blocking ``alltoall`` per
-        transpose; more post one ``ialltoallv`` per slab
-        (:func:`~repro.pencil.transpose.exchange_op`).
     """
 
     def __init__(
@@ -83,18 +78,17 @@ class DistributedChannelDNS(ChannelDNS):
         method: TransposeMethod | None = None,
         telemetry=None,
         wire_precision: str = "full",
-        stages: int = DEFAULT_STAGES,
     ) -> None:
         if pa * pb != comm.size:
             raise ValueError(f"{pa} x {pb} != {comm.size} ranks")
         self.cart = comm.cart_create((pa, pb))
-        self._layout_args = (comm, method, wire_precision, stages)
+        self._layout_args = (comm, method, wire_precision)
         super().__init__(config, telemetry)
 
     def _layout(self):
         """The pencil layout: the world communicator, this rank's pencil
         decomposition and the transposing transforms (collective)."""
-        comm, method, wire, stages = self._layout_args
+        comm, method, wire = self._layout_args
         cfg = self.config
         transforms = PencilTransforms(
             self.cart,
@@ -105,7 +99,6 @@ class DistributedChannelDNS(ChannelDNS):
             method=method,
             timers=self.timers,
             wire=wire,
-            stages=stages,
         )
         return comm, transforms.decomp, transforms
 
@@ -187,7 +180,6 @@ class RanksLaunch:
     integrity: bool = False
     telemetry: Any = None
     wire_precision: str = "full"
-    stages: int = DEFAULT_STAGES
     streaming_every: int = 0
     publish: Any = None
     #: rank 0's driver of the latest attempt: where the job stands
@@ -223,7 +215,7 @@ class RanksLaunch:
         def program(comm: Communicator):
             dns = DistributedChannelDNS(
                 comm, self.config, pa=pa, pb=pb, method=self.method,
-                telemetry=telemetry, wire_precision=self.wire_precision, stages=self.stages,
+                telemetry=telemetry, wire_precision=self.wire_precision,
             )
             if comm.rank == 0:
                 self.dns = dns
@@ -323,7 +315,6 @@ def run_supervised_spmd(
     timers: SectionTimers | None = None,
     telemetry=None,
     wire_precision: str = "full",
-    stages: int = DEFAULT_STAGES,
     streaming_every: int = 0,
     publish=None,
 ):
@@ -361,7 +352,7 @@ def run_supervised_spmd(
     launch = RanksLaunch(
         config, (nranks, pa, pb), checkpoint_dir, keep=keep, fault_plans=fault_plans,
         method=method, timeout=timeout, elastic=elastic, integrity=integrity,
-        telemetry=telemetry, wire_precision=wire_precision, stages=stages,
+        telemetry=telemetry, wire_precision=wire_precision,
         streaming_every=streaming_every, publish=publish,
     )
     sup = Supervisor(

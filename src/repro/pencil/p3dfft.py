@@ -14,10 +14,10 @@ identifies as the performance differences with the customized kernel:
    only the bare-grid transform is offered (the Table 6 benchmark is run
    exactly this way: "the padding and truncating of data for 3/2
    dealiasing is not performed, as this is not supported in P3DFFT").
-4. **No overlap**: the transpose implementation is fixed (blocking
-   alltoall) — the baseline never takes the pipelined
-   communication/compute-overlap path of the custom kernel, matching
-   P3DFFT 2.5.1's synchronous exchange.
+4. **Fixed transpose**: the exchange is always the blocking
+   ``alltoall``, matching P3DFFT 2.5.1's synchronous exchange.  The
+   custom kernel's exchanges block too (neither kernel overlaps
+   communication with compute), but take a ``method``.
 """
 
 from __future__ import annotations

@@ -17,20 +17,10 @@ The kernel embodies the two §4.4 distinctions from P3DFFT:
 * **1x work buffer** — every stage consumes its input and hands over one
   intermediate of (at most) the padded size; no 3x staging buffers.
 
-When a transpose's method is ``PIPELINED``, the adjacent FFT stage is
-*fused into* the transpose: the exchange for slab ``k`` is posted
-nonblocking while slab ``k-1`` (``to_physical``: pad + inverse FFT after
-assembly) or ``k+1`` (``from_physical``: forward FFT + truncate before
-posting) runs its transforms, hiding wire time behind compute.  The 1-D
-FFTs are independent per pencil, so the fused path is bit-for-bit
-identical to the synchronous one at any slab count; its hidden compute
-is timed under the nested ``overlap`` section and accounted in
-:attr:`overlap_counters`.  Every slab is one more exchange, so the slab
-count defaults to one (``stages``): more only pays where there is wire
-latency to hide.  One slab hides nothing, so it runs the FFT stage
-around one blocking ``alltoall`` and posts nothing.  The receive
-extents of every exchange come from the decomposition, so a pipelined
-execute runs no collective besides its exchange calls.
+Every transpose is one blocking exchange (the paper's CommA/CommB
+all-to-alls), whatever its ``method``, so both directions run one
+sequence: each FFT stage under the ``fft`` section, each exchange under
+``transpose``.
 
 Construction is collective over the cartesian communicator.
 """
@@ -41,15 +31,10 @@ import numpy as np
 
 from repro.fft.fourier import quadrature_points
 from repro.fft.plans import Planner, default_planner
-from repro.instrument import OverlapCounters, PrecisionCounters, SectionTimers
+from repro.instrument import PrecisionCounters, SectionTimers
 from repro.mpi.simmpi import CartesianCommunicator
-from repro.pencil.decomp import PencilDecomp, block_sizes
-from repro.pencil.transpose import (
-    DEFAULT_STAGES,
-    GlobalTranspose,
-    TransposeMethod,
-    exchange_op,
-)
+from repro.pencil.decomp import PencilDecomp
+from repro.pencil.transpose import TransposeMethod, exchange_op, transpose_class
 
 
 def _insert_fft_modes(uh: np.ndarray, npoints: int, axis: int) -> np.ndarray:
@@ -93,10 +78,6 @@ class PencilTransforms:
         the wire with full-precision accumulation on assembly (see
         :mod:`repro.pencil.transpose`); byte savings are accounted in
         :attr:`precision_counters`.
-    stages:
-        Slab count of the pipelined transposes (default one: one
-        blocking ``alltoall`` per transpose, nothing overlapped; more
-        post one ``ialltoallv`` per slab).
     """
 
     drop_nyquist = True
@@ -112,7 +93,6 @@ class PencilTransforms:
         timers: SectionTimers | None = None,
         planner: Planner | None = None,
         wire: str = "full",
-        stages: int = DEFAULT_STAGES,
     ) -> None:
         if len(cart.dims) != 2:
             raise ValueError("need a 2-D cartesian communicator (pa, pb)")
@@ -138,60 +118,28 @@ class PencilTransforms:
         # CommB: ranks sharing the A coordinate (dim 1 varies).
         self.comm_b = cart.cart_sub([False, True])
 
-        #: communication/compute overlap accounting, shared by the four
-        #: transposes (populated only by pipelined transposes in more
-        #: than one slab)
-        self.overlap_counters = OverlapCounters()
         #: mixed-precision wire accounting, shared by the four transposes
         self.precision_counters = PrecisionCounters()
         self.wire = wire
 
-        kw = {"method": method} if method is not None else {}
-        kw.update(
-            stages=stages,
-            timers=self.timers,
-            overlap=self.overlap_counters,
-            wire=wire,
-            precision=self.precision_counters,
-        )
-        # concat_sizes: every source's block along the axis a transpose
-        # gathers — the receive extents, known here without a collective
-        self.t_yz = GlobalTranspose(
-            self.comm_b, split_axis=2, concat_axis=1,
-            concat_sizes=block_sizes(self.mz, self.pb), **kw,
-        )
-        self.t_zy = GlobalTranspose(
-            self.comm_b, split_axis=1, concat_axis=2,
-            concat_sizes=block_sizes(ny, self.pb), **kw,
-        )
-        self.t_zx = GlobalTranspose(
-            self.comm_a, split_axis=1, concat_axis=0,
-            concat_sizes=block_sizes(self.mx, self.pa), **kw,
-        )
-        self.t_xz = GlobalTranspose(
-            self.comm_a, split_axis=0, concat_axis=1,
-            concat_sizes=block_sizes(self.nzq, self.pa), **kw,
-        )
+        make = transpose_class(method)
+        kw = dict(method=method, wire=wire, precision=self.precision_counters)
+        self.t_yz = make(self.comm_b, split_axis=2, concat_axis=1, **kw)
+        self.t_zy = make(self.comm_b, split_axis=1, concat_axis=2, **kw)
+        self.t_zx = make(self.comm_a, split_axis=1, concat_axis=0, **kw)
+        self.t_xz = make(self.comm_a, split_axis=0, concat_axis=1, **kw)
 
     def transport(self) -> dict:
-        """How the four transposes move data — ``method``, ``stages``,
-        ``wire`` and ``exchange_op``, the SimMPI operation their
-        exchanges call — as the run manifest records it."""
-        t = self.t_yz
-        return {
-            "method": t.method.name,
-            "stages": t.pipelined.stages,
-            "wire": self.wire,
-            "exchange_op": exchange_op(t.method, t.pipelined.stages),
-        }
+        """How the four transposes move data — ``method``, ``wire`` and
+        ``exchange_op``, the SimMPI operation their exchanges call — as
+        the run manifest records it."""
+        method = self.t_yz.method
+        return {"method": method.name, "wire": self.wire, "exchange_op": exchange_op(method)}
 
     def counter_groups(self) -> dict:
-        """Step-record counter groups: the transposes' ``overlap`` and
-        ``precision`` accounting."""
-        return {
-            "overlap": self.overlap_counters.snapshot,
-            "precision": self.precision_counters.snapshot,
-        }
+        """Step-record counter groups: the transposes' ``precision``
+        accounting."""
+        return {"precision": self.precision_counters.snapshot}
 
     # ------------------------------------------------------------------
     # forward: spectral (y-pencil) -> physical (x-pencil)
@@ -202,26 +150,14 @@ class PencilTransforms:
         d, t = self.decomp, self.timers
         if spec.shape != d.y_pencil_shape:
             raise ValueError(f"expected {d.y_pencil_shape}, got {spec.shape}")
-        if self.t_yz.method is TransposeMethod.PIPELINED:
-            # transpose-then-compute fusion: assembled slab k runs its z
-            # (then x) FFT stage while the exchange for slab k+1 flies
-            with t.section(t.TRANSPOSE):
-                zphys = self.t_yz.pipelined.execute(
-                    np.ascontiguousarray(spec), post=self._z_stage_to_physical
-                )
-        else:
-            with t.section(t.TRANSPOSE):
-                zp = self.t_yz.execute(np.ascontiguousarray(spec))  # (mxa, mz, nyb)
-            with t.section(t.FFT):
-                zphys = self._z_stage_to_physical(zp, 0)  # (mxa, nzq, nyb)
-        if self.t_zx.method is TransposeMethod.PIPELINED:
-            with t.section(t.TRANSPOSE):
-                phys = self.t_zx.pipelined.execute(zphys, post=self._x_stage_to_physical)
-        else:
-            with t.section(t.TRANSPOSE):
-                xp = self.t_zx.execute(zphys)  # (mx, nzqa, nyb)
-            with t.section(t.FFT):
-                phys = self._x_stage_to_physical(xp, 0)
+        with t.section(t.TRANSPOSE):
+            zp = self.t_yz.execute(np.ascontiguousarray(spec))  # (mxa, mz, nyb)
+        with t.section(t.FFT):
+            zphys = self._z_stage_to_physical(zp)  # (mxa, nzq, nyb)
+        with t.section(t.TRANSPOSE):
+            xp = self.t_zx.execute(zphys)  # (mx, nzqa, nyb)
+        with t.section(t.FFT):
+            phys = self._x_stage_to_physical(xp)
         return phys
 
     def from_physical(self, phys: np.ndarray) -> np.ndarray:
@@ -229,44 +165,33 @@ class PencilTransforms:
         d, t = self.decomp, self.timers
         if phys.shape != d.x_pencil_shape_phys:
             raise ValueError(f"expected {d.x_pencil_shape_phys}, got {phys.shape}")
-        if self.t_xz.method is TransposeMethod.PIPELINED:
-            # compute-then-post fusion: slab k+1 runs its x FFT stage
-            # while the exchange for slab k is still in flight
-            with t.section(t.TRANSPOSE):
-                zp = self.t_xz.pipelined.execute(phys, pre=self._x_stage_to_spectral)
-        else:
-            with t.section(t.FFT):
-                xh = self._x_stage_to_spectral(phys, 0)
-            with t.section(t.TRANSPOSE):
-                zp = self.t_xz.execute(xh)  # (mxa, nzq, nyb)
-        if self.t_zy.method is TransposeMethod.PIPELINED:
-            with t.section(t.TRANSPOSE):
-                spec = self.t_zy.pipelined.execute(zp, pre=self._z_stage_to_spectral)
-        else:
-            with t.section(t.FFT):
-                zh = self._z_stage_to_spectral(zp, 0)
-            with t.section(t.TRANSPOSE):
-                spec = self.t_zy.execute(np.ascontiguousarray(zh))  # (mxa, mzb, ny)
+        with t.section(t.FFT):
+            xh = self._x_stage_to_spectral(phys)
+        with t.section(t.TRANSPOSE):
+            zp = self.t_xz.execute(xh)  # (mxa, nzq, nyb)
+        with t.section(t.FFT):
+            zh = self._z_stage_to_spectral(zp)
+        with t.section(t.TRANSPOSE):
+            spec = self.t_zy.execute(np.ascontiguousarray(zh))  # (mxa, mzb, ny)
         return spec
 
     # ------------------------------------------------------------------
-    # per-slab FFT stages (slab-independent along the transpose stage
-    # axis, so fused slabs reproduce the full-array results bitwise)
+    # the 1-D FFT stages
     # ------------------------------------------------------------------
 
-    def _z_stage_to_physical(self, zp: np.ndarray, k: int) -> np.ndarray:
+    def _z_stage_to_physical(self, zp: np.ndarray) -> np.ndarray:
         """Pad the z spectrum and inverse-transform it (steps b-c)."""
         if self.drop_nyquist:
             zfull = _insert_fft_modes(zp, self.nzq, axis=1)
         else:
             # may alias zp (unpadded Nyquist-keeping case): scaling in
-            # place is safe — zp is either the fresh transpose output or
-            # the pipelined slab scratch, dead after this stage
+            # place is safe — zp is the fresh transpose output, dead
+            # after this stage
             zfull = self._pad_full_spectrum(zp, self.nzq, axis=1)
         zfull *= self.nzq
         return self.planner.execute("ifft", zfull, axis=1)
 
-    def _x_stage_to_physical(self, xp: np.ndarray, k: int) -> np.ndarray:
+    def _x_stage_to_physical(self, xp: np.ndarray) -> np.ndarray:
         """Pad the x spectrum and inverse-real-transform it (steps e-f)."""
         shape = list(xp.shape)
         shape[0] = self.nxq // 2 + 1
@@ -275,14 +200,14 @@ class PencilTransforms:
         xfull *= self.nxq
         return self.planner.execute("irfft", xfull, axis=0, nout=self.nxq)
 
-    def _x_stage_to_spectral(self, phys: np.ndarray, k: int) -> np.ndarray:
+    def _x_stage_to_spectral(self, phys: np.ndarray) -> np.ndarray:
         """Forward x transform, truncated to the stored modes."""
         xh = self.planner.execute("rfft", phys, axis=0)
         xh = xh[: self.mx]  # truncate pad (+ Nyquist); stays contiguous
         xh /= self.nxq
         return xh
 
-    def _z_stage_to_spectral(self, zp: np.ndarray, k: int) -> np.ndarray:
+    def _z_stage_to_spectral(self, zp: np.ndarray) -> np.ndarray:
         """Forward z transform, truncated to the Nyquist-free modes."""
         zh = self.planner.execute("fft", zp, axis=1)
         zh /= self.nzq

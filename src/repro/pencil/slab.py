@@ -27,8 +27,8 @@ import numpy as np
 from repro.fft.fourier import quadrature_points
 from repro.instrument import SectionTimers
 from repro.mpi.simmpi import Communicator
-from repro.pencil.decomp import block_range, block_sizes
-from repro.pencil.transpose import GlobalTranspose, TransposeMethod
+from repro.pencil.decomp import block_range
+from repro.pencil.transpose import TransposeMethod, transpose_class
 
 
 def max_slab_ranks(nx: int, nz: int, dealias: bool = True) -> int:
@@ -74,14 +74,10 @@ class SlabTransforms:
             )
         self.x_slice = slice(*block_range(self.mx, p, comm.rank))
         self.zq_slice = slice(*block_range(self.nzq, p, comm.rank))
-        kw = {"method": method} if method is not None else {}
+        make = transpose_class(method)
         # one transpose: x-block spectral <-> z-block physical
-        self.t_fwd = GlobalTranspose(
-            comm, split_axis=1, concat_axis=0, concat_sizes=block_sizes(self.mx, p), **kw
-        )
-        self.t_bwd = GlobalTranspose(
-            comm, split_axis=0, concat_axis=1, concat_sizes=block_sizes(self.nzq, p), **kw
-        )
+        self.t_fwd = make(comm, split_axis=1, concat_axis=0, method=method)
+        self.t_bwd = make(comm, split_axis=0, concat_axis=1, method=method)
 
     # ------------------------------------------------------------------
 

@@ -33,19 +33,17 @@ def breakdown(path, *, validate: bool = True) -> dict:
     """Aggregate a stream into per-section timing statistics.
 
     Returns ``{"steps", "wall_s", "sections": {name: {"median_s",
-    "mean_s", "total_s", "calls", "share"}}, "overlap", "summary"}``
-    where ``share`` is the section's fraction of the summed per-step
-    wall time.  Nested sections (``solve``, ``overlap``) are reported
-    but, as in :meth:`~repro.instrument.SectionTimers.total`, excluded
-    from the share denominator.  ``overlap`` sums the per-step
-    OverlapCounters deltas (None when the stream carries none).
+    "mean_s", "total_s", "calls", "share"}}, "summary"}`` where
+    ``share`` is the section's fraction of the summed per-step wall
+    time.  Nested sections (``solve``) are reported but, as in
+    :meth:`~repro.instrument.SectionTimers.total`, excluded from the
+    share denominator.
     """
     per_section: dict[str, list[float]] = {}
     calls: dict[str, int] = {}
     wall = 0.0
     steps = 0
     summary = None
-    overlap: dict | None = None
     for rec in read_stream(path, validate=validate):
         if rec["type"] == "step":
             steps += 1
@@ -53,11 +51,6 @@ def breakdown(path, *, validate: bool = True) -> dict:
             for name, cell in rec["sections"].items():
                 per_section.setdefault(name, []).append(cell["s"])
                 calls[name] = calls.get(name, 0) + cell["calls"]
-            if "overlap" in rec:
-                if overlap is None:
-                    overlap = dict.fromkeys(rec["overlap"], 0)
-                for k, v in rec["overlap"].items():
-                    overlap[k] = overlap.get(k, 0) + v
         elif rec["type"] == "summary":
             summary = rec
     denom = sum(
@@ -77,7 +70,6 @@ def breakdown(path, *, validate: bool = True) -> dict:
         "steps": steps,
         "wall_s": wall,
         "sections": sections,
-        "overlap": overlap,
         "summary": summary,
     }
 
@@ -97,16 +89,6 @@ def format_breakdown(result: dict, title: str = "per-step section breakdown") ->
         lines.append(
             f"{name:>20} {s['median_s'] * 1e3:>8.2f}ms {s['mean_s'] * 1e3:>8.2f}ms "
             f"{s['total_s']:>9.3f}s {s['calls']:>7d} {s['share']:>6.1%}{nested}"
-        )
-    overlap = result.get("overlap")
-    if overlap and overlap.get("bytes_posted", 0) > 0:
-        completed = overlap.get("bytes_completed", 0)
-        hidden = overlap["bytes_overlapped"] / completed if completed else 0.0
-        lines.append(
-            f"{'comm overlap':>20} {overlap['bytes_posted']:,} B posted / "
-            f"{overlap['bytes_overlapped']:,} B overlapped ({hidden:.0%} hidden), "
-            f"wait {overlap['wait_seconds']:.4f}s, compute-in-flight "
-            f"{overlap['overlap_seconds']:.4f}s"
         )
     summary = result.get("summary")
     if summary and summary.get("overhead_frac") is not None:

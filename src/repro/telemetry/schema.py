@@ -41,7 +41,10 @@ from repro.instrument import GROUPS, SectionTimers
 #: counter.
 #: v8 added the manifest's ``transport`` block (``method``, ``stages``,
 #: ``wire`` and ``exchange_op`` of a distributed run's transposes).
-SCHEMA_VERSION = 8
+#: v9 removed what only the multi-slab pipelined transpose wrote: the
+#: ``overlap`` step group, the ``overlap`` section name and the
+#: ``transport`` block's ``stages``.
+SCHEMA_VERSION = 9
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -57,7 +60,6 @@ def _group(group: str, what: str, notes: str) -> tuple[bool, str]:
 #: parenthetical notes on the section names of the ``sections`` field
 _SECTION_NOTES = {
     SectionTimers.SOLVE: "nested inside `ns_advance`",
-    SectionTimers.OVERLAP: "nested inside `transpose` in pipelined runs",
     SectionTimers.STATS: "the streaming-statistics sampling time",
 }
 _SECTIONS = ", ".join(
@@ -110,14 +112,6 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
         "of SimMPI's `MessageStats`",
         "the stats object is shared by the communicator context, so the numbers are world "
         "totals (identical on every rank); absent in serial runs",
-    ),
-    "overlap": _group(
-        "overlap",
-        "of the pipelined transposes",
-        "per-rank, not world totals; absent in serial runs; all-zero unless a transpose runs "
-        "pipelined in more than one slab: one slab (the default `stages=1`) is the blocking "
-        "`alltoall`, which posts and waits on nothing, so `posts` and `waits` are 0 too (the "
-        "manifest's `transport` block says which ran)",
     ),
     "precision": _group(
         "precision",

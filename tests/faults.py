@@ -11,7 +11,7 @@ import numpy as np
 from repro.chaos import alltoalls_per_step
 from repro.mpi.simmpi import FaultEvent, FaultPlan
 from repro.pencil.decomp import choose_grid
-from repro.pencil.transpose import DEFAULT_STAGES, exchange_op
+from repro.pencil.transpose import exchange_op
 from repro.storage import FORMAT_VERSION
 
 
@@ -21,19 +21,18 @@ def rank1_kill_plan(
     pa: int | None = None,
     pb: int | None = None,
     method=None,
-    stages: int = DEFAULT_STAGES,
 ) -> FaultPlan:
     """Rank 1 dies at its exchange call number ``3 * per_step + 6``: past
     three steps' worth of exchanges, early in the next one.
 
     ``per_step`` comes from a dry run on the ``pa x pb`` grid (by default
     the one an elastic restart picks for ``nranks``).  The exchange calls
-    are those of the ``method``/``stages`` transport:
+    are those of the ``method`` transport:
     :func:`~repro.pencil.transpose.exchange_op` names the operation."""
     if pa is None or pb is None:
         pa, pb = choose_grid(nranks, config.nx // 2, config.nz - 1, config.ny)
-    call = 3 * alltoalls_per_step(config, pa, pb, method, stages) + 6
-    op = exchange_op(method, stages)
+    call = 3 * alltoalls_per_step(config, pa, pb, method) + 6
+    op = exchange_op(method)
     return FaultPlan([FaultEvent(action="kill", rank=1, op=op, call=call)])
 
 

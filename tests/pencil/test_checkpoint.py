@@ -276,13 +276,13 @@ class TestKillRestartIdentity:
         assert final.time == straight.time
 
     @staticmethod
-    def _kill_and_compare(tmp_path, method, stages, op):
+    def _kill_and_compare(tmp_path, method, op):
         """Rank 1 killed at its exchange call ``3 * per_step + 6`` of the
-        ``method``/``stages`` transport (counted by a dry run), so in step
+        ``method`` transport (counted by a dry run), so in step
         3 (0-based) of the first attempt, before the step-5 snapshot; the
         relaunch re-runs every step and lands on the uninterrupted bits."""
         straight = _uninterrupted_state(10)
-        plan = rank1_kill_plan(CFG, 4, 2, 2, method=method, stages=stages)
+        plan = rank1_kill_plan(CFG, 4, 2, 2, method=method)
         counters = RecoveryCounters()
         rank1_steps: list[int] = []  # across attempts
 
@@ -304,7 +304,6 @@ class TestKillRestartIdentity:
             fault_plans=[plan],
             counters=counters,
             method=method,
-            stages=stages,
             monitor_factory=monitor_factory,
         )
 
@@ -318,20 +317,15 @@ class TestKillRestartIdentity:
         np.testing.assert_array_equal(final.u00, straight.u00)
         assert final.time == straight.time
 
-    def test_killed_pipelined_run_matches_uninterrupted(self, tmp_path):
-        """The same criterion on the pipelined transposes in two slabs:
-        the kill is deferred from an ``ialltoallv`` post to its wait."""
-        self._kill_and_compare(tmp_path, TransposeMethod.PIPELINED, 2, "ialltoallv")
-
     @pytest.mark.parametrize(
         "method, op",
         [(TransposeMethod.PIPELINED, "alltoall"), (TransposeMethod.PAIRWISE, "send")],
         ids=["pipelined-one-slab", "pairwise"],
     )
     def test_killed_blocking_exchange_run_matches_uninterrupted(self, tmp_path, method, op):
-        """The kill lands on the call a blocking exchange makes: one-slab
+        """The kill lands on the call a blocking exchange makes:
         pipelined transposes call ``alltoall``, pairwise ones ``send``."""
-        self._kill_and_compare(tmp_path, method, 1, op)
+        self._kill_and_compare(tmp_path, method, op)
 
     def test_unfaulted_supervised_run_needs_no_restart(self, tmp_path):
         straight = _uninterrupted_state(6)

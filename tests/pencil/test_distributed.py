@@ -31,9 +31,9 @@ def serial_after_3():
     return state
 
 
-def _after_3(config, pa, pb, method=None, stages=1):
+def _after_3(config, pa, pb, method=None):
     def prog(comm):
-        dns = DistributedChannelDNS(comm, config, pa=pa, pb=pb, method=method, stages=stages)
+        dns = DistributedChannelDNS(comm, config, pa=pa, pb=pb, method=method)
         dns.initialize()
         dns.run(3)
         return dns.gather_state()
@@ -56,30 +56,27 @@ class TestParity:
         _assert_same_bits(_after_3(CFG, pa, pb), serial_after_3(CFG))
 
     @pytest.mark.parametrize(
-        "config,pa,pb,method,stages",
+        "config,pa,pb,method",
         [
-            (CFG, 2, 2, PIPELINED, 1),
-            (CFG, 4, 1, PIPELINED, 1),
-            (CFG, 1, 4, PIPELINED, 1),
-            (UNEVEN, 3, 2, ALLTOALL, 1),
-            (UNEVEN, 3, 2, PIPELINED, 1),
-            (UNEVEN, 2, 3, ALLTOALL, 1),
-            (UNEVEN, 2, 3, PIPELINED, 1),
-            (CFG, 2, 2, PAIRWISE, 1),
-            (UNEVEN, 3, 2, PAIRWISE, 1),
-            (CFG, 2, 2, PIPELINED, 2),
-            (UNEVEN, 2, 3, PIPELINED, 4),
+            (CFG, 2, 2, PIPELINED),
+            (CFG, 4, 1, PIPELINED),
+            (CFG, 1, 4, PIPELINED),
+            (UNEVEN, 3, 2, ALLTOALL),
+            (UNEVEN, 3, 2, PIPELINED),
+            (UNEVEN, 2, 3, ALLTOALL),
+            (UNEVEN, 2, 3, PIPELINED),
+            (CFG, 2, 2, PAIRWISE),
+            (UNEVEN, 3, 2, PAIRWISE),
         ],
         ids=[
             "even-2x2-pipelined", "even-4x1-pipelined", "even-1x4-pipelined",
             "uneven-3x2-alltoall", "uneven-3x2-pipelined",
             "uneven-2x3-alltoall", "uneven-2x3-pipelined",
             "even-2x2-pairwise", "uneven-3x2-pairwise",
-            "even-2x2-pipelined-2slabs", "uneven-2x3-pipelined-4slabs",
         ],
     )
-    def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method, stages):
-        _assert_same_bits(_after_3(config, pa, pb, method, stages), serial_after_3(config))
+    def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method):
+        _assert_same_bits(_after_3(config, pa, pb, method), serial_after_3(config))
 
     def test_divergence_free(self):
         def prog(comm):

@@ -17,17 +17,16 @@ from repro.core import ChannelConfig, ChannelDNS
 from repro.core.grid import ChannelGrid
 from repro.instrument import PrecisionCounters
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd
-from repro.pencil.decomp import block_range, block_sizes
+from repro.pencil.decomp import block_range
 from repro.pencil.parallel_fft import PencilTransforms
-from repro.pencil.transpose import GlobalTranspose, TransposeMethod
+from repro.pencil.transpose import GlobalTranspose, TransposeMethod, exchange_op, transpose_class
 
 #: documented single-precision tolerance for a short mixed-wire trajectory
 MIXED_RTOL = 1e-5
 
 
 def _roundtrip_prog(method, dtype):
-    """Mixed vs full wire on one transpose; a pipelined one runs 4 slabs
-    (pinned: the fault-injection test delays post 0, the first slab)."""
+    """Mixed vs full wire on one transpose of ``method``."""
 
     def prog(comm):
         rng = np.random.default_rng(comm.rank)
@@ -36,9 +35,9 @@ def _roundtrip_prog(method, dtype):
         if np.issubdtype(dtype, np.complexfloating):
             a = a + 1j * rng.standard_normal((8, 5, hi - lo))
         pc = PrecisionCounters()
-        kw = dict(method=method, stages=4, concat_sizes=block_sizes(12, comm.size))
-        mixed = GlobalTranspose(comm, 0, 2, wire="mixed", precision=pc, **kw)
-        full = GlobalTranspose(comm, 0, 2, **kw)
+        make = transpose_class(method)
+        mixed = make(comm, 0, 2, method=method, wire="mixed", precision=pc)
+        full = make(comm, 0, 2, method=method)
         out_m, out_f = mixed.execute(a), full.execute(a)
         assert out_m.dtype == out_f.dtype == dtype  # accumulation stays wide
         scale = max(float(np.abs(out_f).max()), 1e-30)
@@ -90,8 +89,9 @@ class TestMixedWire:
 
     def test_composes_with_fault_injection(self):
         """A delayed mixed-wire exchange still lands bit-correctly."""
+        op = exchange_op(TransposeMethod.PIPELINED)
         plan = FaultPlan(
-            [FaultEvent("delay", rank=r, op="ialltoallv", call=0, delay=0.005) for r in range(4)]
+            [FaultEvent("delay", rank=r, op=op, call=0, delay=0.005) for r in range(4)]
         )
         assert all(
             run_spmd(4, _roundtrip_prog(TransposeMethod.PIPELINED, np.complex128), fault_plan=plan)

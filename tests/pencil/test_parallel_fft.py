@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import ChannelConfig
 from repro.core.grid import ChannelGrid
 from repro.core.transforms import to_quadrature_grid
 from repro.mpi.simmpi import FaultEvent, FaultPlan, ShrinkRequired, run_spmd
 from repro.pencil.decomp import choose_grid
-from repro.pencil.distributed import DistributedChannelDNS
 from repro.pencil.p3dfft import P3DFFTBaseline
 from repro.pencil.parallel_fft import PencilTransforms
-from repro.pencil.transpose import TransposeMethod
+from repro.pencil.transpose import TransposeMethod, exchange_op
 
 NX, NY, NZ = 16, 12, 16
 
@@ -84,23 +82,27 @@ class TestCustomKernel:
         ratios = run_spmd(4, prog)
         assert all(r <= 1.6 for r in ratios)  # ~1x (padding-free)
 
-    def test_timers_populated(self):
+    @pytest.mark.parametrize("method", list(TransposeMethod), ids=lambda m: m.name)
+    def test_timers_populated(self, method):
+        """Every method books its FFT stages under ``fft`` and its
+        exchanges under ``transpose``: one of each per stage, both ways."""
+
         def prog(comm):
             cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
+            tr = PencilTransforms(cart, NX, NY, NZ, method=method)
             d = tr.decomp
-            tr.to_physical(np.zeros(d.y_pencil_shape, complex))
-            return dict(tr.timers.elapsed)
+            tr.from_physical(tr.to_physical(np.zeros(d.y_pencil_shape, complex)))
+            return dict(tr.timers.elapsed), dict(tr.timers.calls)
 
-        for elapsed in run_spmd(4, prog):
+        for elapsed, calls in run_spmd(4, prog):
             assert elapsed["transpose"] > 0.0
             assert elapsed["fft"] > 0.0
+            assert calls["fft"] == calls["transpose"] == 4
 
 
 def _pipelined_vs_sync(comm, pa, pb, seed=9):
-    """Build the blocking kernel and the pipelined one at 1, 2 and 4
-    slabs on one cartesian grid and compare bitwise.  One slab is the
-    blocking exchange and posts nothing; more slabs post nonblocking."""
+    """Build the ``ALLTOALL`` kernel and the ``PIPELINED`` one on one
+    cartesian grid and compare bitwise."""
     grid = ChannelGrid(NX, NY, NZ)
     spec = make_spectral(grid, seed=seed)
     cart = comm.cart_create((pa, pb))
@@ -109,27 +111,16 @@ def _pipelined_vs_sync(comm, pa, pb, seed=9):
     local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
     phys_s = sync.to_physical(local)
     back_s = sync.from_physical(phys_s)
-    for stages in (1, 2, 4):
-        pipe = PencilTransforms(
-            cart, NX, NY, NZ, method=TransposeMethod.PIPELINED, stages=stages
-        )
-        phys_p = pipe.to_physical(local)
-        np.testing.assert_array_equal(phys_p, phys_s)
-        back_p = pipe.from_physical(phys_p)
-        np.testing.assert_array_equal(back_p, back_s)
-        if stages == 1:
-            assert pipe.overlap_counters.posts == 0
-            assert pipe.overlap_counters.bytes_posted == 0
-        elif comm.size > 1:
-            # the exchanges really went through the nonblocking path
-            assert pipe.overlap_counters.posts > 0
-            assert pipe.overlap_counters.bytes_posted > 0
-    assert sync.overlap_counters.posts == 0
+    pipe = PencilTransforms(cart, NX, NY, NZ, method=TransposeMethod.PIPELINED)
+    phys_p = pipe.to_physical(local)
+    np.testing.assert_array_equal(phys_p, phys_s)
+    back_p = pipe.from_physical(phys_p)
+    np.testing.assert_array_equal(back_p, back_s)
     return True
 
 
 class TestPipelinedKernel:
-    """The pipelined (overlapped) transposes must be bit-for-bit."""
+    """The ``PIPELINED`` transposes must be bit-for-bit."""
 
     @pytest.mark.parametrize("pa,pb", [(1, 4), (4, 1), (2, 2), (2, 3)])
     def test_bitwise_identical_to_synchronous(self, pa, pb):
@@ -138,15 +129,14 @@ class TestPipelinedKernel:
     def test_bitwise_identical_on_shrunk_grid(self):
         """After a real mid-exchange ShrinkRequired, the survivor-count
         grid chosen by the elastic planner still runs pipelined bitwise.
-        Four slabs are pinned: the kill at post 2 lands mid-exchange of
-        the first transpose."""
-        plan = FaultPlan([FaultEvent(action="kill", rank=3, op="ialltoallv", call=2)])
+        The kill lands at rank 3's third exchange call, the first
+        transpose of the second transform."""
+        op = exchange_op(TransposeMethod.PIPELINED)
+        plan = FaultPlan([FaultEvent(action="kill", rank=3, op=op, call=2)])
 
         def doomed(comm):
             cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(
-                cart, NX, NY, NZ, method=TransposeMethod.PIPELINED, stages=4
-            )
+            tr = PencilTransforms(cart, NX, NY, NZ, method=TransposeMethod.PIPELINED)
             local = np.zeros(tr.decomp.y_pencil_shape, complex)
             for _ in range(6):
                 tr.to_physical(local)
@@ -170,32 +160,27 @@ class TestPipelinedKernel:
 
         def prog(comm):
             cart = comm.cart_create((2, 2))
-            for stages in (1, 2, 4):
-                tr = PencilTransforms(
-                    cart, NX, NY, NZ, dealias=False, method=TransposeMethod.PIPELINED,
-                    stages=stages,
-                )
-                d = tr.decomp
-                local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
-                out = tr.fft_cycle(local)
-                assert np.abs(out - local).max() < 1e-12
+            tr = PencilTransforms(
+                cart, NX, NY, NZ, dealias=False, method=TransposeMethod.PIPELINED
+            )
+            d = tr.decomp
+            local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
+            out = tr.fft_cycle(local)
+            assert np.abs(out - local).max() < 1e-12
             return True
 
         assert all(run_spmd(4, prog))
 
-
     def test_pipelined_cycles_leak_no_queues(self):
-        """Every nonblocking exchange uses fresh sequence-tagged channels;
-        each is dropped once its payload and ack are consumed, so the
-        contexts hold the same number of queues after 5 cycles as after 200
-        (4 slabs: the ack credit protocol runs between slabs)."""
+        """The contexts hold the same number of message queues after 5
+        cycles as after 200: an exchange leaves no channel behind."""
         grid = ChannelGrid(NX, NY, NZ)
         spec = make_spectral(grid, seed=3)
 
         def prog(comm):
             cart = comm.cart_create((2, 2))
             tr = PencilTransforms(
-                cart, NX, NY, NZ, dealias=False, method=TransposeMethod.PIPELINED, stages=4
+                cart, NX, NY, NZ, dealias=False, method=TransposeMethod.PIPELINED
             )
             d = tr.decomp
             local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice, :])
@@ -204,7 +189,7 @@ class TestPipelinedKernel:
             for ncycles in (5, 195):
                 for _ in range(ncycles):
                     tr.fft_cycle(local)
-                comm.barrier()  # every rank drained its payloads and acks
+                comm.barrier()  # every rank drained its payloads
                 counts.append([len(ctx.queues) for ctx in contexts])
                 comm.barrier()
             return counts
@@ -212,42 +197,11 @@ class TestPipelinedKernel:
         for after_5, after_200 in run_spmd(4, prog):
             assert after_5 == after_200
 
-
-class TestSlabCount:
-    """The pipelined slab count never changes a bit of the result, and a
-    warm pipelined exchange runs no collective besides its posts."""
-
-    @pytest.mark.parametrize("wire", ["full", "mixed"])
-    def test_dns_state_identical_at_every_slab_count(self, wire):
-        """The gathered 2x2 state after 6 steps is the same bits at 1, 2
-        and 4 slabs as under the blocking exchange, on either wire."""
-        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
-
-        def gathered(method, stages):
-            def prog(comm):
-                dns = DistributedChannelDNS(
-                    comm, cfg, 2, 2, method=method, wire_precision=wire, stages=stages
-                )
-                assert dns.transforms.t_yz.pipelined.stages == stages
-                dns.initialize()
-                dns.run(6)
-                return dns.gather_state()
-
-            return run_spmd(4, prog)[0]
-
-        ref = gathered(TransposeMethod.ALLTOALL, 1)
-        for stages in (1, 2, 4):
-            state = gathered(TransposeMethod.PIPELINED, stages)
-            for name in ("v", "omega_y", "u00", "w00"):
-                np.testing.assert_array_equal(getattr(state, name), getattr(ref, name))
-
-    @pytest.mark.parametrize("stages", [1, 2, 4])
-    def test_steady_state_execute_posts_only(self, stages):
-        """A warm pipelined exchange makes no collective besides its
-        exchange calls: ``ialltoallv`` posts in more than one slab, one
-        blocking ``alltoall`` in one.  The receive extents come from the
-        decomposition, not from a per-call allgather."""
-        ops = (None, "ialltoallv", "alltoall")  # None watches every operation
+    def test_steady_state_execute_makes_only_its_exchanges(self):
+        """A warm pipelined transform makes no collective besides its
+        four ``alltoall`` exchanges per cycle: the receive extents need
+        no per-call ``allgather``."""
+        ops = (None, "alltoall")  # None watches every operation
         plan = FaultPlan(
             [FaultEvent("delay", rank=r, op=op, call=2**62) for r in range(4) for op in ops]
         )
@@ -255,7 +209,7 @@ class TestSlabCount:
 
         def prog(comm):
             cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ, method=TransposeMethod.PIPELINED, stages=stages)
+            tr = PencilTransforms(cart, NX, NY, NZ, method=TransposeMethod.PIPELINED)
             local = np.zeros(tr.decomp.y_pencil_shape, complex)
             tr.fft_cycle(local)
             mine = range(len(ops) * comm.rank, len(ops) * (comm.rank + 1))
@@ -264,19 +218,9 @@ class TestSlabCount:
                 local = tr.fft_cycle(local)
             after = [plan.seen(i) for i in mine]
             comm.barrier()
-            ov = tr.overlap_counters
-            if stages == 1:  # the blocking exchange: nothing posted, nothing waited on
-                assert ov.snapshot() == dict.fromkeys(ov.FIELDS, 0)
-            else:
-                assert ov.posts == ov.waits == 4 * stages * (cycles + 1)
             return [b - a for a, b in zip(before, after)]
 
-        # 4 transposes per cycle, each in `stages` slabs (both stage axes >= 4)
-        if stages == 1:
-            seen = [4 * cycles, 0, 4 * cycles]
-        else:
-            seen = [4 * stages * cycles, 4 * stages * cycles, 0]
-        assert run_spmd(4, prog, fault_plan=plan) == [seen] * 4
+        assert run_spmd(4, prog, fault_plan=plan) == [[4 * cycles, 4 * cycles]] * 4
 
 
 class TestP3DFFTBaseline:

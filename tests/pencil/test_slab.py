@@ -47,7 +47,7 @@ class TestSlabTransforms:
 
     def test_pipelined_is_bitwise_the_blocking_path(self):
         """The pipelined transposes assemble the uneven x and z blocks of
-        3 ranks from the decomposition, bit for bit."""
+        3 ranks bit for bit."""
         grid = ChannelGrid(NX, NY, NZ)
         spec = make_spectral(grid, seed=4)
 

@@ -39,7 +39,7 @@ def test_distributed_per_rank_streams(tmp_path):
     doc = read_manifest(tel)
     assert doc["nranks"] == 4 and doc["process_grid"] == [2, 2]
     assert doc["transport"] == {
-        "method": "ALLTOALL", "stages": 1, "wire": "full", "exchange_op": "alltoall",
+        "method": "ALLTOALL", "wire": "full", "exchange_op": "alltoall",
     }
     merged = merge_traces(
         [tel / f"trace-rank{r:03d}.json" for r in range(4)], tel / "merged.json"
@@ -83,32 +83,30 @@ def test_supervisor_mirrors_recovery_log(tmp_path):
     assert sum(r.get("recovery", {}).get("rollbacks", 0) for r in post) == 1
 
 
-def test_manifest_explains_a_zero_overlap_pipelined_run(tmp_path):
-    """A one-slab pipelined run posts nothing, so its ``overlap`` group
-    reads all zeros; the manifest's transport says why (the exchanges
-    were ``alltoall``), and at two slabs it names ``ialltoallv``."""
-    for stages, op in ((1, "alltoall"), (2, "ialltoallv")):
-        tel = tmp_path / f"stages-{stages}"
+def test_manifest_names_the_pipelined_transport(tmp_path):
+    """A pipelined run's manifest names its method, wire and exchange
+    call (``alltoall``), and its step records book one ``fft`` section
+    per ``transpose`` section, as the blocking methods do."""
+    tel = tmp_path / "tel"
 
-        def prog(comm):
-            dns = DistributedChannelDNS(
-                comm, CFG, pa=2, pb=2, method=TransposeMethod.PIPELINED,
-                wire_precision="mixed", stages=stages, telemetry=tel,
-            )
-            dns.initialize()
-            dns.run(2)
-            dns.finalize_telemetry()
+    def prog(comm):
+        dns = DistributedChannelDNS(
+            comm, CFG, pa=2, pb=2, method=TransposeMethod.PIPELINED,
+            wire_precision="mixed", telemetry=tel,
+        )
+        dns.initialize()
+        dns.run(2)
+        dns.finalize_telemetry()
 
-        run_spmd(4, prog)
-        assert read_manifest(tel)["transport"] == {
-            "method": "PIPELINED", "stages": stages, "wire": "mixed", "exchange_op": op,
-        }
-        steps = [r for r in read_stream(tel / "telemetry-rank000.jsonl") if r["type"] == "step"]
-        posts = sum(r["overlap"]["posts"] for r in steps)
-        if stages == 1:
-            assert all(v == 0 for r in steps for v in r["overlap"].values())
-        else:
-            assert posts == 2 * 48 * 2  # 48 exchanges per step, each in 2 slabs
+    run_spmd(4, prog)
+    assert read_manifest(tel)["transport"] == {
+        "method": "PIPELINED", "wire": "mixed", "exchange_op": "alltoall",
+    }
+    steps = [r for r in read_stream(tel / "telemetry-rank000.jsonl") if r["type"] == "step"]
+    assert len(steps) == 2
+    for rec in steps:
+        sections = rec["sections"]
+        assert sections["fft"]["calls"] == sections["transpose"]["calls"] == 48
 
 
 def test_supervised_spmd_attempt_streams_and_job_events(tmp_path):

@@ -23,10 +23,6 @@ SHAPE = {
         "restarts", "dt_reductions", "shrinks", "reshard_restores",
     ],
     "mpi": ["messages", "bytes"],
-    "overlap": [
-        "posts", "waits", "bytes_posted", "bytes_completed", "bytes_overlapped",
-        "wait_seconds", "overlap_seconds",
-    ],
     "precision": ["exchanges", "casts", "bytes_wire", "bytes_full"],
     "stats": ["samples", "merges", "publishes", "restores", "sample_seconds"],
 }
@@ -70,8 +66,8 @@ def _supervised_kill(tmp_path):
     "record, groups",
     [
         (_serial, {"transforms", "solve", "stats"}),
-        (_pipelined_mixed, {"solve", "mpi", "overlap", "precision"}),
-        (_supervised_kill, {"solve", "recovery", "mpi", "overlap", "precision", "stats"}),
+        (_pipelined_mixed, {"solve", "mpi", "precision"}),
+        (_supervised_kill, {"solve", "recovery", "mpi", "precision", "stats"}),
     ],
     ids=["serial", "pipelined_mixed", "supervised_kill"],
 )
