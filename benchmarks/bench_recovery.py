@@ -9,10 +9,11 @@ cheap next to the integration it protects.  This bench measures, on a
   shard, CRC-verified,
 * **reshard-restore** — the decomposition-agnostic path across a
   shrinking-allocation cascade ``8 -> 6 -> 4`` ranks (each stage
-  reassembles from the previous stage's shards) plus the collapse to
-  serial ``1x1`` via ``load_serial``,
+  reassembles from the previous stage's shards) plus the collapse onto
+  a serial driver via ``load_serial``,
 * **reshard-up cascade** — the same reader in the other direction: a
-  serial ``1x1`` snapshot reassembles onto ``2x2`` and then ``2x4``
+  serial run's snapshot (the one shard of a ``1x1`` grid, the format
+  every run writes) reassembles onto ``2x2`` and then ``2x4``
   (what a later :func:`~repro.pencil.distributed.run_supervised_spmd`
   call on more ranks pays to resume a shrunken run's checkpoints),
   bit-exact at every stage.
@@ -29,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.core import ChannelConfig
+from repro.core import ChannelConfig, ChannelDNS
 from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.mpi import run_spmd
 from repro.pencil.decomp import choose_grid
@@ -132,26 +133,22 @@ def test_recovery_throughput(benchmark, tmp_path):
             np.testing.assert_array_equal(full.v, ref.v)  # cascade stays bit-exact
         prev = nranks
 
-    # collapse to serial 1x1: the representative kernel under pytest-benchmark
+    # collapse onto a serial driver: the representative kernel under pytest-benchmark
     rot = ShardedCheckpointRotation(stage_dir)
     serial_dns = benchmark.pedantic(rot.load_serial, rounds=3, iterations=1)
     serial_s = _median_timed(rot.load_serial)
-    row("reshard (4->serial 1x1)", 1, serial_s)
+    row("reshard (4->serial)", 1, serial_s)
     np.testing.assert_array_equal(serial_dns.state.v, ref.v)
 
-    # the reshard-up cascade: a serial 1x1 seed snapshot reassembles onto
+    # the reshard-up cascade: a serial run's snapshot reassembles onto
     # 2x2, then 2x4 — the price of resuming a shrunken run's checkpoints
     # on more ranks (same trajectory, so the shrink ref still pins)
     up_dir = tmp_path / "reshard-up"
-
-    def serial_seed(comm):
-        dns = DistributedChannelDNS(comm, CFG, pa=1, pb=1)
-        dns.initialize()
-        dns.run(2)
-        rot = ShardedCheckpointRotation(up_dir, keep=2)
-        return _median_timed(lambda: rot.save(dns))
-
-    row("save (serial 1x1)", 1, run_spmd(1, serial_seed)[0])
+    seed = ChannelDNS(CFG)
+    seed.initialize()
+    seed.run(2)
+    up_rot = ShardedCheckpointRotation(up_dir, keep=2)
+    row("save (serial)", 1, _median_timed(lambda: up_rot.save(seed)))
     prev = 1
     for nranks in (4, 8):
         up_s, full = _restore_stage(up_dir, nranks, reshard=True)
@@ -172,7 +169,7 @@ def test_recovery_throughput(benchmark, tmp_path):
     lines += [
         "",
         f"snapshot size: {nbytes} bytes ({mb:.2f} MB) across the shard files;",
-        "the 8->6->4->1x1 shrink cascade and the 1x1->2x2->2x4 reshard-up",
+        "the 8->6->4->serial shrink cascade and the serial->2x2->2x4 reshard-up",
         "cascade both reassemble bit-exactly at every stage.",
     ]
     emit("recovery", "\n".join(lines))

@@ -7,7 +7,8 @@ operated (at laptop scale):
 1. develop turbulence on a coarse grid with an adaptive time step,
 2. spectrally regrid the state onto a finer production grid,
 3. continue with checkpointing and a mass-flux hold,
-4. interrupt-and-restart, verifying exact continuation,
+4. interrupt-and-restart from the snapshot alone (its config included),
+   verifying exact continuation,
 5. survive a mid-run blow-up under the watchdog-supervised harness —
    the health monitor detects the NaN, the supervisor rolls back to the
    last verified snapshot and retries, and the recovered trajectory is
@@ -24,7 +25,7 @@ import pathlib
 import numpy as np
 
 from repro import ChannelConfig, ChannelDNS
-from repro.core.checkpoint import CheckpointRotation, load_checkpoint, save_checkpoint
+from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.core.control import CFLController, MassFluxController, current_bulk_velocity
 from repro.core.health import HealthMonitor
 from repro.core.supervisor import RunSupervisor, SupervisorPolicy
@@ -63,15 +64,17 @@ def main() -> None:
     # -- stage 3: production segment with mass-flux hold + checkpoints ---
     q_target = current_bulk_velocity(prod)
     flux = MassFluxController(target=q_target, gain=5.0)
-    ckpt = workdir / "segment1.npz"
+    # one snapshot format for every layout: a serial run writes the one
+    # shard of a 1 x 1 grid, as each rank of a decomposed run writes its own
+    segments = ShardedCheckpointRotation(workdir / "segments", keep=3)
     print("stage 3: production segment (mass flux held, checkpoint at the end)")
     prod.run(20, controllers=[flux])
-    save_checkpoint(prod, ckpt)
+    snap = segments.save(prod)
     print(f"  bulk velocity {current_bulk_velocity(prod):.3f} "
-          f"(target {q_target:.3f}); checkpoint -> {ckpt.name}\n")
+          f"(target {q_target:.3f}); checkpoint -> {snap.name}/\n")
 
     # -- stage 4: interrupt and restart -----------------------------------
-    print("stage 4: restart from the checkpoint and verify exact continuation")
+    print("stage 4: restart from the checkpoint alone and verify exact continuation")
     straight = ChannelDNS(prod_cfg)
     straight.initialize(prod.state.copy())
     # the flux controller drifted the forcing away from the config value;
@@ -79,7 +82,7 @@ def main() -> None:
     straight.stepper.forcing = prod.stepper.forcing
     straight.run(5)
 
-    resumed = load_checkpoint(ckpt)
+    resumed = segments.load_serial()  # config, state, dt and forcing from disk
     resumed.run(5)
     err = float(np.abs(resumed.state.v - straight.state.v).max())
     print(f"  |restarted - uninterrupted| = {err:.2e} (bit-exact)\n")
@@ -94,7 +97,7 @@ def main() -> None:
     supervised.initialize(resumed.state.copy())
     sup = RunSupervisor(
         supervised,
-        CheckpointRotation(workdir / "rotation", keep=3),
+        ShardedCheckpointRotation(workdir / "rotation", keep=3),
         monitor=HealthMonitor(),
         policy=SupervisorPolicy(checkpoint_every=5),
     )

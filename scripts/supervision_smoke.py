@@ -4,10 +4,12 @@
 Drives the one supervision loop (:mod:`repro.core.supervisor`) end to
 end over each of its launches on a 16x24x16 channel:
 
-* **in-thread** (:class:`~repro.core.supervisor.RunSupervisor`): a NaN
-  "crash" at step 7, a watchdog trip, a rollback to the step-5 snapshot
-  and a retry — the step-10 state must be bit-for-bit an uninterrupted
-  serial run's;
+* **in-thread** (:class:`~repro.core.supervisor.RunSupervisor`): a
+  streamed run (statistics every step), a NaN "crash" at step 7, a
+  watchdog trip, a rollback to the step-5 snapshot and a retry — the
+  step-10 state must be bit-for-bit an uninterrupted serial run's, and
+  the replacement driver must hold all 10 samples, matching the
+  uninterrupted run's statistics to ``REDUCTION_RTOL``;
 * **SimMPI ranks** (:func:`~repro.pencil.distributed.run_supervised_spmd`):
   once per exchange path — ``ALLTOALL``, ``PAIRWISE`` and
   ``PIPELINED`` transposes — rank 1 is killed at the exchange
@@ -44,26 +46,30 @@ from repro.core import (  # noqa: E402
     RunSupervisor,
     SupervisorPolicy,
 )
-from repro.core.checkpoint import CheckpointRotation  # noqa: E402
+from repro.core.checkpoint import ShardedCheckpointRotation  # noqa: E402
 from repro.mpi.simmpi import FaultEvent, FaultPlan, run_spmd  # noqa: E402
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd  # noqa: E402
 from repro.pencil.transpose import TransposeMethod, exchange_op  # noqa: E402
+from repro.serving import REDUCTION_RTOL  # noqa: E402
 
 CFG = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
 FIELDS = ("v", "omega_y", "u00", "w00")
 
 
 def in_thread(workdir: pathlib.Path) -> list[str]:
-    """NaN at step 7, checkpoint every 5: one rollback, identical bits."""
+    """NaN at step 7, checkpoint every 5: one rollback, identical bits,
+    no statistics sample lost."""
     straight = ChannelDNS(CFG)
     straight.initialize()
+    ref = straight.attach_streaming(every=1)
     straight.run(10)
 
     dns = ChannelDNS(CFG)
     dns.initialize()
+    dns.attach_streaming(every=1)
     sup = RunSupervisor(
         dns,
-        CheckpointRotation(workdir / "serial", keep=3),
+        ShardedCheckpointRotation(workdir / "serial", keep=3),
         monitor=HealthMonitor(),
         policy=SupervisorPolicy(checkpoint_every=5),
     )
@@ -85,6 +91,17 @@ def in_thread(workdir: pathlib.Path) -> list[str]:
         for name in FIELDS
         if not np.array_equal(getattr(final.state, name), getattr(straight.state, name))
     ]
+    stats = final.streaming
+    if stats is None or stats.total_samples != 10:
+        got = None if stats is None else stats.total_samples
+        failures.append(f"in-thread: expected 10 statistics samples after the rollback, got {got}")
+    else:
+        got, want = stats.result(), ref.result()
+        failures += [
+            f"in-thread: streamed {name} differs from the uninterrupted run's"
+            for name in ("U", "uu", "vv", "ww", "uv", "spec_x_u", "spec_z_w")
+            if not np.allclose(got[name], want[name], rtol=REDUCTION_RTOL, atol=1e-14)
+        ]
     print(f"in-thread: {sup.report()}")
     return failures
 

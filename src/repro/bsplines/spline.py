@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.bsplines.basis import all_basis_functions, find_span
+from repro.bsplines.basis import all_basis_functions
 from repro.bsplines.collocation import (
     collocation_bandwidths,
     collocation_matrices,
@@ -164,10 +164,6 @@ class BSplineBasis:
         return np.linalg.solve(self.colloc_matrix(0).T, self.basis_integrals)
 
     # ------------------------------------------------------------------
-
-    def span_of(self, x: float) -> int:
-        """Knot span containing ``x`` (exposed for tests)."""
-        return find_span(self.knots, self.degree, x)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

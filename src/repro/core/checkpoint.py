@@ -7,29 +7,33 @@ infrastructure, and a checkpoint that can be *lost* (crash mid-write) or
 durability itself — atomic fsync'd publish, the CRC32-checksummed npz
 container, keep-K generations with a ``latest`` pointer and a verified
 fallback walk — lives in :mod:`repro.storage`; this module decides what a
-snapshot holds and how a driver is rebuilt from it:
+snapshot holds and how a driver is restored from it.
 
-* **Serial snapshots** — :func:`save_checkpoint` / :func:`load_checkpoint`
-  write and restore one checksummed file; :class:`CheckpointRotation`
-  keeps the newest ``keep`` of them and restores the newest one that
-  *reads*, so a corrupt head never strands a campaign.
-* **Sharded parallel snapshots** — :class:`ShardedCheckpointRotation`
-  saves one shard per SimMPI rank (each rank's own y-pencil block) plus
-  a rank-0 ``manifest.json``, with a coordinated consistency check on
-  load; every restore decision derives from ``bcast``/``allgather`` so
-  every rank takes the same branch and the loader cannot deadlock.
+There is one snapshot format and one rotation,
+:class:`ShardedCheckpointRotation`, for every layout:
+
+* **Sharded snapshots** — one shard per process (each rank's own
+  y-pencil block) plus a rank-0 ``manifest.json``, with a coordinated
+  consistency check on load; every restore decision derives from
+  ``bcast``/``allgather`` so every rank takes the same branch and the
+  loader cannot deadlock.  A serial driver (``comm is None``) writes the
+  one shard of a ``1 x 1`` grid; without a communicator the collectives
+  are skipped, as ``ChannelDNS._reduce`` skips its own.
 * **Decomposition-agnostic restore** — every shard records the global
   spectral index ranges of its block, so a snapshot written on one
-  ``A x B`` grid can be reassembled onto any other (``load_latest``
-  with ``reshard=True``, or :meth:`ShardedCheckpointRotation.load_serial`
-  for the ``1 x 1`` case) by reading just the overlapping shards — the
-  restore path of the elastic shrink-and-continue supervisor.
+  ``A x B`` grid can be reassembled onto any other, serial included
+  (``load_latest`` with ``reshard=True``), by reading just the
+  overlapping shards — the restore path of both supervisor launches and
+  of the elastic shrink.  :meth:`ShardedCheckpointRotation.load_serial`
+  builds a serial driver from the snapshot's own config and makes that
+  same restore.
 
 Restart is *exact*: the RK3 scheme's cross-step memory (the
 zeta-weighted previous nonlinear term) is only used within a step
 (zeta_1 = 0), so a restarted trajectory is bit-for-bit the uninterrupted
-one — pinned by ``tests/core/test_checkpoint.py`` and the supervised
-crash-recovery tests in ``tests/core/test_supervisor.py``.
+one — pinned by ``tests/core/test_checkpoint.py``,
+``tests/pencil/test_checkpoint.py`` and the supervised crash-recovery
+tests in ``tests/core/test_supervisor.py``.
 """
 
 from __future__ import annotations
@@ -56,34 +60,9 @@ from repro.storage import (
     write_npz,
 )
 
-#: grid/discretization keys that must match between a checkpoint and an
-#: explicitly supplied config.
+#: grid/discretization keys that must match between a checkpoint and the
+#: config of the driver it is restored into.
 _GRID_KEYS = ("nx", "ny", "nz", "degree", "stretch", "lx", "lz")
-
-
-def _normalize_path(path: str | pathlib.Path) -> pathlib.Path:
-    """Append ``.npz`` when missing so save and load agree on the name.
-
-    ``np.savez_compressed`` silently appends the suffix when handed a bare
-    path; normalizing here means callers may pass either form to either
-    side.
-    """
-    path = pathlib.Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
-
-
-def verify_checkpoint(path: str | pathlib.Path) -> tuple[bool, str]:
-    """Cheaply decide whether ``path`` is a loadable, checksum-clean checkpoint.
-
-    Damaged bytes and unsupported format versions answer ``False`` with
-    the reason; any other error propagates."""
-    try:
-        read_npz(_normalize_path(path))
-        return True, "ok"
-    except ValueError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
 
 
 # ----------------------------------------------------------------------
@@ -135,176 +114,45 @@ def _config_from_fingerprint(stored: dict) -> ChannelConfig:
 
 
 # ----------------------------------------------------------------------
-# serial save / load
+# the layout of a driver, and its collectives
 # ----------------------------------------------------------------------
 
 
-def save_checkpoint(dns: ChannelDNS, path: str | pathlib.Path) -> pathlib.Path:
-    """Atomically write the DNS state + checksummed manifest; returns the path.
+def _block(dns):
+    """``dns``'s block of the global spectral grid as a
+    :class:`~repro.pencil.decomp.PencilDecomp`: a rank's own, or for a
+    serial driver the one block of a ``1 x 1`` grid."""
+    if dns.comm is not None:
+        return dns.decomp
+    from repro.pencil.decomp import PencilDecomp
 
-    The manifest carries the full configuration fingerprint (grid, scheme
-    coefficients, format-version history) and the *runtime* dt/forcing —
-    which may have drifted from the config under a
-    :class:`~repro.core.control.CFLController` or
-    :class:`~repro.core.control.MassFluxController` — so a restart can
-    continue the trajectory exactly.
-    """
-    state = dns.state
-    if state is None:
-        raise RuntimeError("nothing to checkpoint: initialize() first")
-    path = _normalize_path(path)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "format_history": list(FORMAT_HISTORY),
-        "kind": "serial",
-        "config": _config_fingerprint(dns.config),
-        "time": float(state.time),
-        "step_count": int(dns.step_count),
-        "runtime": {"dt": float(dns.stepper.dt), "forcing": float(dns.stepper.forcing)},
-    }
-    arrays = {
-        "v": state.v,
-        "omega_y": state.omega_y,
-        "u00": state.u00,
-        "w00": state.w00,
-    }
-    return write_npz(path, manifest, arrays)
+    g = dns.grid
+    return PencilDecomp(g.mx, g.mz, g.ny, g.nxq, g.nzq, pa=1, pb=1, a=0, b=0)
 
 
-def load_checkpoint(
-    path: str | pathlib.Path,
-    config: ChannelConfig | None = None,
-    *,
-    restore_runtime: bool | None = None,
-) -> ChannelDNS:
-    """Rebuild a ready-to-run :class:`ChannelDNS` from a verified checkpoint.
-
-    If ``config`` is omitted it is reconstructed from the file and the
-    runtime dt/forcing are restored (exact continuation).  If given, it
-    must match the checkpoint's grid *and* RK scheme; runtime values then
-    default to the supplied config (legitimate e.g. to restart with a
-    different dt) unless ``restore_runtime=True``.
-    """
-    manifest, arrays = read_npz(_normalize_path(path))
-    stored = manifest["config"]
-    if restore_runtime is None:
-        restore_runtime = config is None
-    if config is None:
-        config = _config_from_fingerprint(stored)
-    else:
-        _check_fingerprint(stored, config)
-    state = ChannelState(
-        v=arrays["v"],
-        omega_y=arrays["omega_y"],
-        u00=arrays["u00"],
-        w00=arrays["w00"],
-        time=float(manifest["time"]),
-    )
-    return _serial_driver(config, state, manifest, restore_runtime)
+# a serial driver has no peers: its rank is 0 and each collective is the
+# identity, as in ChannelDNS._reduce
 
 
-def _serial_driver(config, state: ChannelState, manifest: dict, restore_runtime) -> ChannelDNS:
-    """A ready-to-run serial driver continuing ``state`` at the manifest's
-    step (restore-by-construction: the serial rotation and the ``1 x 1``
-    resharding reader both end here)."""
-    dns = ChannelDNS(config)
-    dns.initialize(state)
-    dns.step_count = int(manifest["step_count"])
-    runtime = manifest.get("runtime")
-    if restore_runtime and runtime is not None:
-        dns.set_dt(float(runtime["dt"]))
-        dns.stepper.forcing = float(runtime["forcing"])
-    return dns
+def _rank(comm) -> int:
+    return 0 if comm is None else comm.rank
 
 
-# ----------------------------------------------------------------------
-# rotation: keep-K snapshots with a latest pointer and verified fallback
-# ----------------------------------------------------------------------
+def _barrier(comm) -> None:
+    if comm is not None:
+        comm.barrier()
 
 
-class CheckpointRotation:
-    """Keep the last ``keep`` snapshots of a run under one directory.
-
-    ``save`` writes ``<basename>-<step>.npz`` atomically, repoints the
-    ``latest`` file and prunes beyond ``keep``.  ``load_latest`` walks the
-    pointer first, then every remaining snapshot newest-first, reading
-    each candidate once, and restores the first one that is not corrupt —
-    a corrupt head falls back instead of killing the campaign.  Pass a
-    :class:`~repro.instrument.RecoveryCounters` to surface save/prune/
-    verify-failure counts through the instrumentation layer.
-    """
-
-    def __init__(
-        self,
-        directory: str | pathlib.Path,
-        basename: str = "ckpt",
-        keep: int = 3,
-        counters=None,
-    ) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.basename = basename
-        self.keep = int(keep)
-        self.counters = counters
-        self.generations = Generations(self.directory, f"{basename}-", ".npz")
-
-    def snapshots(self) -> list[pathlib.Path]:
-        """Snapshot files, newest (highest step) first."""
-        return self.generations.paths()
-
-    @property
-    def latest_path(self) -> pathlib.Path | None:
-        """The pointer target when it exists, else the newest snapshot."""
-        return self.generations.head()
-
-    def refuse(self, dns: ChannelDNS) -> None:
-        """A serial save has no peers to stop (see the sharded rotation's)."""
-
-    def save(self, dns: ChannelDNS) -> pathlib.Path:
-        path = save_checkpoint(dns, self.directory / f"{self.basename}-{dns.step_count:09d}.npz")
-        # a streaming-statistics sidecar rides along with every snapshot
-        # (written before the pointer moves, so `latest` never names a
-        # snapshot whose sidecar is missing mid-crash) — see repro.serving
-        streaming = dns.streaming
-        if streaming is not None and streaming.total_samples > 0:
-            streaming.save_to(self.directory, dns.step_count)
-        self.generations.point(path)
-        pruned = self.generations.prune(self.keep)
-        if self.counters is not None:
-            self.counters.checkpoints_saved += 1
-            self.counters.checkpoints_pruned += len(pruned)
-        if streaming is not None:
-            streaming.sidecars(self.directory).prune(self.keep)
-        return path
-
-    def load_latest(
-        self,
-        config: ChannelConfig | None = None,
-        *,
-        restore_runtime: bool | None = None,
-    ) -> ChannelDNS:
-        """Restore the newest snapshot that reads (fallback on corruption).
-
-        Only :class:`CheckpointCorruptError` falls back; any other error —
-        an unsupported format version, a config mismatch, an interpreter
-        fault — propagates.  When every generation fails, raises the typed
-        :class:`CheckpointUnrecoverableError` carrying per-generation
-        attribution instead of a generic fallback message."""
-        return self.generations.first_verified(
-            lambda path: load_checkpoint(path, config=config, restore_runtime=restore_runtime),
-            counters=self.counters,
-        )
+def _bcast(comm, value):
+    return value if comm is None else comm.bcast(value, root=0)
 
 
-# ----------------------------------------------------------------------
-# sharded parallel checkpoints (one shard per SimMPI rank)
-# ----------------------------------------------------------------------
+def _allgather(comm, value) -> list:
+    return [value] if comm is None else comm.allgather(value)
 
 
 def _read_manifest(snap: pathlib.Path, rank) -> dict:
-    """A sharded snapshot's ``manifest.json``; an unreadable one is corrupt."""
+    """A snapshot's ``manifest.json``; an unreadable one is corrupt."""
     path = snap / "manifest.json"
     try:
         return json.loads(path.read_text())
@@ -313,12 +161,18 @@ def _read_manifest(snap: pathlib.Path, rank) -> dict:
         raise CheckpointCorruptError(why, [failure(rank, path, exc, why)]) from exc
 
 
+# ----------------------------------------------------------------------
+# the rotation (one shard per process; a serial driver is one shard)
+# ----------------------------------------------------------------------
+
+
 class ShardedCheckpointRotation:
-    """Per-rank sharded snapshots for :class:`DistributedChannelDNS`.
+    """Keep-K sharded snapshots of a run, for a driver in any layout.
 
     Layout::
 
         <directory>/step-<N>/shard-r0003.npz   # rank 3's pencil block
+        <directory>/step-<N>/stats.npz         # streaming-statistics sidecar
         <directory>/step-<N>/manifest.json     # rank 0: global metadata
         <directory>/latest                     # rank 0: pointer
 
@@ -329,7 +183,11 @@ class ShardedCheckpointRotation:
     lists the candidates and reads the manifest, and ``bcast`` hands both
     to every rank; each rank's shard verdict is shared by ``allgather``,
     so a half-written or corrupt snapshot is skipped by *all* ranks
-    together and the rotation falls back to the previous one.
+    together and the rotation falls back to the previous one.  A serial
+    driver is rank 0 of a ``1 x 1`` grid: it writes one shard and the
+    manifest, and skips the collectives.  Pass a
+    :class:`~repro.instrument.RecoveryCounters` to count saves, prunes,
+    verify failures and resharded restores.
     """
 
     def __init__(self, directory: str | pathlib.Path, keep: int = 3, counters=None) -> None:
@@ -346,30 +204,33 @@ class ShardedCheckpointRotation:
 
     # -- write ----------------------------------------------------------
 
-    def refuse(self, ddns) -> None:
+    def refuse(self, dns) -> None:
         """Fail the peers' :meth:`save` at its opening barrier.
 
         A rank that will not save calls this before it raises: it returns
         once every peer has reached the save, so none is torn down
-        mid-step, and no peer writes a shard."""
-        ddns.comm.break_barrier()
+        mid-step, and no peer writes a shard.  A serial driver has no
+        peers to stop."""
+        if dns.comm is not None:
+            dns.comm.break_barrier()
 
-    def save(self, ddns) -> pathlib.Path:
-        """Collectively write one sharded snapshot of ``ddns``."""
-        comm = ddns.comm
-        state = ddns.state
+    def save(self, dns) -> pathlib.Path:
+        """Collectively write one sharded snapshot of ``dns``."""
+        comm = dns.comm
+        rank = _rank(comm)
+        state = dns.state
         if state is None:
             raise RuntimeError("nothing to checkpoint: initialize() first")
-        snap = self.directory / f"step-{ddns.step_count:09d}"
-        if comm.rank == 0:
+        snap = self.directory / f"step-{dns.step_count:09d}"
+        if rank == 0:
             snap.mkdir(parents=True, exist_ok=True)
-        comm.barrier()
-        d = ddns.decomp
+        _barrier(comm)
+        d = _block(dns)
         shard_manifest = {
             "format_version": FORMAT_VERSION,
             "format_history": list(FORMAT_HISTORY),
             "kind": "shard",
-            "rank": comm.rank,
+            "rank": rank,
             "a": d.a,
             "b": d.b,
             "pa": d.pa,
@@ -378,41 +239,42 @@ class ShardedCheckpointRotation:
             # makes the snapshot decomposition-agnostic on restore
             "x_range": [d.x_slice.start, d.x_slice.stop],
             "z_range": [d.z_spec_slice.start, d.z_spec_slice.stop],
-            "owns_mean": bool(ddns.modes.owns_mean),
+            "owns_mean": bool(dns.modes.owns_mean),
             "time": float(state.time),
-            "step_count": int(ddns.step_count),
+            "step_count": int(dns.step_count),
         }
         arrays = {"v": state.v, "omega_y": state.omega_y}
-        if ddns.modes.owns_mean:
+        if dns.modes.owns_mean:
             arrays["u00"] = state.u00
             arrays["w00"] = state.w00
-        write_npz(snap / f"shard-r{comm.rank:04d}.npz", shard_manifest, arrays)
-        comm.barrier()  # all shards durable before the manifest names them
+        write_npz(snap / f"shard-r{rank:04d}.npz", shard_manifest, arrays)
+        _barrier(comm)  # all shards durable before the manifest names them
         # streaming-statistics sidecar (collective merge, rank-0 write)
         # lands inside the step dir before the manifest/pointer name it,
         # so a restorable snapshot always carries its accumulated samples
-        streaming = ddns.streaming
+        streaming = dns.streaming
         if streaming is not None and streaming.total_samples > 0:
             streaming.save_to(snap)
-        if comm.rank == 0:
+        if rank == 0:
+            nranks = 1 if comm is None else comm.size
             manifest = {
                 "format_version": FORMAT_VERSION,
                 "format_history": list(FORMAT_HISTORY),
                 "kind": "sharded",
-                "step_count": int(ddns.step_count),
+                "step_count": int(dns.step_count),
                 "time": float(state.time),
-                "nranks": comm.size,
-                "pa": ddns.transforms.pa,
-                "pb": ddns.transforms.pb,
-                "mx": int(ddns.transforms.mx),
-                "mz": int(ddns.transforms.mz),
-                "ny": int(ddns.decomp.ny),
-                "config": _config_fingerprint(ddns.config),
+                "nranks": nranks,
+                "pa": d.pa,
+                "pb": d.pb,
+                "mx": int(d.mx),
+                "mz": int(d.mz),
+                "ny": int(d.ny),
+                "config": _config_fingerprint(dns.config),
                 "runtime": {
-                    "dt": float(ddns.stepper.dt),
-                    "forcing": float(ddns.stepper.forcing),
+                    "dt": float(dns.stepper.dt),
+                    "forcing": float(dns.stepper.forcing),
                 },
-                "shards": [f"shard-r{r:04d}.npz" for r in range(comm.size)],
+                "shards": [f"shard-r{r:04d}.npz" for r in range(nranks)],
             }
             publish(snap / "manifest.json", json.dumps(manifest).encode())
             self.generations.point(snap)
@@ -421,168 +283,137 @@ class ShardedCheckpointRotation:
                 self.counters.checkpoints_pruned += len(pruned)
         if self.counters is not None:
             self.counters.checkpoints_saved += 1
-        comm.barrier()
+        _barrier(comm)
         return snap
 
     # -- coordinated verified restore -----------------------------------
 
-    def load_latest(self, ddns, *, reshard: bool = False) -> pathlib.Path:
+    def load_latest(self, dns, *, reshard: bool = False) -> pathlib.Path:
         """Restore the newest snapshot every rank can verify, in place.
 
-        With ``reshard=False`` (the default) the snapshot's ``a x b``
-        layout must match the running decomposition; a mismatch raises
-        :class:`ValueError` on all ranks — a configuration error, not
-        corruption.  With ``reshard=True`` the layout is free: each rank
-        reassembles its own spectral block from every old shard whose
-        global index range overlaps it (decomposition-agnostic restore,
-        used by the elastic supervisor after a shrink).  Either way,
-        every shard that is read is CRC-verified, shard failures are
-        reported with *which* rank/shard failed and why, and an
-        unverifiable snapshot is skipped by all ranks together so the
-        rotation falls back to the previous one; any error that is not
-        corruption propagates.  When *every* generation fails, the typed
-        :class:`CheckpointUnrecoverableError` carries the per-generation,
-        per-shard (rank, path, reason) attribution.
+        ``dns`` is a freshly built driver of the run's config (collectively
+        built on every rank of a decomposed run); the restore sets its
+        state, step and runtime dt/forcing, and hands an attached
+        streaming accumulator its sidecar.  With ``reshard=False`` (the
+        default) the snapshot's ``a x b`` layout must match the running
+        decomposition; a mismatch raises :class:`ValueError` on all
+        ranks — a configuration error, not corruption.  With
+        ``reshard=True`` the layout is free: each rank reassembles its own
+        spectral block from every old shard whose global index range
+        overlaps it (decomposition-agnostic restore, used by both
+        supervisor launches).  Either way, every shard that is read is
+        CRC-verified, shard failures are reported with *which* rank/shard
+        failed and why, and an unverifiable snapshot is skipped by all
+        ranks together so the rotation falls back to the previous one;
+        any error that is not corruption propagates.  When *every*
+        generation fails, the typed :class:`CheckpointUnrecoverableError`
+        carries the per-generation, per-shard (rank, path, reason)
+        attribution.
         """
-        comm = ddns.comm
-        names = comm.bcast(
-            [p.name for p in self.generations.candidates()] if comm.rank == 0 else None,
-            root=0,
+        comm = dns.comm
+        names = _bcast(
+            comm,
+            [p.name for p in self.generations.candidates()] if _rank(comm) == 0 else None,
         )
         return self.generations.first_verified(
-            lambda snap: self._restore(ddns, snap, reshard),
+            lambda snap: self._restore(dns, snap, reshard),
             candidates=[self.directory / name for name in names],
             counters=self.counters,
             kind="sharded checkpoint",
         )
 
-    def _restore(self, ddns, snap: pathlib.Path, reshard: bool) -> pathlib.Path:
-        """Collectively restore ``snap`` into ``ddns``; every rank raises the
+    def _restore(self, dns, snap: pathlib.Path, reshard: bool) -> pathlib.Path:
+        """Collectively restore ``snap`` into ``dns``; every rank raises the
         same :class:`CheckpointCorruptError` when any rank's read fails."""
         from repro.core.velocity import recover_uw
 
-        comm = ddns.comm
+        comm = dns.comm
+        rank = _rank(comm)
         manifest = fails = None
-        if comm.rank == 0:
+        if rank == 0:
             try:
                 manifest = _read_manifest(snap, 0)
             except CheckpointCorruptError as exc:
                 fails = exc.failures
-        manifest, fails = comm.bcast((manifest, fails), root=0)
+        manifest, fails = _bcast(comm, (manifest, fails))
         if fails:
             raise CheckpointCorruptError(fails[0]["message"], fails)
+        d = _block(dns)
+        nranks = 1 if comm is None else comm.size
         same_layout = (
-            manifest["nranks"] == comm.size
-            and manifest["pa"] == ddns.transforms.pa
-            and manifest["pb"] == ddns.transforms.pb
+            manifest["nranks"] == nranks and manifest["pa"] == d.pa and manifest["pb"] == d.pb
         )
         if not same_layout and not reshard:
             raise ValueError(
                 f"sharded checkpoint layout mismatch: file has "
                 f"{manifest['nranks']} ranks as {manifest['pa']}x{manifest['pb']}, "
-                f"run has {comm.size} ranks as "
-                f"{ddns.transforms.pa}x{ddns.transforms.pb}"
+                f"run has {nranks} ranks as {d.pa}x{d.pb}"
             )
-        _check_fingerprint(manifest["config"], ddns.config)
+        _check_fingerprint(manifest["config"], dns.config)
         try:
-            state, detail = _read_block(ddns, snap, manifest), None
+            state, detail = _read_block(snap, manifest, d, rank, dns.modes.owns_mean), None
         except CheckpointCorruptError as exc:
             state, detail = None, exc.failures[0]
         # every rank learns every verdict, so the failure message can
         # name exactly which shard broke and all ranks branch together
-        fails = [f for f in comm.allgather(detail) if f is not None]
+        fails = [f for f in _allgather(comm, detail) if f is not None]
         if fails:
             raise CheckpointCorruptError("; ".join(f["message"] for f in fails), fails)
         state.u, state.w = recover_uw(
-            ddns.modes, ddns.stepper.ops, state.v, state.omega_y, state.u00, state.w00
+            dns.modes, dns.stepper.ops, state.v, state.omega_y, state.u00, state.w00
         )
-        ddns.state = state
-        ddns.step_count = int(manifest["step_count"])
+        dns.state = state
+        dns.step_count = int(manifest["step_count"])
         runtime = manifest.get("runtime")
         if runtime is not None:
-            ddns.stepper.set_dt(float(runtime["dt"]))
-            ddns.stepper.forcing = float(runtime["forcing"])
+            dns.set_dt(float(runtime["dt"]))
+            dns.stepper.forcing = float(runtime["forcing"])
         if not same_layout and self.counters is not None:
             self.counters.reshard_restores += 1
         # sidecars hold *global* sums, so the restore is decomposition-
         # agnostic for free: any layout (including post-shrink/grow)
         # reloads the same base.  Missing sidecar -> start from zero.
-        streaming = ddns.streaming
+        streaming = dns.streaming
         if streaming is not None:
             streaming.restore_from(snap)
         return snap
 
-    # -- serial reassembly ----------------------------------------------
+    # -- serial, without a config ---------------------------------------
 
-    def load_serial(
-        self,
-        config: ChannelConfig | None = None,
-        *,
-        restore_runtime: bool | None = None,
-    ) -> ChannelDNS:
-        """Reassemble the newest verifiable sharded snapshot into a serial
-        :class:`ChannelDNS` (the ``1 x 1`` case of the resharding reader).
-
-        No communicator involved — this is how a campaign's sharded
-        snapshot is inspected or continued on a single process.
-        """
-        if restore_runtime is None:
-            restore_runtime = config is None
-
-        def restore(snap: pathlib.Path) -> ChannelDNS:
-            manifest = _read_manifest(snap, None)
-            stored = manifest["config"]
-            if config is None:
-                cfg = _config_from_fingerprint(stored)
-            else:
-                cfg = config
-                _check_fingerprint(stored, cfg)
-            mx = int(manifest.get("mx", cfg.nx // 2))
-            mz = int(manifest.get("mz", cfg.nz - 1))
-            ny = int(manifest.get("ny", cfg.ny))
-            state = _assemble_block(snap, manifest, mx, mz, slice(0, mx), slice(0, mz), ny)
-            if self.counters is not None:
-                self.counters.reshard_restores += 1
-            return _serial_driver(cfg, state, manifest, restore_runtime)
-
-        return self.generations.first_verified(
-            restore, counters=self.counters, kind="sharded checkpoint"
+    def load_serial(self) -> ChannelDNS:
+        """The newest verifiable snapshot, in any layout, as a serial
+        :class:`ChannelDNS` built from the snapshot's own config — how a
+        campaign's snapshot is inspected or continued on one process."""
+        config = self.generations.first_verified(
+            lambda snap: _config_from_fingerprint(_read_manifest(snap, 0)["config"]),
+            kind="sharded checkpoint",
         )
+        dns = ChannelDNS(config)
+        self.load_latest(dns, reshard=True)
+        return dns
 
 
-def _read_block(ddns, snap: pathlib.Path, manifest: dict) -> ChannelState:
-    """This rank's spectral block of a sharded snapshot, in any layout:
-    with the writer's layout that is exactly this rank's own shard."""
-    rank, d, t = ddns.comm.rank, ddns.decomp, ddns.transforms
-    mx = int(manifest.get("mx", t.mx))
-    mz = int(manifest.get("mz", t.mz))
-    if (mx, mz) != (t.mx, t.mz):
-        why = f"rank {rank}: snapshot spectral extents {mx}x{mz} != run's {t.mx}x{t.mz}"
-        raise CheckpointCorruptError(why, [failure(rank, snap, why, why)])
-    return _assemble_block(
-        snap, manifest, mx, mz, d.x_slice, d.z_spec_slice, d.ny,
-        rank=rank, collect_mean=bool(ddns.modes.owns_mean),
-    )
+def _read_block(snap: pathlib.Path, manifest: dict, d, rank: int, owns_mean: bool) -> ChannelState:
+    """Reassemble block ``d`` of a sharded snapshot, in any layout: with
+    the writer's layout that is exactly this rank's own shard.
 
-
-def _assemble_block(
-    snap: pathlib.Path, manifest: dict, mx: int, mz: int, xs: slice, zs: slice, ny: int,
-    *, rank=None, collect_mean: bool = True,
-) -> ChannelState:
-    """Reassemble the ``(xs, zs)`` spectral block of a sharded snapshot.
-
-    Reads every shard whose global index range overlaps the requested
-    block, CRC-verifying each and checking its recorded ranges against
-    the decomposition rule.  Mean profiles come from the ``owns_mean``
-    shard, which always overlaps any block containing mode ``(0, 0)``.
-    Raises :class:`CheckpointCorruptError` whose one failure record
-    names the offending shard and the reading ``rank``.
+    Reads every shard whose global index range overlaps the block,
+    CRC-verifying each and checking its recorded ranges against the
+    decomposition rule.  Mean profiles come from the ``owns_mean`` shard,
+    which always overlaps any block containing mode ``(0, 0)``.  Raises
+    :class:`CheckpointCorruptError` whose one failure record names the
+    offending shard and the reading ``rank``.
     """
     from repro.pencil.decomp import block_range
 
-    reader = "" if rank is None else f"rank {rank}: "
+    mx = int(manifest.get("mx", d.mx))
+    mz = int(manifest.get("mz", d.mz))
+    if (mx, mz) != (d.mx, d.mz):
+        why = f"rank {rank}: snapshot spectral extents {mx}x{mz} != run's {d.mx}x{d.mz}"
+        raise CheckpointCorruptError(why, [failure(rank, snap, why, why)])
+    xs, zs = d.x_slice, d.z_spec_slice
     pa_old, pb_old = int(manifest["pa"]), int(manifest["pb"])
-    v = np.zeros((xs.stop - xs.start, zs.stop - zs.start, ny), complex)
+    v = np.zeros((xs.stop - xs.start, zs.stop - zs.start, d.ny), complex)
     omega_y = np.zeros_like(v)
     u00 = w00 = None
     for r in range(int(manifest["nranks"])):
@@ -606,7 +437,7 @@ def _assemble_block(
                 if got != want:
                     raise CheckpointCorruptError(f"shard records {key}={got}, expected {want}")
         except CheckpointCorruptError as exc:
-            why = f"{reader}shard {path.name} failed verification ({exc})"
+            why = f"rank {rank}: shard {path.name} failed verification ({exc})"
             raise CheckpointCorruptError(why, [failure(rank, path, exc, why)]) from exc
         v[gx0 - xs.start : gx1 - xs.start, gz0 - zs.start : gz1 - zs.start] = arrays[
             "v"
@@ -614,9 +445,9 @@ def _assemble_block(
         omega_y[gx0 - xs.start : gx1 - xs.start, gz0 - zs.start : gz1 - zs.start] = (
             arrays["omega_y"][gx0 - ox0 : gx1 - ox0, gz0 - oz0 : gz1 - oz0]
         )
-        if collect_mean and shard.get("owns_mean"):
+        if owns_mean and shard.get("owns_mean"):
             u00, w00 = arrays["u00"], arrays["w00"]
-    if collect_mean and u00 is None:
-        why = f"{reader}no overlapping shard carries the mean (u00/w00) profiles"
+    if owns_mean and u00 is None:
+        why = f"rank {rank}: no overlapping shard carries the mean (u00/w00) profiles"
         raise CheckpointCorruptError(why, [failure(rank, snap, why, why)])
     return ChannelState(v=v, omega_y=omega_y, u00=u00, w00=w00, time=float(manifest["time"]))

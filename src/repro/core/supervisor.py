@@ -14,12 +14,12 @@ One job runs per allocation, as in the paper: the loop never grows a
 run or yields its ranks to another job.
 
 A *launch* owns only what differs: :class:`InThreadLaunch` steps one
-:class:`~repro.core.solver.ChannelDNS` in the caller's thread and rolls
-back *by construction* from a
-:class:`~repro.core.checkpoint.CheckpointRotation`;
+:class:`~repro.core.solver.ChannelDNS` in the caller's thread;
 :class:`~repro.pencil.distributed.RanksLaunch` relaunches the per-rank
-body under :func:`~repro.mpi.simmpi.run_spmd` and restores *in place*
-from a :class:`~repro.core.checkpoint.ShardedCheckpointRotation`.
+body under :func:`~repro.mpi.simmpi.run_spmd`.  Both restore the same
+way, from the one :class:`~repro.core.checkpoint.ShardedCheckpointRotation`:
+build a fresh driver, attach streaming statistics if the run samples
+them, and restore it *in place* (``load_latest(dns, reshard=...)``).
 :class:`RunSupervisor` and
 :func:`~repro.pencil.distributed.run_supervised_spmd` build the loop over
 each; it never asks which one it drives.  Restores are bit-exact and RK3
@@ -34,8 +34,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.core.checkpoint import CheckpointCorruptError, CheckpointRotation
+from repro.core.checkpoint import CheckpointCorruptError, ShardedCheckpointRotation
 from repro.core.health import DivergedError, HealthCheckError, UnstableError
+from repro.core.solver import ChannelDNS
 from repro.instrument import RecoveryCounters, SectionTimers
 from repro.mpi.simmpi import RankFailure, ShrinkRequired, SimMPIError
 from repro.pencil.decomp import choose_grid
@@ -265,17 +266,20 @@ class Supervisor:
 
 
 class InThreadLaunch:
-    """Step one driver in the caller's thread; roll back *by construction*.
+    """Step one driver in the caller's thread; roll back into a fresh one.
 
-    The rotation's restore returns a fresh driver, which replaces
-    :attr:`dns`; a failure is logged as ``failure`` and its rollback as
-    ``rollback``.  An unreadable rotation ends the run
-    (:class:`SupervisorGivingUp`, "rollback impossible").
+    A rollback builds a fresh :class:`~repro.core.solver.ChannelDNS` of
+    the run's config, attaches streaming statistics if the failed driver
+    sampled them (same ``every``), restores it from the rotation as a
+    rank restores, and replaces :attr:`dns` with it; a failure is logged
+    as ``failure`` and its rollback as ``rollback``.  An unreadable
+    rotation ends the run (:class:`SupervisorGivingUp`, "rollback
+    impossible").
     """
 
     grid = (1, 1, 1)
 
-    def __init__(self, dns, rotation: CheckpointRotation) -> None:
+    def __init__(self, dns, rotation: ShardedCheckpointRotation) -> None:
         self.dns = dns
         self.rotation = rotation
         self.config = dns.config
@@ -284,7 +288,7 @@ class InThreadLaunch:
         return self.dns.step_count, self.dns.stepper.dt
 
     def attempt(self, sup: Supervisor, target: int, callback):
-        if not self.rotation.snapshots():
+        if not self.rotation.snapshot_dirs():
             # baseline: rollback must always have a target
             sup.checkpoint(self.dns, self.rotation, sup.timers)
         sup.advance(self.dns, self.rotation, target, callback, sup.timers)
@@ -292,11 +296,18 @@ class InThreadLaunch:
 
     def recover(self, sup: Supervisor, exc: BaseException, step: int) -> None:
         sup.record("failure", step, f"{type(exc).__name__}: {exc}")
+        failed = self.dns
         with sup.timers.section(SectionTimers.RECOVERY):
+            dns = ChannelDNS(self.config)
+            if failed.streaming is not None:
+                # attach before the restore so load_latest can hand the
+                # accumulator its sidecar (no samples lost on rollback)
+                dns.attach_streaming(every=failed._streaming_every)
             try:
-                self.dns = self.rotation.load_latest(config=self.config, restore_runtime=True)
+                self.rotation.load_latest(dns, reshard=True)
             except CheckpointCorruptError as err:
                 raise SupervisorGivingUp(f"rollback impossible: {err}") from err
+        self.dns = dns
         sup.counters.rollbacks += 1
         if sup.recorder is not None:
             # the restore built a fresh driver: move the stream (and its
@@ -326,7 +337,7 @@ class RunSupervisor(Supervisor):
     def __init__(
         self,
         dns,
-        rotation: CheckpointRotation,
+        rotation: ShardedCheckpointRotation,
         *,
         monitor=None,
         policy: SupervisorPolicy | None = None,
@@ -355,7 +366,7 @@ class RunSupervisor(Supervisor):
         return self.launch.dns
 
     @property
-    def rotation(self) -> CheckpointRotation:
+    def rotation(self) -> ShardedCheckpointRotation:
         return self.launch.rotation
 
     def run(self, n_steps: int, callback=None):

@@ -101,10 +101,6 @@ class GlobalTranspose:
     method:
         The exchange implementation; None means ``ALLTOALL``.  Build
         through :func:`transpose_class` so ``PIPELINED`` gets its class.
-    counters:
-        Optional :class:`~repro.instrument.TransformCounters`; staging
-        buffers are registered as pipeline workspace so the
-        zero-allocation invariant covers them.
     wire:
         ``"full"`` (default) stages payloads at their own dtype;
         ``"mixed"`` down-casts float64/complex128 to float32/complex64
@@ -121,7 +117,6 @@ class GlobalTranspose:
         concat_axis: int,
         split_sizes: list[int] | None = None,
         method: TransposeMethod | None = None,
-        counters=None,
         wire: str = "full",
         precision: PrecisionCounters | None = None,
     ) -> None:
@@ -132,7 +127,6 @@ class GlobalTranspose:
         self.concat_axis = concat_axis
         self.split_sizes = split_sizes
         self.method = method or TransposeMethod.ALLTOALL
-        self.counters = counters
         self.wire = wire
         self.precision = precision
         #: staging-allocation census: ``staging_allocs`` counts every
@@ -181,8 +175,6 @@ class GlobalTranspose:
             buf = np.empty(total, dtype=dtype)
             self.staging_allocs += 1
             self.staging_bytes += buf.nbytes
-            if self.counters is not None:
-                self.counters.count_workspace(buf)
             views, offset = [], 0
             for e in extents:
                 chunk_shape = tuple(

@@ -102,8 +102,3 @@ class GridCounts:
         """(z part, x part) flop totals over a full timestep."""
         passes = SUBSTEPS * PASSES_PER_SUBSTEP
         return passes * self.z_fft_flops(), passes * self.x_fft_flops()
-
-    def reorder_bytes_per_step(self) -> float:
-        """On-node reordering traffic: each pass repacks ~2 pencils."""
-        passes = SUBSTEPS * PASSES_PER_SUBSTEP
-        return passes * 2.0 * 2.0 * self.zx_bytes()  # read+write, 2 reorders

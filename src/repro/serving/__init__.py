@@ -11,9 +11,9 @@ LRU response cache.  Operator documentation lives in
 
 from repro.serving.accumulators import (
     REDUCTION_RTOL,
+    SIDECAR_NAME,
     STATS_FORMAT_VERSION,
     StreamingStatistics,
-    sidecar_name,
 )
 from repro.serving.query import QUERY_FIELDS, StatisticsService
 from repro.serving.store import (
@@ -34,7 +34,7 @@ __all__ = [
     "STATS_FORMAT_VERSION",
     "STORE_FORMAT_VERSION",
     "REDUCTION_RTOL",
-    "sidecar_name",
+    "SIDECAR_NAME",
     "synthetic_result",
     "populate_store",
 ]

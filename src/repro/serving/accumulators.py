@@ -18,11 +18,11 @@ the run:
   ``(kx, kz)`` block; :meth:`merged` folds the partials through one
   packed ``allreduce`` on the existing reductions.  No field data moves.
 * **Resumability** — :meth:`save_to` writes the *merged* sums as an
-  atomic, checksummed sidecar next to a checkpoint; :meth:`restore_from`
-  reloads them as a decomposition-agnostic base so a crashed, restarted
-  or elastically resharded run loses no accumulated samples.  The
-  checkpoint rotations call both hooks automatically when a driver has
-  an accumulator attached (``dns.attach_streaming(...)``).
+  atomic, checksummed sidecar inside a snapshot directory;
+  :meth:`restore_from` reloads them as a decomposition-agnostic base so
+  a crashed, restarted or elastically resharded run loses no accumulated
+  samples.  The checkpoint rotation calls both hooks automatically when
+  a driver has an accumulator attached (``dns.attach_streaming(...)``).
 * **Budgeted overhead** — sampling is timed under the ``stats``
   :class:`~repro.instrument.SectionTimers` section and self-measured in
   :class:`~repro.instrument.StatsCounters.sample_seconds`, surfaced as
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.instrument import StatsCounters
 from repro.storage import FORMAT_VERSION as _CONTAINER_VERSION
-from repro.storage import Generations, read_npz, write_npz
+from repro.storage import read_npz, write_npz
 
 #: sidecar format version (bump when the packed layout changes)
 STATS_FORMAT_VERSION = 1
@@ -49,14 +49,8 @@ STATS_FORMAT_VERSION = 1
 #: sum.  Serial streamed-vs-batch comparisons are bit-for-bit.
 REDUCTION_RTOL = 1e-10
 
-_SIDECAR_PREFIX = "stats"
-
-
-def sidecar_name(step: int | None = None) -> str:
-    """Sidecar file name for a checkpoint at ``step`` (None: unsuffixed)."""
-    if step is None:
-        return f"{_SIDECAR_PREFIX}.npz"
-    return f"{_SIDECAR_PREFIX}-{int(step):09d}.npz"
+#: the sidecar's file name inside a snapshot directory
+SIDECAR_NAME = "stats.npz"
 
 
 class StreamingStatistics:
@@ -282,8 +276,9 @@ class StreamingStatistics:
     # checkpoint sidecar (resumability)
     # ------------------------------------------------------------------
 
-    def save_to(self, directory, step: int | None = None):
-        """Write the merged sums as an atomic checksummed sidecar.
+    def save_to(self, directory):
+        """Write the merged sums as an atomic checksummed sidecar
+        (:data:`SIDECAR_NAME` under ``directory``).
 
         Collective (performs the packed merge); only the lead rank
         writes.  The sidecar holds *global* sums, so any later
@@ -298,7 +293,7 @@ class StreamingStatistics:
         packed = self._merged_packed()
         if self.comm is not None and self.comm.rank != 0:
             return None
-        path = pathlib.Path(directory) / sidecar_name(step)
+        path = pathlib.Path(directory) / SIDECAR_NAME
         manifest = {
             # container version of the shared checksummed-npz reader;
             # stats_version is the sidecar's own packed-layout schema
@@ -312,7 +307,7 @@ class StreamingStatistics:
         }
         return write_npz(path, manifest, {"packed": packed})
 
-    def restore_from(self, directory, step: int | None = None) -> bool:
+    def restore_from(self, directory) -> bool:
         """Load a sidecar written by :meth:`save_to`, if one exists.
 
         Every rank reads the file (deterministic, no broadcast needed);
@@ -325,7 +320,7 @@ class StreamingStatistics:
         """
         import pathlib
 
-        path = pathlib.Path(directory) / sidecar_name(step)
+        path = pathlib.Path(directory) / SIDECAR_NAME
         if not path.exists():
             return False
         manifest, arrays = read_npz(path)
@@ -351,15 +346,3 @@ class StreamingStatistics:
             self._base = None
         self.counters.restores += 1
         return True
-
-    @staticmethod
-    def sidecars(directory) -> Generations:
-        """The step-suffixed sidecars under ``directory``, newest first."""
-        return Generations(directory, f"{_SIDECAR_PREFIX}-", ".npz")
-
-    @staticmethod
-    def latest_sidecar_step(directory) -> int | None:
-        """Highest step number with a sidecar under ``directory`` (or None)."""
-        sidecars = StreamingStatistics.sidecars(directory)
-        paths = sidecars.paths()
-        return sidecars.step_of(paths[0]) if paths else None

@@ -41,7 +41,13 @@ import numpy as np
 
 #: current container version and the lineage of versions this reader
 #: accepts.  v2: manifest with per-array CRC32.  A manifest-less file (the
-#: v1 layout) cannot be verified and is refused as unsupported.
+#: v1 layout) cannot be verified and is refused as unsupported.  The
+#: container is unchanged by the snapshot layout above it; one layout
+#: break is recorded here all the same: serial runs no longer write or
+#: read the single-file ``kind: "serial"`` snapshot (``ckpt-<step>.npz``
+#: with a ``stats-<step>.npz`` sidecar) — every run, serial included,
+#: writes the sharded ``step-<N>/`` directory (a serial run is its one
+#: shard), and no loader for the old file is kept.
 FORMAT_VERSION = 2
 FORMAT_HISTORY = (2,)
 

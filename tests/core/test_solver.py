@@ -81,7 +81,7 @@ class TestSerialLayout:
         loop — telemetry, streaming statistics, watchdog, checkpoint
         round trip, supervisor — must never build one."""
         from repro.core import HealthMonitor, RunSupervisor
-        from repro.core.checkpoint import CheckpointRotation
+        from repro.core.checkpoint import ShardedCheckpointRotation
         from repro.mpi.simmpi import Communicator
 
         def refuse(self, *args, **kwargs):
@@ -95,11 +95,13 @@ class TestSerialLayout:
         dns.initialize()
         stats = dns.attach_streaming(every=1)
         dns.run(2, controllers=[HealthMonitor()])
-        rotation = CheckpointRotation(tmp_path / "ckpt")
+        rotation = ShardedCheckpointRotation(tmp_path / "ckpt")
         dns = RunSupervisor(dns, rotation, monitor=HealthMonitor()).run(2)
         assert dns.step_count == 4 and stats.total_samples == 4
         assert np.isfinite([dns.kinetic_energy(), dns.wall_shear_velocity()]).all()
         assert stats.bulk_velocity() > 0.0
-        restored = rotation.load_latest(cfg)
+        restored = ChannelDNS(cfg)
+        rotation.load_latest(restored)
         assert restored.comm is None and restored.step_count == 4
+        assert rotation.load_serial().step_count == 4
         dns.finalize_telemetry()

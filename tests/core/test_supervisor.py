@@ -2,14 +2,16 @@
 
 The acceptance property of the fault-tolerant harness is pinned here:
 a trajectory that crashes and is auto-restarted by the supervisor is
-bit-for-bit identical to the uninterrupted one.
+bit-for-bit identical to the uninterrupted one, and streamed statistics
+survive the rollback.  Snapshots are the one-shard sharded format
+(``step-N/shard-r0000.npz``).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ChannelConfig, ChannelDNS
-from repro.core.checkpoint import CheckpointCorruptError, CheckpointRotation, load_checkpoint
+from repro.core.checkpoint import CheckpointCorruptError, ShardedCheckpointRotation
 from repro.core.control import CFLController
 from repro.core.health import HealthMonitor, UnstableError
 from repro.core.supervisor import (
@@ -18,6 +20,7 @@ from repro.core.supervisor import (
     SupervisorPolicy,
 )
 from repro.instrument import SectionTimers
+from repro.serving import REDUCTION_RTOL
 from repro.storage import read_npz
 
 from tests.faults import stamp_newer_format
@@ -49,7 +52,9 @@ def _nan_once_at(step):
     return hook
 
 
-def _flip_byte(path, offset_fraction=0.5):
+def _flip_byte(snap, offset_fraction=0.5):
+    """Flip one byte of a serial snapshot's one shard."""
+    path = snap / "shard-r0000.npz"
     data = bytearray(path.read_bytes())
     data[int(len(data) * offset_fraction)] ^= 0xFF
     path.write_bytes(bytes(data))
@@ -64,7 +69,7 @@ class TestBitForBitRecovery:
 
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(checkpoint_every=5),
         )
@@ -87,7 +92,7 @@ class TestBitForBitRecovery:
         timers = SectionTimers()
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(checkpoint_every=5),
             timers=timers,
@@ -104,16 +109,51 @@ class TestBitForBitRecovery:
         straight = _straight_run(6)
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=None,
             policy=SupervisorPolicy(checkpoint_every=5),
         )
         dns = sup.run(6, callback=_nan_once_at(5))
         np.testing.assert_array_equal(dns.state.v, straight.state.v)
-        for snap in sup.rotation.snapshots():
-            restored = load_checkpoint(snap)
-            assert restored.state_finite()
+        for snap in sup.rotation.snapshot_dirs():
+            _, arrays = read_npz(snap / "shard-r0000.npz")
+            assert all(np.isfinite(a).all() for a in arrays.values())
         assert sup.counters.rollbacks == 1
+
+
+class TestStreamingRollback:
+    def test_rollback_keeps_the_streaming_statistics(self, tmp_path):
+        """A rolled-back driver samples on: the replacement restores the
+        snapshot's sidecar and takes the remaining samples, so the run
+        ends with every step's sample, as an uninterrupted streamed run."""
+        cfg = ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, init_amplitude=0.5, seed=13)
+        straight = ChannelDNS(cfg)
+        straight.initialize()
+        ref = straight.attach_streaming(every=1)
+        straight.run(10)
+
+        dns = ChannelDNS(cfg)
+        dns.initialize()
+        dns.attach_streaming(every=1)
+        sup = RunSupervisor(
+            dns,
+            ShardedCheckpointRotation(tmp_path),
+            monitor=HealthMonitor(),
+            policy=SupervisorPolicy(checkpoint_every=5),
+        )
+        final = sup.run(10, callback=_nan_once_at(7))
+
+        assert sup.counters.rollbacks == 1 and final is not dns
+        assert final.streaming is not None
+        assert final.streaming.counters.restores == 1
+        assert final.streaming.total_samples == 10
+        got, want = final.streaming.result(), ref.result()
+        assert got["nsamples"] == want["nsamples"] == 10
+        for name in ("U", "uu", "vv", "ww", "uv", "spec_x_u", "spec_z_w"):
+            np.testing.assert_allclose(
+                got[name], want[name], rtol=REDUCTION_RTOL, atol=1e-14, err_msg=name
+            )
+        np.testing.assert_array_equal(final.state.v, straight.state.v)
 
 
 class TestCorruptHeadFallback:
@@ -122,7 +162,7 @@ class TestCorruptHeadFallback:
         supervisor: rollback falls back to the previous verifiable one
         and the retried trajectory still matches the uninterrupted run."""
         straight = _straight_run(8)
-        rotation = CheckpointRotation(tmp_path)
+        rotation = ShardedCheckpointRotation(tmp_path)
         sup = RunSupervisor(
             _fresh_dns(),
             rotation,
@@ -135,7 +175,7 @@ class TestCorruptHeadFallback:
             # corrupt the step-6 snapshot just before the crash at step 7
             if dns.step_count == 7 and not getattr(hook, "zapped", False):
                 hook.zapped = True
-                _flip_byte(rotation.latest_path)
+                _flip_byte(rotation.generations.head())
 
         hook_nan = _nan_once_at(7)
         dns = sup.run(8, callback=hook)
@@ -147,7 +187,7 @@ class TestCorruptHeadFallback:
         assert rollback.step == 4  # fell back past the corrupt step-6 head
 
     def test_all_snapshots_corrupt_gives_up(self, tmp_path):
-        rotation = CheckpointRotation(tmp_path)
+        rotation = ShardedCheckpointRotation(tmp_path)
         sup = RunSupervisor(
             _fresh_dns(),
             rotation,
@@ -157,7 +197,7 @@ class TestCorruptHeadFallback:
 
         def hook(dns):
             if dns.step_count == 3:
-                for snap in rotation.snapshots():
+                for snap in rotation.snapshot_dirs():
                     _flip_byte(snap)
                 dns.state.v[0, 0, 0] = np.nan
 
@@ -170,7 +210,7 @@ class TestNewerFormatHead:
         """A head written by a newer build is neither read nor skipped:
         the rollback raises ValueError, nothing is retried, and the
         generation stays on disk for the build that can read it."""
-        rotation = CheckpointRotation(tmp_path)
+        rotation = ShardedCheckpointRotation(tmp_path)
         sup = RunSupervisor(
             _fresh_dns(),
             rotation,
@@ -181,7 +221,7 @@ class TestNewerFormatHead:
 
         def hook(dns):
             if dns.step_count == 5 and not head:
-                head.append(rotation.latest_path)
+                head.append(rotation.generations.head())
                 stamp_newer_format(head[0])
                 dns.state.v[0, 0, 0] = np.nan
 
@@ -190,9 +230,9 @@ class TestNewerFormatHead:
         assert not isinstance(info.value, CheckpointCorruptError)
         assert sup.counters.rollbacks == 0 and sup.counters.verify_failures == 0
         assert [e.kind for e in sup.log] == ["failure"]
-        assert rotation.latest_path == head[0]
+        assert rotation.generations.head() == head[0]
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
-            read_npz(head[0])
+            read_npz(head[0] / "shard-r0000.npz")
 
 
 class TestRetryAccounting:
@@ -206,7 +246,7 @@ class TestRetryAccounting:
 
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(checkpoint_every=10, max_retries=2),
         )
@@ -233,7 +273,7 @@ class TestRetryAccounting:
 
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(checkpoint_every=1, max_retries=1),
         )
@@ -251,7 +291,7 @@ class TestRetryAccounting:
 
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(
                 checkpoint_every=10,
@@ -270,7 +310,7 @@ class TestRetryAccounting:
         def boom(dns):
             raise KeyError("not a recoverable failure")
 
-        sup = RunSupervisor(_fresh_dns(), CheckpointRotation(tmp_path))
+        sup = RunSupervisor(_fresh_dns(), ShardedCheckpointRotation(tmp_path))
         with pytest.raises(KeyError):
             sup.run(3, callback=boom)
         assert sup.counters.failures == 0
@@ -290,7 +330,7 @@ class TestGracefulDegradation:
         ctrl = CFLController(target=1.0, low=1e-9, high=1e9, max_dt=1.0)
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             policy=SupervisorPolicy(checkpoint_every=2, dt_factor=0.5),
             controllers=[ctrl],
         )
@@ -307,7 +347,7 @@ class TestGracefulDegradation:
 
         sup = RunSupervisor(
             _fresh_dns(),
-            CheckpointRotation(tmp_path),
+            ShardedCheckpointRotation(tmp_path),
             policy=SupervisorPolicy(
                 checkpoint_every=10, max_retries=3, dt_factor=0.5, min_dt=1e-4
             ),

@@ -36,20 +36,16 @@ def rank1_kill_plan(
     return FaultPlan([FaultEvent(action="kill", rank=1, op=op, call=call)])
 
 
-def stamp_newer_format(path) -> None:
-    """Mark a snapshot as written by a build one format version ahead:
-    a serial ``.npz`` file, or every shard and the manifest of a sharded
-    ``step-*`` directory (the explicit member outranks the manifest's)."""
-    path = pathlib.Path(path)
+def stamp_newer_format(snap) -> None:
+    """Mark a ``step-*`` snapshot directory as written by a build one
+    format version ahead: its manifest and every shard (the explicit
+    member outranks the manifest's)."""
+    snap = pathlib.Path(snap)
     newer = FORMAT_VERSION + 1
-    if path.is_dir():
-        manifest = path / "manifest.json"
-        fields = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps({**fields, "format_version": newer}))
-        files = sorted(path.glob("shard-*.npz"))
-    else:
-        files = [path]
-    for f in files:
+    manifest = snap / "manifest.json"
+    fields = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**fields, "format_version": newer}))
+    for f in sorted(snap.glob("shard-*.npz")):
         with np.load(f, allow_pickle=False) as data:
             members = dict(data)
         members["format_version"] = newer

@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core import ChannelConfig
+from repro.core import ChannelConfig, ChannelDNS
 from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.instrument import RecoveryCounters, SectionTimers
 from repro.mpi.simmpi import ShrinkRequired, run_spmd
@@ -123,6 +123,49 @@ class TestReshardRestore:
         dist = run_spmd(4, cont)[0]
         dns.run(2)
         np.testing.assert_allclose(dns.state.v, dist.v, rtol=0, atol=1e-12)
+
+
+def _run_6(tmp_path, pa, pb, restore: bool):
+    """Six steps on ``pa x pb`` (``0 x 0``: a serial driver) — or, with
+    ``restore``, the snapshot under ``tmp_path`` plus three steps.  A
+    writer snapshots at step 3.  Returns the full state and step."""
+
+    def body(dns):
+        rot = ShardedCheckpointRotation(tmp_path)
+        if restore:
+            rot.load_latest(dns, reshard=True)
+        else:
+            dns.initialize()
+            dns.run(3)
+            rot.save(dns)
+        dns.run(3)
+        return dns.step_count
+
+    if pa == 0:
+        dns = ChannelDNS(CFG)
+        step = body(dns)
+        return dns.state, step
+
+    def prog(comm):
+        dns = DistributedChannelDNS(comm, CFG, pa=pa, pb=pb)
+        step = body(dns)
+        return dns.gather_state(), step
+
+    return run_spmd(pa * pb, prog)[0]
+
+
+@pytest.mark.parametrize(
+    "writer, reader", [((0, 0), (2, 2)), ((2, 2), (0, 0))], ids=["serial->2x2", "2x2->serial"]
+)
+def test_snapshot_restores_bit_for_bit_across_layouts(tmp_path, writer, reader):
+    """One snapshot format: a serial snapshot restores onto a 2x2 run and
+    a 2x2 snapshot onto a serial run, and three steps later both sides
+    hold identical bits."""
+    written, step_w = _run_6(tmp_path, *writer, restore=False)
+    restored, step_r = _run_6(tmp_path, *reader, restore=True)
+    assert step_w == step_r == 6
+    for name in ("v", "omega_y", "u00", "w00"):
+        assert np.array_equal(getattr(restored, name), getattr(written, name)), name
 
 
 class TestElasticShrinkIdentity:

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core import ChannelConfig, ChannelDNS
-from repro.core.checkpoint import CheckpointRotation
+from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.core.statistics import mode_weights, plane_covariance
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
-from repro.serving import REDUCTION_RTOL, StatsStore, StreamingStatistics
+from repro.serving import REDUCTION_RTOL, SIDECAR_NAME, StatsStore, StreamingStatistics
 from repro.stats.spectra import energy_spectrum_x, energy_spectrum_z
 
 from tests.faults import rank1_kill_plan
@@ -199,17 +199,19 @@ class TestSerialSidecar:
         _, ref_stream = _serial_reference(6)
         ref = ref_stream.result()
 
-        rot = CheckpointRotation(tmp_path, keep=3)
+        rot = ShardedCheckpointRotation(tmp_path, keep=3)
         dns = ChannelDNS(CFG)
         dns.initialize()
         dns.attach_streaming(every=1)
         dns.run(3)
-        rot.save(dns)  # writes the stats sidecar alongside
+        snap = rot.save(dns)  # writes the stats sidecar inside the snapshot
+        assert (snap / SIDECAR_NAME).exists()
         del dns  # the "kill"
 
-        restored = rot.load_latest(CFG)
+        restored = ChannelDNS(CFG)
         stream = restored.attach_streaming(every=1)
-        assert stream.restore_from(tmp_path, restored.step_count)
+        rot.load_latest(restored)  # hands the accumulator its sidecar
+        assert restored.step_count == 3
         assert stream.total_samples == 3
         assert stream.counters.restores == 1
         restored.run(3)
@@ -227,28 +229,30 @@ class TestSerialSidecar:
         dns = ChannelDNS(CFG)
         dns.initialize()
         stream = dns.attach_streaming()
-        assert not stream.restore_from(tmp_path, 5)
+        assert not stream.restore_from(tmp_path)
         assert stream.total_samples == 0
 
     def test_sidecar_grid_mismatch_rejected(self, tmp_path):
         dns, stream = _serial_reference(1)
-        stream.save_to(tmp_path, 1)
+        stream.save_to(tmp_path)
         other = ChannelDNS(ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4))
         other.initialize()
         with pytest.raises(ValueError, match="grid mismatch"):
-            other.attach_streaming().restore_from(tmp_path, 1)
+            other.attach_streaming().restore_from(tmp_path)
 
     def test_sidecars_rotate_with_snapshots(self, tmp_path):
-        rot = CheckpointRotation(tmp_path, keep=2)
+        """A sidecar lives only inside its snapshot directory and is
+        pruned with it."""
+        rot = ShardedCheckpointRotation(tmp_path, keep=2)
         dns = ChannelDNS(CFG)
         dns.initialize()
         dns.attach_streaming(every=1)
         for _ in range(4):
             dns.run(1)
             rot.save(dns)
-        assert len(list(tmp_path.glob("stats-*.npz"))) == 2
-        latest = StreamingStatistics.latest_sidecar_step(tmp_path)
-        assert latest == dns.step_count
+        sidecars = sorted(tmp_path.rglob("stats*.npz"))
+        assert sidecars == [snap / SIDECAR_NAME for snap in reversed(rot.snapshot_dirs())]
+        assert rot.snapshot_dirs()[0].name == f"step-{dns.step_count:09d}"
 
 
 class TestDistributedIdentity:

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.core.checkpoint import CheckpointRotation
+from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.core.health import UnstableError
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.supervisor import RunSupervisor, SupervisorPolicy
@@ -53,7 +53,7 @@ def test_supervisor_mirrors_recovery_log(tmp_path):
     dns.initialize()
     sup = RunSupervisor(
         dns,
-        CheckpointRotation(tmp_path / "ckpt", keep=2),
+        ShardedCheckpointRotation(tmp_path / "ckpt", keep=2),
         policy=SupervisorPolicy(checkpoint_every=2, max_retries=2),
     )
     assert sup.recorder is dns.recorder  # picked up from the driver

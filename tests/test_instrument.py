@@ -146,12 +146,12 @@ class TestRecoveryCounters:
 
     def test_rotation_moves_save_and_prune_counters(self, tmp_path):
         from repro.core import ChannelConfig, ChannelDNS
-        from repro.core.checkpoint import CheckpointRotation
+        from repro.core.checkpoint import ShardedCheckpointRotation
 
         dns = ChannelDNS(ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, seed=3))
         dns.initialize()
         c = RecoveryCounters()
-        rot = CheckpointRotation(tmp_path, keep=2, counters=c)
+        rot = ShardedCheckpointRotation(tmp_path, keep=2, counters=c)
         for _ in range(3):
             dns.run(1)
             rot.save(dns)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ChannelConfig, ChannelDNS
-from repro.core.checkpoint import CheckpointRotation, ShardedCheckpointRotation
+from repro.core.checkpoint import ShardedCheckpointRotation
 from repro.instrument import RecoveryCounters
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS
@@ -190,6 +190,13 @@ def _restore_sharded(tmp_path, nranks, pa, pb, config, counters=None):
     return run_spmd(nranks, restore)
 
 
+def _restore_serial(rot) -> int:
+    """Restore a rotation's newest snapshot into a fresh serial driver."""
+    dns = ChannelDNS(SMALL)
+    rot.load_latest(dns)
+    return dns.step_count
+
+
 class TestNonCorruptionPropagates:
     """A fault inside the read of a healthy head is not corruption."""
 
@@ -197,15 +204,15 @@ class TestNonCorruptionPropagates:
         dns = ChannelDNS(SMALL)
         dns.initialize()
         counters = RecoveryCounters()
-        rot = CheckpointRotation(tmp_path, counters=counters)
+        rot = ShardedCheckpointRotation(tmp_path, counters=counters)
         rot.save(dns)
         dns.run(1)
         rot.save(dns)
         monkeypatch.setattr(np, "load", _FailOnce(np.load))
         with pytest.raises(RuntimeError, match="injected"):
-            rot.load_latest()
+            _restore_serial(rot)
         assert counters.verify_failures == 0
-        assert rot.load_latest().step_count == 1  # the head, once the fault passed
+        assert _restore_serial(rot) == 1  # the head, once the fault passed
 
     def test_sharded_rotation_2x2(self, tmp_path, monkeypatch):
         _save_two_sharded(tmp_path, 4, 2, 2, SHARDED)
@@ -220,11 +227,11 @@ class TestNonCorruptionPropagates:
 def _serial_rotation(tmp_path):
     dns = ChannelDNS(SMALL)
     dns.initialize()
-    rot = CheckpointRotation(tmp_path)
+    rot = ShardedCheckpointRotation(tmp_path)
     rot.save(dns)
     dns.run(1)
     rot.save(dns)
-    return tmp_path, lambda: rot.load_latest().step_count
+    return tmp_path, lambda: _restore_serial(rot)
 
 
 def _sharded_rotation(tmp_path):
