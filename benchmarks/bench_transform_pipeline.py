@@ -1,4 +1,4 @@
-"""Transform pipeline — naive vs planned vs threaded (paper §4.3/§4.4).
+"""Serial transforms — naive vs planned vs threaded (paper §4.3/§4.4).
 
 The nonlinear-term transform chain (3 velocity fields forward, 5
 quadratic products backward, every RK substep) is the dominant serial
@@ -7,15 +7,21 @@ grid through three paths:
 
 * **naive** — the seed's per-call :func:`to_quadrature_grid` /
   :func:`from_quadrature_grid` (fresh pad/scratch arrays every stage);
-* **planned** — :class:`~repro.fft.pipeline.TransformPipeline` with the
-  numpy backend (persistent pad workspaces, fused scaling, cached
-  last-axis plans);
-* **threaded** — the same pipeline on the scipy pocketfft backend with a
-  ``workers`` pool (the paper's OpenMP-threaded FFTs, Table 3).
+* **planned** — :class:`~repro.core.transforms.SerialTransformBackend`,
+  the one transform of every layout (:class:`~repro.fft.transform.PencilFFT`)
+  on the ``1 x 1`` grid, with the numpy backend (persistent
+  transform-major workspaces, scaling and permutation fused into the
+  pad writes, cached last-axis plans);
+* **threaded** — the same transforms on the scipy pocketfft backend
+  with a ``workers`` pool (the paper's OpenMP-threaded FFTs, Table 3).
 
 It also re-runs the 10-step 32^3 DNS with the naive and the planned
-backend and checks the trajectories coincide — the planned pipeline is
-an optimisation, not a different discretization.
+backend and checks the trajectories coincide — the planned transforms
+are an optimisation, not a different discretization.
+
+Run from ``benchmarks/``: ``PYTHONPATH=../src python -m pytest
+bench_transform_pipeline.py -q`` (writes
+``results/transform_pipeline.txt``).
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from repro.core.grid import ChannelGrid
 from repro.core.timestepper import IMEXStepper
 from repro.core.transforms import (
     NaiveTransformBackend,
+    SerialTransformBackend,
     from_quadrature_grid,
     to_quadrature_grid,
 )
-from repro.fft.pipeline import TransformPipeline
 from repro.fft.plans import Planner, available_backends
 
 from conftest import emit, fmt_row
@@ -102,13 +108,13 @@ def test_transform_pipeline(benchmark):
         return chain
 
     variants = {}
-    planned = TransformPipeline(g, backend="numpy", planner=Planner())
+    planned = SerialTransformBackend(g, backend="numpy", planner=Planner())
     planned_chain = make_variant(planned)
     variants["planned (numpy)"] = planned_chain
 
     if "scipy" in available_backends():
         workers = os.cpu_count() or 1
-        threaded = TransformPipeline(g, backend="scipy", workers=workers, planner=Planner())
+        threaded = SerialTransformBackend(g, backend="scipy", workers=workers, planner=Planner())
         variants[f"planned (scipy, workers={workers})"] = make_variant(threaded)
 
     names = list(variants)
@@ -121,7 +127,7 @@ def test_transform_pipeline(benchmark):
         rows.append((name, t, t_naive / t))
 
     lines = [
-        "Transform pipeline — nonlinear-term chain, "
+        "Serial transforms — nonlinear-term chain, "
         f"3 forward + 5 backward fields on {GRID[0]}x{GRID[1]}x{GRID[2]}",
         "",
         fmt_row(("variant", "s/chain", "speedup"), (30, 10, 9)),
@@ -131,7 +137,7 @@ def test_transform_pipeline(benchmark):
 
     # -- trajectory identity: planned backend reproduces the naive run ----
     cfg = ChannelConfig(nx=32, ny=33, nz=32, dt=2e-4, seed=3)
-    dns = ChannelDNS(cfg)  # planned pipeline backend (the default)
+    dns = ChannelDNS(cfg)  # planned serial transforms (the default)
     dns.initialize()
     ref = ChannelDNS(cfg)
     ref.stepper = IMEXStepper(
@@ -155,8 +161,8 @@ def test_transform_pipeline(benchmark):
     lines += ["", f"best planned speedup: {t_naive / best:.2f}x (floor {SPEEDUP_FLOOR}x)"]
     emit("transform_pipeline", "\n".join(lines))
 
-    assert dv == 0.0, "planned pipeline diverged from the naive trajectory"
+    assert dv == 0.0, "planned transforms diverged from the naive trajectory"
     assert t_naive / best >= SPEEDUP_FLOOR, (
-        f"pipeline speedup {t_naive / best:.2f}x below the {SPEEDUP_FLOOR}x floor"
+        f"planned speedup {t_naive / best:.2f}x below the {SPEEDUP_FLOOR}x floor"
     )
     benchmark(planned_chain)

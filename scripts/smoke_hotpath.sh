@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Hot-path smoke check: tier-1 test suite plus a short DNS through the
-# planned transform pipeline, verified bit-for-bit against the naive
+# planned serial transforms, verified bit-for-bit against the naive
 # reference backend.  Run from the repository root:
 #
 #   scripts/smoke_hotpath.sh
@@ -23,7 +23,7 @@ from repro.core.timestepper import IMEXStepper
 from repro.core.transforms import NaiveTransformBackend
 
 cfg = ChannelConfig(nx=32, ny=33, nz=32, dt=2e-4, seed=3)
-dns = ChannelDNS(cfg)  # planned pipeline backend (the default)
+dns = ChannelDNS(cfg)  # planned serial transforms (the default)
 dns.initialize()
 ref = ChannelDNS(cfg)
 ref.stepper = IMEXStepper(
@@ -41,7 +41,7 @@ print(f"max |v - v_ref| = {dv:.3e}")
 print(f"|KE - KE_ref|   = {de:.3e}")
 print(f"divergence norm = {div:.3e}")
 print(dns.transforms.counters.report())
-assert dv == 0.0, "planned pipeline diverged from the naive trajectory"
+assert dv == 0.0, "planned transforms diverged from the naive trajectory"
 assert de == 0.0, "kinetic energy diverged"
 assert div < 1e-12, "velocity field not solenoidal"
 print("smoke OK")

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.timestepper import SMR91, ChannelState
+from repro.layout import PencilDecomp, block_range
 
 # the error types and format constants stay importable from here
 from repro.storage import (
@@ -120,12 +121,10 @@ def _config_from_fingerprint(stored: dict) -> ChannelConfig:
 
 def _block(dns):
     """``dns``'s block of the global spectral grid as a
-    :class:`~repro.pencil.decomp.PencilDecomp`: a rank's own, or for a
+    :class:`~repro.layout.PencilDecomp`: a rank's own, or for a
     serial driver the one block of a ``1 x 1`` grid."""
     if dns.comm is not None:
         return dns.decomp
-    from repro.pencil.decomp import PencilDecomp
-
     g = dns.grid
     return PencilDecomp(g.mx, g.mz, g.ny, g.nxq, g.nzq, pa=1, pb=1, a=0, b=0)
 
@@ -404,8 +403,6 @@ def _read_block(snap: pathlib.Path, manifest: dict, d, rank: int, owns_mean: boo
     :class:`CheckpointCorruptError` whose one failure record names the
     offending shard and the reading ``rank``.
     """
-    from repro.pencil.decomp import block_range
-
     mx = int(manifest.get("mx", d.mx))
     mz = int(manifest.get("mz", d.mz))
     if (mx, mz) != (d.mx, d.mz):

@@ -24,7 +24,7 @@ and the mean-mode (kx = kz = 0) momentum sources reduce to
 ``H1|00 = -d<uv>/dy`` and ``H3|00 = -d<vw>/dy`` as they must.
 
 The physical-space evaluation is delegated to a *transform backend*
-(serial full-array transforms or the distributed pencil pipeline), so
+(the one transform on the serial 1x1 grid or on a rank's pencils), so
 this module is shared verbatim between the serial and parallel solvers.
 """
 

@@ -111,7 +111,7 @@ class ChannelDNS:
             stretch=config.stretch,
         )
         #: the run's only section timers, shared with the stepper and the
-        #: transforms (the pencil pipeline times transpose/fft into them)
+        #: transforms (which time their fft and transpose stages into them)
         self.timers = SectionTimers()
         self.comm, self.decomp, self.transforms = self._layout()
         d = self.decomp
@@ -149,13 +149,15 @@ class ChannelDNS:
 
     def _layout(self):
         """``(comm, decomp, transforms)`` of this run — serial here: no
-        communicator, no decomposition, the planned in-process pipeline."""
+        communicator, no decomposition, the transforms of the ``1 x 1``
+        grid, timed into the run's timers."""
         cfg = self.config
         transforms = SerialTransformBackend(
             self.grid,
             backend=cfg.fft_backend,
             workers=cfg.fft_workers,
         )
+        transforms.timers = self.timers
         return None, None, transforms
 
     def _reduce(self, value, op=None):
@@ -226,9 +228,9 @@ class ChannelDNS:
 
     def step(self) -> None:
         """Advance one timestep."""
-        # the stepper shares self.timers: ns_advance covers the implicit
-        # solves, nonlinear_products the whole dealiased evaluation, and a
-        # pencil layout adds its fft/transpose sections
+        # the stepper shares self.timers: ns_advance and the implicit
+        # solves inside it, nonlinear_products and the transforms' fft
+        # (and, on a pencil layout, transpose) sections inside that
         self.state = self.stepper.step(self._require_state())
         self.step_count += 1
         if self.streaming is not None and self.step_count % self._streaming_every == 0:

@@ -27,6 +27,27 @@ def mode_weights(grid: ChannelGrid) -> np.ndarray:
     return w
 
 
+def covariance_profile(f_vals, g_vals, weights_x, mean, out=None):
+    """``(<f' g'>(y), per-kx sums over kz)`` of collocated spectral values.
+
+    ``Re f Re g`` and ``Im f Im g`` of every mode are formed as one float
+    ``(mx, mz, 2 ny)`` array (into ``out``, which may be ``f``'s own
+    float view), the mean mode ``mean`` — its ``(i, j)``, None where a
+    block does not hold it — is zeroed, the rest summed over kz (the
+    returned ``(mx, 2 ny)`` sums) and over kx with the Parseval
+    ``weights_x``, and each plane's two products added.  The streaming
+    accumulator and :func:`plane_covariance` both sum through here,
+    which keeps their covariances bit-identical.
+    """
+    fv = np.ascontiguousarray(f_vals).view(float)
+    prod = np.multiply(fv, np.ascontiguousarray(g_vals).view(float), out=out)
+    if mean is not None:
+        prod[mean] = 0.0
+    per_kx = np.ones(prod.shape[1]) @ prod
+    total = weights_x @ per_kx
+    return total[0::2] + total[1::2], per_kx
+
+
 def plane_covariance(
     grid: ChannelGrid, f_vals: np.ndarray, g_vals: np.ndarray
 ) -> np.ndarray:
@@ -34,7 +55,4 @@ def plane_covariance(
 
     Fluctuations exclude the (0,0) mean mode.
     """
-    w = mode_weights(grid)[..., None].copy()
-    prod = np.real(f_vals * np.conj(g_vals)) * w
-    prod[0, 0] = 0.0
-    return prod.sum(axis=(0, 1))
+    return covariance_profile(f_vals, g_vals, mode_weights(grid)[:, 0], (0, 0))[0]

@@ -108,6 +108,8 @@ class Supervisor:
     ``set_dt(dt)``.  ``monitor_factory`` builds each driver's watchdog.
     ``max_restarts`` caps the recoveries of one :meth:`run_to` (None: only
     the per-frontier budget binds).  ``min_ranks`` bounds shrinking.
+    ``timers`` receive the job-level ``recovery`` and ``elastic``
+    sections; each driver times its own checkpoints.
     """
 
     launch: Any
@@ -181,7 +183,7 @@ class Supervisor:
                 self.counters.shrinks += 1
             self.attempt += 1
 
-    def advance(self, dns, rotation, target: int, callback, timers: SectionTimers) -> None:
+    def advance(self, dns, rotation, target: int, callback) -> None:
         """The per-step body on one driver (one rank's, under the ranks
         launch): step until ``target`` or the first failure, snapshotting
         on cadence."""
@@ -195,9 +197,9 @@ class Supervisor:
             if monitor is not None:
                 monitor(dns)
             if dns.step_count % self.policy.checkpoint_every == 0 or dns.step_count >= target:
-                self.checkpoint(dns, rotation, timers)
+                self.checkpoint(dns, rotation)
 
-    def checkpoint(self, dns, rotation, timers: SectionTimers) -> None:
+    def checkpoint(self, dns, rotation) -> None:
         """Snapshot ``dns`` — never a poisoned state, even with the watchdog
         off or on a sparse cadence.  Each driver tests its own block: a
         rank that refuses fails the collective save for all, but only
@@ -210,7 +212,7 @@ class Supervisor:
                 f"non-finite state at checkpoint (step {dns.step_count})",
                 step=dns.step_count,
             )
-        with timers.section(SectionTimers.CHECKPOINT):
+        with dns.timers.section(SectionTimers.CHECKPOINT):
             rotation.save(dns)
 
     # ------------------------------------------------------------------
@@ -290,8 +292,8 @@ class InThreadLaunch:
     def attempt(self, sup: Supervisor, target: int, callback):
         if not self.rotation.snapshot_dirs():
             # baseline: rollback must always have a target
-            sup.checkpoint(self.dns, self.rotation, sup.timers)
-        sup.advance(self.dns, self.rotation, target, callback, sup.timers)
+            sup.checkpoint(self.dns, self.rotation)
+        sup.advance(self.dns, self.rotation, target, callback)
         return self.dns
 
     def recover(self, sup: Supervisor, exc: BaseException, step: int) -> None:

@@ -1,12 +1,18 @@
 """Serial spectral <-> physical transforms with 3/2 dealiasing.
 
-These are the serial reference implementation of simulation steps
-(a)-(f) and their reverses (paper §2.3): pad in z, inverse transform in
-z, pad in x, inverse transform in x — producing values on the dealiased
-quadrature grid — and the reverse (transform, truncate) on the way back.
-The distributed version in :mod:`repro.pencil` performs the same
-sequence with global transposes between the stages; tests pin the two
-paths to each other.
+Simulation steps (a)-(f) and their reverses (paper §2.3): pad in z,
+inverse transform in z, pad in x, inverse transform in x — producing
+values on the dealiased quadrature grid — and the reverse (transform,
+truncate) on the way back.
+
+:class:`SerialTransformBackend` is the serial solver's backend: the one
+transform of every layout (:class:`~repro.fft.transform.PencilFFT`) on
+the ``1 x 1`` grid with no communicator.  The distributed solver runs
+the same stages with global transposes between them
+(:class:`~repro.pencil.parallel_fft.PencilTransforms`), so the two agree
+bit for bit.  :func:`to_quadrature_grid` / :func:`from_quadrature_grid`
+and :class:`NaiveTransformBackend` are the unplanned reference the
+tests and benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from repro.fft.fourier import (
     truncate_from_quadrature_c,
     truncate_from_quadrature_r,
 )
+from repro.fft.transform import PencilFFT
 
 
 def to_quadrature_grid(spec: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -37,20 +44,18 @@ def to_quadrature_grid(spec: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return np.fft.irfft(xpad * grid.nxq, n=grid.nxq, axis=0)
 
 
-class SerialTransformBackend:
-    """Transform backend used by the serial solver.
+class SerialTransformBackend(PencilFFT):
+    """The serial layout of the one transform
+    (:class:`~repro.fft.transform.PencilFFT`, which holds every stage):
+    the ``1 x 1`` grid with no communicator.
 
-    Exposes the interface :class:`repro.core.nonlinear.NonlinearTerms`
-    expects — ``to_physical`` / ``from_physical`` over full spectral
-    arrays, plus ``*_many`` stack entry points for callers holding a
-    list of fields — backed by the planned, buffer-reusing
-    :class:`~repro.fft.pipeline.TransformPipeline`.  The distributed
-    solver substitutes the pencil pipeline.
-
-    With the default ``backend="numpy"`` the results are bit-for-bit
-    identical to :func:`to_quadrature_grid` / :func:`from_quadrature_grid`;
-    ``backend="scipy"`` adds a ``workers`` thread knob and agrees with
-    the reference to roundoff.
+    The interface :class:`repro.core.nonlinear.NonlinearTerms` expects,
+    plus ``*_many`` stack entry points; all are defined in this class
+    body, not inherited, because the end-to-end benchmark's span table
+    wraps them here.  With ``backend="numpy"`` (default) the results are
+    those of :func:`to_quadrature_grid` / :func:`from_quadrature_grid` bit
+    for bit; ``backend="scipy"`` adds a ``workers`` thread knob and agrees
+    to roundoff.
     """
 
     def __init__(
@@ -61,37 +66,27 @@ class SerialTransformBackend:
         planner=None,
         counters=None,
     ) -> None:
-        from repro.fft.pipeline import TransformPipeline
-
         self.grid = grid
-        self.pipeline = TransformPipeline(
-            grid,
-            backend=backend,
-            workers=workers,
-            planner=planner,
-            counters=counters,
+        super().__init__(
+            grid.nx, grid.ny, grid.nz,
+            planner=planner, counters=counters, backend=backend, workers=workers,
         )
 
-    @property
-    def counters(self):
-        """The pipeline's :class:`~repro.instrument.TransformCounters`."""
-        return self.pipeline.counters
-
-    def counter_groups(self) -> dict:
-        """Step-record counter groups: the pipeline's ``transforms``."""
-        return {"transforms": self.pipeline.counters.snapshot}
-
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
-        return self.pipeline.to_physical(spec)
+        """Spectral ``(mx, mz, ny)`` -> physical ``(nxq, nzq, ny)`` (real)."""
+        return self._to_physical(spec)
 
     def from_physical(self, phys: np.ndarray) -> np.ndarray:
-        return self.pipeline.from_physical(phys)
+        """Physical ``(nxq, nzq, ny)`` (real) -> spectral ``(mx, mz, ny)``."""
+        return self._from_physical(phys)
 
     def to_physical_many(self, specs) -> list[np.ndarray]:
-        return self.pipeline.to_physical_many(specs)
+        """Transform a stack of spectral fields, one at a time."""
+        return [self._to_physical(s) for s in specs]
 
     def from_physical_many(self, physes) -> list[np.ndarray]:
-        return self.pipeline.from_physical_many(physes)
+        """Project a stack of quadrature-grid fields, one at a time."""
+        return [self._from_physical(p) for p in physes]
 
 
 class NaiveTransformBackend:

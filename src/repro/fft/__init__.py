@@ -16,8 +16,10 @@ here:
 
 :mod:`repro.fft.plans` provides an FFTW-style plan-once/execute-many API
 with numpy and threaded-scipy execution backends, and
-:mod:`repro.fft.pipeline` the planned, buffer-reusing transform pipeline
-that executes the dealiased (b)-(f)/(h) chain for the serial solver.
+:mod:`repro.fft.transform` the one planned, transform-major
+spectral <-> physical transform (:class:`~repro.fft.transform.PencilFFT`)
+that executes the dealiased (a)-(f)/(h) chain on every layout: the
+serial solver's ``1 x 1`` grid and each rank of a pencil decomposition.
 """
 
 from repro.fft.fourier import (
@@ -35,7 +37,6 @@ from repro.fft.fourier import (
     truncate_from_quadrature_c,
     truncate_from_quadrature_r,
 )
-from repro.fft.pipeline import TransformPipeline
 from repro.fft.plans import (
     FFTPlan,
     Planner,
@@ -43,11 +44,12 @@ from repro.fft.plans import (
     default_planner,
     resolve_backend,
 )
+from repro.fft.transform import PencilFFT
 
 __all__ = [
     "FFTPlan",
+    "PencilFFT",
     "Planner",
-    "TransformPipeline",
     "available_backends",
     "default_planner",
     "resolve_backend",

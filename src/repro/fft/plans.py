@@ -2,9 +2,10 @@
 
 The paper leans on FFTW 3.3's planner for the 1-D transforms (§4.3).
 NumPy's pocketfft has no planner and takes strided axes directly, and
-every stage of the serial pipeline runs along the contiguous last axis
-of its workspace, so a plan here is the decision already made: the
-kind, shape, axis and backend a transform is bound to.  :class:`Planner`
+every stage of the spectral <-> physical transform runs along the
+contiguous last axis of its workspace, so a plan here is the decision
+already made: the kind, shape, axis and backend a transform is bound
+to.  :class:`Planner`
 keeps the FFTW contract — build a plan once, execute it many times.
 The paper's measured planning itself is modelled by
 :mod:`repro.perfmodel.fftbench`.
@@ -20,8 +21,7 @@ OpenMP-threaded FFTs (Table 3):
 
 ``backend="auto"`` resolves to scipy when installed, else numpy.  The
 module-level :func:`default_planner` is the process-wide plan cache
-shared by the serial transform pipeline and the pencil-decomposed
-parallel FFT.
+the serial transforms draw from.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class FFTPlan:
 
         ``overwrite=True`` grants the backend permission to destroy (and,
         for same-size complex transforms, reuse) the input buffer — pass
-        it only for arrays the caller owns, e.g. pipeline workspaces.
+        it only for arrays the caller owns, e.g. transform workspaces.
         ``out`` is a *destination hint*: a preallocated result buffer the
         backend may write into (numpy's pocketfft honours it; scipy has
         no such parameter and allocates).  Callers must always use the
@@ -175,10 +175,10 @@ _DEFAULT_PLANNER: Planner | None = None
 def default_planner() -> Planner:
     """The process-wide shared plan cache.
 
-    Both the serial :class:`~repro.fft.pipeline.TransformPipeline` and
-    the pencil :class:`~repro.pencil.parallel_fft.PencilTransforms` draw
-    their plans from here by default, so a shape planned once (e.g. by a
-    per-pencil 1-D stage) is reused everywhere.
+    The serial :class:`~repro.core.transforms.SerialTransformBackend`
+    and any :class:`~repro.pencil.parallel_fft.PencilTransforms` built
+    without a planner draw their plans from here, so a shape planned
+    once is reused everywhere.
     """
     global _DEFAULT_PLANNER
     if _DEFAULT_PLANNER is None:

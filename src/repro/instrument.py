@@ -3,7 +3,8 @@
 The benchmarks of Tables 9-10 report elapsed time split into
 ``Transpose`` / ``FFT`` / ``N-S time advance`` (plus Total).  Both the
 serial and the distributed drivers instrument themselves with a
-:class:`SectionTimers` so the same breakdown can be printed for any run.
+:class:`SectionTimers` so the same breakdown can be printed for any run;
+its sections are exclusive, so they add up to the step.
 The paper used ``MPI_wtime``; we use :func:`time.perf_counter`.
 
 Every timer additionally accepts an optional ``tracer`` (a
@@ -20,8 +21,8 @@ so ``c.solves += 1`` is an ordinary attribute increment on the hot path.
 :data:`GROUPS` maps each counter group of a telemetry ``step`` record to
 its class: the recorder (:mod:`repro.telemetry.recorder`) emits, and the
 schema (:mod:`repro.telemetry.schema`) documents and validates, exactly
-the declared fields.  The ``workspace_*`` counters of the transform
-pipeline, the solve engines and the recorder assert the zero-allocation
+the declared fields.  The ``workspace_*`` counters of the transforms,
+the solve engines and the recorder assert the zero-allocation
 property of the hot path: after warm-up they must not grow.
 """
 
@@ -31,15 +32,17 @@ import inspect
 import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 
 class SectionTimers:
-    """Named cumulative wall-clock timers.
+    """Named cumulative wall-clock timers of *exclusive* (self) time.
 
-    Sections listed in :attr:`NESTED` are timed *inside* another section
-    (``solve`` runs within ``ns_advance``) and are therefore excluded
-    from :meth:`total`, which otherwise sums disjoint sections.
+    A section opened inside another is subtracted from its parent
+    (``solve`` in ``ns_advance``, ``fft``/``transpose`` in
+    ``nonlinear_products``), so the sections add up: :meth:`total` is
+    the step wall less the residual no section covers.  Trace spans stay
+    inclusive.  One thread uses an instance at a time.
     """
 
     #: canonical section names used by the drivers
@@ -65,8 +68,6 @@ class SectionTimers:
         TRANSPOSE, FFT, ADVANCE, NONLINEAR, SOLVE,
         REORDER, CHECKPOINT, RECOVERY, ELASTIC, STATS,
     )
-    #: sections nested inside another section (not added to the total)
-    NESTED = frozenset({SOLVE})
 
     def __init__(self) -> None:
         self.elapsed: dict[str, float] = defaultdict(float)
@@ -74,23 +75,17 @@ class SectionTimers:
         #: optional span sink (``repro.telemetry.trace.TraceWriter``); when
         #: set, every timed section is also emitted as a trace span
         self.tracer = None
+        #: inclusive time of the sections nested in each open section
+        self._inner: list[float] = []
 
-    @contextmanager
-    def section(self, name: str):
-        """Time a ``with``-block under ``name`` (cumulative)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - t0
-            self.elapsed[name] += dt
-            self.calls[name] += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.add_complete(name, t0, dt)
+    def section(self, name: str) -> "_Section":
+        """Time a ``with``-block under ``name`` (cumulative, exclusive of
+        the sections opened inside it)."""
+        return _Section(self, name)
 
     def total(self) -> float:
-        return sum(v for k, v in self.elapsed.items() if k not in self.NESTED)
+        """Wall time inside any section: the sum of the exclusive times."""
+        return sum(self.elapsed.values())
 
     def reset(self) -> None:
         self.elapsed.clear()
@@ -107,6 +102,30 @@ class SectionTimers:
             self.elapsed[k] += v
         for k, v in other.calls.items():
             self.calls[k] += v
+
+
+class _Section:
+    """One timed ``with``-block of :meth:`SectionTimers.section`."""
+
+    __slots__ = ("timers", "name", "t0")
+
+    def __init__(self, timers: SectionTimers, name: str) -> None:
+        self.timers, self.name = timers, name
+
+    def __enter__(self) -> None:
+        self.timers._inner.append(0.0)
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        dt = time.perf_counter() - self.t0
+        t = self.timers
+        inner = t._inner
+        t.elapsed[self.name] += dt - inner.pop()
+        t.calls[self.name] += 1
+        if inner:
+            inner[-1] += dt
+        if t.tracer is not None:
+            t.tracer.add_complete(self.name, self.t0, dt)
 
 
 class Counters:
@@ -170,9 +189,10 @@ class WorkspaceCounters(Counters):
 
 
 class TransformCounters(WorkspaceCounters):
-    """Transform pipeline (:mod:`repro.fft.pipeline`): workspace counts
-    pad buffers and transpose staging; ``transforms`` counts executed
-    1-D transform stages, ``fields_*`` the fields moved each way."""
+    """Spectral <-> physical transforms (:mod:`repro.fft.transform`):
+    workspace counts pad buffers and transpose staging; ``transforms``
+    counts executed 1-D transform stages, ``fields_*`` the fields moved
+    each way."""
 
     transforms: int = 0
     fields_forward: int = 0

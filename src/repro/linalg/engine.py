@@ -53,7 +53,7 @@ variables through shared sweeps.
 **Zero allocations in steady state.**  All sweep scratch (the RHS stack
 ``X`` and the panel temporary ``T``) is allocated once at engine build
 and counted in :class:`~repro.instrument.SolveCounters`; outputs are
-caller-owned fresh arrays (the transform-pipeline discipline).  The
+caller-owned fresh arrays (the transforms' discipline).  The
 counters must not move across warmed-up solves — asserted by
 ``tests/linalg/test_engine.py``.  Unused sweep columns stay exactly
 zero through a sweep (each output column is a dot product against

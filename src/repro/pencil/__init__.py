@@ -3,15 +3,14 @@
 This package is the distributed-memory heart of the paper (§2.2–2.3 and
 §4.3–4.4), running on the simulated MPI substrate:
 
-* :mod:`repro.pencil.decomp` — pencil descriptors and block arithmetic
-  for the ``PA x PB`` process grid (paper Fig. 2),
+* :mod:`repro.pencil.decomp` — the ``PA x PB`` process-grid planner
+  over the block arithmetic of :mod:`repro.layout` (paper Fig. 2),
 * :mod:`repro.pencil.reorder` — the on-node transpose
-  ``A(i,j,k) -> A(j,k,i)`` (§4.2, Table 4),
+  ``A(i,j,k) -> A(j,k,i)`` of the Table 4 bench (§4.2),
 * :mod:`repro.pencil.transpose` — global transposes over the CommA/CommB
-  sub-communicators, by ``alltoall``, pairwise ``sendrecv`` or pipelined
-  exchanges (§4.3),
+  sub-communicators: staging and one blocking exchange (§4.3),
 * :mod:`repro.pencil.parallel_fft` — the customized parallel FFT kernel
-  (Nyquist-free, 1x work buffer, dealiasing pads) of §4.4,
+  of §4.4: the one transform with the exchanges between its stages,
 * :mod:`repro.pencil.p3dfft` — a baseline re-implementing P3DFFT's
   algorithmic choices (Nyquist kept, 3x buffers, no threading),
 * :mod:`repro.pencil.distributed` — the distributed channel DNS driver,

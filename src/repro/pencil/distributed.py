@@ -27,6 +27,7 @@ from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.supervisor import Supervisor, SupervisorPolicy
 from repro.core.timestepper import ChannelState
 from repro.core.velocity import recover_uw
+from repro.fft.plans import Planner
 from repro.instrument import SectionTimers
 from repro.mpi.simmpi import Communicator, run_spmd
 from repro.pencil.decomp import block_range
@@ -98,6 +99,7 @@ class DistributedChannelDNS(ChannelDNS):
             dealias=True,
             method=method,
             timers=self.timers,
+            planner=Planner(backend=cfg.fft_backend, workers=cfg.fft_workers),
             wire=wire,
         )
         return comm, transforms.decomp, transforms
@@ -234,12 +236,12 @@ class RanksLaunch:
                     rotation.load_latest(dns, reshard=self.elastic)
                 else:
                     dns.initialize()
-                    sup.checkpoint(dns, rotation, dns.timers)  # a restart must have a target
+                    sup.checkpoint(dns, rotation)  # a restart must have a target
                 if dt is not None:
                     dns.set_dt(dt)
                 if dns.recorder is not None:
                     dns.recorder.add_group("recovery", sup.counters)
-                sup.advance(dns, rotation, target, callback, dns.timers)
+                sup.advance(dns, rotation, target, callback)
                 self._publish(dns, comm)
                 return dns.gather_state()
             finally:

@@ -103,18 +103,20 @@ class StreamingStatistics:
         #: restored merged sums (present only on the mean-owning rank so
         #: the reduction counts them exactly once)
         self._base: np.ndarray | None = None
-        self._weights = self.modes.parseval_weights
+        #: Parseval weights over this block's kx rows (2 for kx > 0)
+        self._weights_x = self.modes.parseval_weights[:, 0, 0].copy()
+        #: the three components' collocated values, rewritten each sample
+        self._vals = np.empty((3, *self.modes.shape, g.ny), dtype=complex)
+        # the batch oracle's own covariance code, which keeps streamed and
+        # batch covariances bit-identical (imported here: the read path of
+        # this package loads no DNS layer)
+        from repro.core.statistics import covariance_profile
+
+        self._covariance = covariance_profile
 
     # ------------------------------------------------------------------
     # accumulation
     # ------------------------------------------------------------------
-
-    def _covariance(self, f_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
-        prod = np.real(f_vals * np.conj(g_vals)) * self._weights
-        mean = self.modes.mean_index
-        if mean is not None:
-            prod[mean] = 0.0  # fluctuations exclude the mean mode
-        return prod.sum(axis=(0, 1))
 
     def sample(self, state=None) -> None:
         """Fold one snapshot into the running sums (collective cadence:
@@ -125,27 +127,39 @@ class StreamingStatistics:
             state = None if dns is None else dns.state
         if state is None:
             raise RuntimeError("no state to sample")
-        ops = self.ops
-        u_vals = ops.values(state.u)
-        v_vals = ops.values(state.v)
-        w_vals = ops.values(state.w)
-        if self.modes.owns_mean:
-            self._sums["U"] += ops.values(state.u00)
-        self._sums["uu"] += self._covariance(u_vals, u_vals)
-        self._sums["vv"] += self._covariance(v_vals, v_vals)
-        self._sums["ww"] += self._covariance(w_vals, w_vals)
-        self._sums["uv"] += self._covariance(u_vals, v_vals)
-        x0, z0 = self._x0, self._z0
-        bx, bz = self.modes.shape
-        for name, vals in (("u", u_vals), ("v", v_vals), ("w", w_vals)):
-            p = np.abs(vals) ** 2  # (bx, bz, ny)
-            # E(kx, y): sum over this rank's kz columns into global kx rows
-            self._spec_x[name][x0 : x0 + bx] += p.sum(axis=1)
-            # E_signed(kz, y): kx-weighted sum into global (signed) kz rows
-            self._spec_z[name][z0 : z0 + bz] += (p * self._weights).sum(axis=0)
+        ops, sums, mean = self.ops, self._sums, self.modes.mean_index
+        u, v, w = (ops.values(f, out=o) for f, o in zip((state.u, state.v, state.w), self._vals))
+        if mean is not None:
+            sums["U"] += ops.values(state.u00)
+        # w first, then uv into w's values, then u and v: every product is
+        # formed in place in the values buffers
+        self._fold("w", w, mean)
+        sums["uv"] += self._covariance(u, v, self._weights_x, mean, out=w.view(float))[0]
+        self._fold("u", u, mean)
+        self._fold("v", v, mean)
         self.nsamples += 1
         self.counters.samples += 1
         self.counters.sample_seconds += time.perf_counter() - t0
+
+    def _fold(self, c: str, vals: np.ndarray, mean) -> None:
+        """Fold component ``c``'s values into its variance and its two
+        spectra, squaring them in place."""
+        wx, (bx, bz) = self._weights_x, self.modes.shape
+        if mean is not None:  # the mean mode's energy, left out of the sums
+            e = vals[mean].real ** 2 + vals[mean].imag ** 2
+        squares = vals.view(float)
+        profile, per_kx = self._covariance(vals, vals, wx, mean, out=squares)
+        self._sums[c + c] += profile
+        # E(kx, y): sums over this rank's kz columns into global kx rows;
+        # E_signed(kz, y): kx-weighted sums into global (signed) kz rows
+        per_kz = (wx @ squares.reshape(bx, -1)).reshape(bz, -1)
+        spec_x = self._spec_x[c][self._x0 : self._x0 + bx]
+        spec_z = self._spec_z[c][self._z0 : self._z0 + bz]
+        spec_x += per_kx[:, 0::2] + per_kx[:, 1::2]
+        spec_z += per_kz[:, 0::2] + per_kz[:, 1::2]
+        if mean is not None:
+            spec_x[mean[0]] += e
+            spec_z[mean[1]] += wx[mean[0]] * e
 
     # ------------------------------------------------------------------
     # packed merge

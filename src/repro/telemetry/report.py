@@ -10,7 +10,9 @@ from a durable artefact instead of an ad-hoc print at the end of a run::
 
 Per-section statistics are computed over the per-step deltas (median,
 mean, total, share of the step), which is how a noisy shared machine
-should be summarized — a single cumulative total hides the tail.
+should be summarized — a single cumulative total hides the tail.  The
+sections are exclusive, so their shares and the ``(outside sections)``
+residual add up to the recorded step wall.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ PAPER_ORDER = (
 def breakdown(path, *, validate: bool = True) -> dict:
     """Aggregate a stream into per-section timing statistics.
 
-    Returns ``{"steps", "wall_s", "sections": {name: {"median_s",
-    "mean_s", "total_s", "calls", "share"}}, "summary"}`` where
-    ``share`` is the section's fraction of the summed per-step wall
-    time.  Nested sections (``solve``) are reported but, as in
-    :meth:`~repro.instrument.SectionTimers.total`, excluded from the
-    share denominator.
+    Returns ``{"steps", "wall_s", "residual_s", "sections": {name:
+    {"median_s", "mean_s", "total_s", "calls", "share"}}, "summary"}``
+    where ``share`` is the section's fraction of the summed per-step
+    wall time.  Sections are exclusive (a nested section's time is not
+    in its parent's), so the shares add up to the step less
+    ``residual_s``: the wall time no section covers.
     """
     per_section: dict[str, list[float]] = {}
     calls: dict[str, int] = {}
@@ -53,9 +55,6 @@ def breakdown(path, *, validate: bool = True) -> dict:
                 calls[name] = calls.get(name, 0) + cell["calls"]
         elif rec["type"] == "summary":
             summary = rec
-    denom = sum(
-        sum(v) for k, v in per_section.items() if k not in SectionTimers.NESTED
-    )
     sections = {}
     for name, samples in per_section.items():
         total = sum(samples)
@@ -64,11 +63,12 @@ def breakdown(path, *, validate: bool = True) -> dict:
             "mean_s": total / len(samples),
             "total_s": total,
             "calls": calls[name],
-            "share": (total / denom) if denom > 0 else 0.0,
+            "share": (total / wall) if wall > 0 else 0.0,
         }
     return {
         "steps": steps,
         "wall_s": wall,
+        "residual_s": wall - sum(s["total_s"] for s in sections.values()),
         "sections": sections,
         "summary": summary,
     }
@@ -85,11 +85,15 @@ def format_breakdown(result: dict, title: str = "per-step section breakdown") ->
     ]
     for name in order:
         s = sections[name]
-        nested = " (nested)" if name in SectionTimers.NESTED else ""
         lines.append(
             f"{name:>20} {s['median_s'] * 1e3:>8.2f}ms {s['mean_s'] * 1e3:>8.2f}ms "
-            f"{s['total_s']:>9.3f}s {s['calls']:>7d} {s['share']:>6.1%}{nested}"
+            f"{s['total_s']:>9.3f}s {s['calls']:>7d} {s['share']:>6.1%}"
         )
+    wall, residual = result["wall_s"], result["residual_s"]
+    lines.append(
+        f"{'(outside sections)':>20} {'':>10} {'':>10} {residual:>9.3f}s {'':>7} "
+        f"{(residual / wall) if wall > 0 else 0.0:>6.1%}"
+    )
     summary = result.get("summary")
     if summary and summary.get("overhead_frac") is not None:
         lines.append(

@@ -44,7 +44,12 @@ from repro.instrument import GROUPS, SectionTimers
 #: v9 removed what only the multi-slab pipelined transpose wrote: the
 #: ``overlap`` step group, the ``overlap`` section name and the
 #: ``transport`` block's ``stages``.
-SCHEMA_VERSION = 9
+#: v10 made the ``sections`` deltas exclusive (a nested section's time is
+#: no longer inside its parent's: ``solve`` is out of ``ns_advance``,
+#: ``fft``/``transpose`` out of ``nonlinear_products``), so they add up
+#: to ``wall_s`` less a residual; serial runs gained ``fft`` sections and
+#: distributed runs the ``transforms`` group.
+SCHEMA_VERSION = 10
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -59,7 +64,10 @@ def _group(group: str, what: str, notes: str) -> tuple[bool, str]:
 
 #: parenthetical notes on the section names of the ``sections`` field
 _SECTION_NOTES = {
-    SectionTimers.SOLVE: "nested inside `ns_advance`",
+    SectionTimers.SOLVE: "timed inside `ns_advance`, not counted in it",
+    SectionTimers.FFT: "FFT stages; in a step, within `nonlinear_products` but not counted in it",
+    SectionTimers.TRANSPOSE: "pencil runs: pack, exchange and unpack; in a step, within "
+    "`nonlinear_products` but not counted in it",
     SectionTimers.STATS: "the streaming-statistics sampling time",
 }
 _SECTIONS = ", ".join(
@@ -89,12 +97,14 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     "sections": (
         True,
         'per-section deltas since the previous record: `{name: {"s": seconds, "calls": n}}` '
-        f"over the `SectionTimers` names: {_SECTIONS}",
+        "of exclusive time (a section opened inside another is not counted in its parent, so "
+        f"the sections add up to `wall_s` less a residual) over the `SectionTimers` names: "
+        f"{_SECTIONS}",
     ),
     "transforms": _group(
         "transforms",
-        "of the serial transform pipeline",
-        "absent in pencil (distributed) runs",
+        "of the spectral <-> physical transforms",
+        "in pencil runs `workspace_*` counts the transpose staging too",
     ),
     "solve": _group(
         "solve",

@@ -90,15 +90,20 @@ class TestBitForBitRecovery:
 
     def test_recovery_surfaced_through_instrumentation(self, tmp_path):
         timers = SectionTimers()
+        first = _fresh_dns()
         sup = RunSupervisor(
-            _fresh_dns(),
+            first,
             ShardedCheckpointRotation(tmp_path),
             monitor=HealthMonitor(),
             policy=SupervisorPolicy(checkpoint_every=5),
             timers=timers,
         )
         sup.run(12, callback=_nan_once_at(8))
-        assert timers.calls[SectionTimers.CHECKPOINT] >= 3  # baseline, 5, 10, 12
+        # each driver times its own saves: baseline and 5, then 10 and 12
+        # on the replacement; the job-level timers hold the recovery
+        assert first.timers.calls[SectionTimers.CHECKPOINT] == 2
+        assert sup.dns.timers.calls[SectionTimers.CHECKPOINT] == 2
+        assert SectionTimers.CHECKPOINT not in timers.calls
         assert timers.calls[SectionTimers.RECOVERY] == 1
         rep = sup.report()
         assert "rollbacks=1" in rep and "last_event=rollback" in rep

@@ -143,14 +143,27 @@ class TestFusedSolves:
         cfg = ChannelConfig(nx=8, ny=17, nz=8, dt=5e-4, init_amplitude=0.3, seed=5)
         dns = ChannelDNS(cfg)
         dns.initialize()
-        dns.run(1)
+        spans = []
+
+        class Tracer:  # the trace spans stay inclusive: they show the nesting
+            def add_complete(self, name, t0, dt):
+                spans.append((name, t0, t0 + dt))
+
         t = dns.stepper.timers
-        assert 0.0 < t.elapsed[t.SOLVE] < t.elapsed[t.ADVANCE]
+        t.tracer = Tracer()
+        dns.run(1)
+        assert t.elapsed[t.SOLVE] > 0.0 and t.elapsed[t.ADVANCE] > 0.0
         assert t.calls[t.SOLVE] >= 3  # at least one per substep
-        # nested: the total must not double-count the solve time
-        assert t.total() == pytest.approx(sum(
-            v for k, v in t.elapsed.items() if k != t.SOLVE
-        ))
+        advances = [(a, b) for name, a, b in spans if name == t.ADVANCE]
+        solves = [(a, b) for name, a, b in spans if name == t.SOLVE]
+        assert len(solves) == t.calls[t.SOLVE]
+        assert all(any(a <= s0 and s1 <= b for a, b in advances) for s0, s1 in solves)
+        # exclusive: ns_advance keeps only its own time, so the sections
+        # sum to the total without counting the solves twice
+        inclusive = sum(b - a for a, b in advances)
+        assert t.elapsed[t.ADVANCE] + t.elapsed[t.SOLVE] == pytest.approx(inclusive)
+        assert t.total() == pytest.approx(sum(t.elapsed.values()))
+        assert set(t.elapsed) == {t.ADVANCE, t.SOLVE, t.NONLINEAR, t.FFT}
 
 
 class TestFactorSets:

@@ -1,4 +1,5 @@
-"""TransformPipeline: equivalence to the naive reference, buffer reuse."""
+"""The serial transforms (the 1x1 grid of the one transform): equivalence
+to the naive reference, buffer reuse — and the 2x2 no-growth census."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from repro.core.transforms import (
     from_quadrature_grid,
     to_quadrature_grid,
 )
-from repro.fft.pipeline import TransformPipeline
 from repro.fft.plans import Planner, available_backends
+from repro.fft.transform import PencilFFT
 
 GRIDS = [(16, 10, 16), (16, 9, 24), (8, 8, 8), (24, 11, 16), (32, 17, 32)]
 
@@ -29,7 +30,7 @@ class TestAgainstNaiveReference:
     def test_numpy_estimate_is_bit_for_bit(self, shape):
         """The default pipeline reproduces the naive chain exactly."""
         g = ChannelGrid(*shape)
-        pipe = TransformPipeline(g, backend="numpy", planner=Planner())
+        pipe = SerialTransformBackend(g, backend="numpy", planner=Planner())
         for f in random_fields(g, seed=3, n=2):
             phys = pipe.to_physical(f)
             np.testing.assert_array_equal(phys, to_quadrature_grid(f, g))
@@ -40,7 +41,7 @@ class TestAgainstNaiveReference:
     def test_measured_backends_match_reference(self, backend, shape):
         """Every backend, threaded, agrees with the reference to roundoff."""
         g = ChannelGrid(*shape)
-        pipe = TransformPipeline(g, backend=backend, workers=2, planner=Planner())
+        pipe = SerialTransformBackend(g, backend=backend, workers=2, planner=Planner())
         (f,) = random_fields(g, seed=5)
         phys = pipe.to_physical(f)
         ref = to_quadrature_grid(f, g)
@@ -52,7 +53,7 @@ class TestAgainstNaiveReference:
     @pytest.mark.parametrize("shape", GRIDS)
     def test_roundtrip_identity(self, shape):
         g = ChannelGrid(*shape)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         rng = np.random.default_rng(11)
         f = rng.standard_normal(g.spectral_shape) + 1j * rng.standard_normal(g.spectral_shape)
         # real-representable mean mode so the forward transform is exact
@@ -65,7 +66,7 @@ class TestAgainstNaiveReference:
 
     def test_shape_validation(self):
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         with pytest.raises(ValueError):
             pipe.to_physical(np.zeros((3, 3, 3), complex))
         with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ class TestBufferDiscipline:
     def test_repeated_substeps_allocate_no_new_workspace(self):
         """After one warm substep the workspace counters are frozen."""
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         fields = random_fields(g, seed=7, n=3)
         phys = pipe.to_physical_many(fields)
         products = [p * q for p, q in zip(phys, phys[::-1])] + [phys[0] * phys[0]] * 2
@@ -86,7 +87,9 @@ class TestBufferDiscipline:
         # the two pads, the backward truncation scratch, and the numpy
         # backend's two destination-hint buffers
         assert warm["workspace_allocs"] == 5
-        assert warm["workspace_bytes"] == pipe.workspace_bytes()
+        zbytes = 16 * g.mx * g.ny * g.nzq  # (x, y, z) pad, hint, scratch
+        xbytes = 16 * g.nzq * g.ny * (g.nxq // 2 + 1)  # (z, y, x) pad, hint
+        assert warm["workspace_bytes"] == 3 * zbytes + 2 * xbytes
         for _ in range(3):  # three more "substeps"
             phys = pipe.to_physical_many(fields)
             pipe.from_physical_many(products)
@@ -101,7 +104,7 @@ class TestBufferDiscipline:
     def test_outputs_are_caller_owned(self):
         """Pipeline outputs are fresh arrays, never workspace views."""
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         (f,) = random_fields(g, seed=1)
         p1 = pipe.to_physical(f)
         keep = p1.copy()
@@ -117,7 +120,7 @@ class TestBufferDiscipline:
         interleaving backward calls (which run in-place FFTs over their
         own scratch) must never dirty what a later forward call reads."""
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         for seed in range(3):
             (f,) = random_fields(g, seed=seed)
             phys = pipe.to_physical(f)
@@ -129,7 +132,7 @@ class TestBufferDiscipline:
 class TestBatchedStacks:
     def test_many_equals_single(self):
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g, planner=Planner())
+        pipe = SerialTransformBackend(g, planner=Planner())
         fields = random_fields(g, seed=2, n=3)
         many = pipe.to_physical_many(fields)
         for f, p in zip(fields, many):
@@ -143,26 +146,33 @@ class TestPlanSharing:
     def test_pipelines_share_the_plan_cache(self):
         g = ChannelGrid(16, 10, 16)
         planner = Planner()
-        p1 = TransformPipeline(g, planner=planner)
+        p1 = SerialTransformBackend(g, planner=planner)
         n_after_first = len(planner)
-        p2 = TransformPipeline(g, planner=planner)
+        p2 = SerialTransformBackend(g, planner=planner)
         assert len(planner) == n_after_first  # no new plans for same shapes
-        assert p1.plans() == p2.plans()
+        plans = ("_plan_ifft_z", "_plan_irfft_x", "_plan_rfft_x", "_plan_fft_z")
+        assert all(getattr(p1, name) is getattr(p2, name) for name in plans)
 
     def test_pencil_and_serial_share_by_default(self):
         from repro.fft.plans import default_planner
 
         g = ChannelGrid(16, 10, 16)
-        pipe = TransformPipeline(g)
+        pipe = SerialTransformBackend(g)
         assert pipe.planner is default_planner()
 
 
 class TestSerialBackendWiring:
     def test_backend_is_pipeline_backed(self):
+        """The serial backend is the one transform on a 1x1 grid with no
+        exchange between its stages."""
         g = ChannelGrid(16, 10, 16)
         be = SerialTransformBackend(g)
-        assert isinstance(be.pipeline, TransformPipeline)
-        assert be.counters is be.pipeline.counters
+        assert isinstance(be, PencilFFT)
+        assert (be.pa, be.pb) == (1, 1)
+        assert (be.t_yz, be.t_zx, be.t_xz, be.t_zy) == (None,) * 4
+        assert be.decomp.y_pencil_shape == g.spectral_shape
+        assert be.decomp.x_pencil_shape_phys == g.quadrature_shape
+        assert be.counter_groups() == {"transforms": be.counters.snapshot}
 
     def test_backend_matches_naive_backend(self):
         g = ChannelGrid(16, 10, 16)
@@ -194,3 +204,50 @@ class TestSerialBackendWiring:
         np.testing.assert_array_equal(dns.state.omega_y, ref.state.omega_y)
         np.testing.assert_array_equal(dns.state.u00, ref.state.u00)
         assert dns.kinetic_energy() == ref.kinetic_energy()
+
+
+class TestPencilBufferDiscipline:
+    @pytest.mark.parametrize("wire", ["full", "mixed"])
+    def test_2x2_substeps_allocate_no_new_workspace_or_staging(self, wire):
+        """Per rank of a 2x2 grid: the pads, hints, scratch and the four
+        transposes' two staging parities are the whole census, fixed at
+        construction; warm substeps neither allocate nor swap a buffer."""
+        from repro.mpi import run_spmd
+        from repro.pencil.parallel_fft import PencilTransforms
+
+        g = ChannelGrid(16, 10, 16)
+        (spec,) = random_fields(g, seed=6)
+
+        def prog(comm):
+            tr = PencilTransforms(comm.cart_create((2, 2)), 16, 10, 16, wire=wire)
+            d = tr.decomp
+            local = np.ascontiguousarray(spec[d.x_slice, d.z_spec_slice])
+            transposes = (tr.t_yz, tr.t_zx, tr.t_xz, tr.t_zy)
+
+            def substep():
+                phys = [tr.to_physical(local) for _ in range(3)]
+                for p in phys + phys[:2]:
+                    tr.from_physical(p)
+
+            def staging():
+                ids = []
+                for t in transposes:  # both parities of each transpose
+                    ids += [id(v) for _ in range(2) for v in t.send_chunks()]
+                return sorted(ids)
+
+            built = tr.counters.snapshot()
+            assert built["workspace_allocs"] == 5 + 4 * 2
+            substep()
+            warm, buffers = tr.counters.snapshot(), staging()
+            for _ in range(3):
+                substep()
+            after = tr.counters.snapshot()
+            assert staging() == buffers
+            for key in ("workspace_allocs", "workspace_bytes"):
+                assert built[key] == warm[key] == after[key]
+            assert after["transforms"] == warm["transforms"] + 3 * 16
+            assert after["fields_forward"] == warm["fields_forward"] + 9
+            assert after["fields_backward"] == warm["fields_backward"] + 15
+            return True
+
+        assert all(run_spmd(4, prog))

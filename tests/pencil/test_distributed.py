@@ -67,12 +67,17 @@ class TestParity:
             (UNEVEN, 2, 3, PIPELINED),
             (CFG, 2, 2, PAIRWISE),
             (UNEVEN, 3, 2, PAIRWISE),
+            # a 1-rank communicator (an elastic shrink to one rank) still
+            # stages and exchanges, with itself
+            (UNEVEN, 1, 1, ALLTOALL),
+            (UNEVEN, 1, 1, PAIRWISE),
         ],
         ids=[
             "even-2x2-pipelined", "even-4x1-pipelined", "even-1x4-pipelined",
             "uneven-3x2-alltoall", "uneven-3x2-pipelined",
             "uneven-2x3-alltoall", "uneven-2x3-pipelined",
             "even-2x2-pairwise", "uneven-3x2-pairwise",
+            "one-rank-1x1-alltoall", "one-rank-1x1-pairwise",
         ],
     )
     def test_each_method_matches_serial(self, serial_after_3, config, pa, pb, method):

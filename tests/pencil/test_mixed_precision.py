@@ -2,7 +2,7 @@
 
 The contract (DESIGN.md section 6h): ``wire="mixed"`` down-casts
 transpose payloads to float32/complex64 for the exchange only —
-staging buffers are allocated at the wire dtype, assembly up-casts back
+staging buffers are allocated at the wire dtype, the unpack widens back
 into float64 accumulation — so results match the full-precision oracle
 to single-precision tolerance (~1e-6 relative per cast) while moving
 half the bytes.  The mode composes with CRC envelopes, fault injection
@@ -21,6 +21,8 @@ from repro.pencil.decomp import block_range
 from repro.pencil.parallel_fft import PencilTransforms
 from repro.pencil.transpose import GlobalTranspose, TransposeMethod, exchange_op, transpose_class
 
+from tests.pencil.test_transpose import move, staged
+
 #: documented single-precision tolerance for a short mixed-wire trajectory
 MIXED_RTOL = 1e-5
 
@@ -36,9 +38,9 @@ def _roundtrip_prog(method, dtype):
             a = a + 1j * rng.standard_normal((8, 5, hi - lo))
         pc = PrecisionCounters()
         make = transpose_class(method)
-        mixed = make(comm, 0, 2, method=method, wire="mixed", precision=pc)
-        full = make(comm, 0, 2, method=method)
-        out_m, out_f = mixed.execute(a), full.execute(a)
+        mixed = staged(make(comm, method=method, wire="mixed", precision=pc), a, 0)
+        full = staged(make(comm, method=method), a, 0)
+        out_m, out_f = move(mixed, a, 0, 2), move(full, a, 0, 2)
         assert out_m.dtype == out_f.dtype == dtype  # accumulation stays wide
         scale = max(float(np.abs(out_f).max()), 1e-30)
         rel = float(np.abs(out_m - out_f).max()) / scale
@@ -64,8 +66,8 @@ class TestMixedWire:
             lo, hi = block_range(8, comm.size, comm.rank)
             a = np.arange(6.0 * 2 * (hi - lo), dtype=np.float32).reshape(6, 2, hi - lo)
             pc = PrecisionCounters()
-            t = GlobalTranspose(comm, 0, 2, wire="mixed", precision=pc)
-            out = t.execute(a)
+            t = staged(GlobalTranspose(comm, wire="mixed", precision=pc), a, 0)
+            out = move(t, a, 0, 2)
             assert out.dtype == np.float32
             assert pc.casts == 0 and pc.bytes_wire == pc.bytes_full
             return True
@@ -75,7 +77,7 @@ class TestMixedWire:
     def test_rejects_unknown_wire_mode(self):
         def prog(comm):
             with pytest.raises(ValueError):
-                GlobalTranspose(comm, 0, 2, wire="float16")
+                GlobalTranspose(comm, wire="float16")
             comm.barrier()
             return True
 

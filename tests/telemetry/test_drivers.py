@@ -83,6 +83,45 @@ def test_supervisor_mirrors_recovery_log(tmp_path):
     assert sum(r.get("recovery", {}).get("rollbacks", 0) for r in post) == 1
 
 
+def test_rollback_keeps_the_checkpoint_timings(tmp_path):
+    """After a serial rollback the replacement driver's step records still
+    carry the checkpoint saves: they are timed into the driver's own
+    timers, which its recorder reads."""
+    import numpy as np
+
+    from repro.core.health import HealthMonitor
+
+    dns = ChannelDNS(CFG, telemetry=tmp_path / "tel")
+    dns.initialize()
+    sup = RunSupervisor(
+        dns,
+        ShardedCheckpointRotation(tmp_path / "ckpt"),
+        monitor=HealthMonitor(),
+        policy=SupervisorPolicy(checkpoint_every=2),
+    )
+    fired = []
+
+    def poison(d):
+        if d.step_count == 3 and not fired:
+            fired.append(True)
+            d.state.v[0, 0, 0] = np.nan
+
+    final = sup.run_to(8, callback=poison)
+    final.finalize_telemetry()
+    assert final is not dns and [e.kind for e in sup.log] == ["failure", "rollback"]
+
+    recs = list(read_stream(tmp_path / "tel" / "telemetry.jsonl"))
+    rollback = next(i for i, r in enumerate(recs) if r.get("kind") == "rollback")
+    post = [r for r in recs[rollback:] if r["type"] == "step"]
+    assert [r["step"] for r in post] == [3, 4, 5, 6, 7, 8]
+    # a save after step N lands in step N+1's record: the saves at 4 and 6
+    calls = [r["sections"].get("checkpoint", {"calls": 0})["calls"] for r in post]
+    assert calls == [0, 0, 1, 0, 1, 0]
+    for r in post:
+        if r["sections"].get("checkpoint", {"calls": 0})["calls"]:
+            assert r["sections"]["checkpoint"]["s"] > 0.0
+
+
 def test_manifest_names_the_pipelined_transport(tmp_path):
     """A pipelined run's manifest names its method, wire and exchange
     call (``alltoall``), and its step records book one ``fft`` section

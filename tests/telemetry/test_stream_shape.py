@@ -66,8 +66,8 @@ def _supervised_kill(tmp_path):
     "record, groups",
     [
         (_serial, {"transforms", "solve", "stats"}),
-        (_pipelined_mixed, {"solve", "mpi", "precision"}),
-        (_supervised_kill, {"solve", "recovery", "mpi", "precision", "stats"}),
+        (_pipelined_mixed, {"transforms", "solve", "mpi", "precision"}),
+        (_supervised_kill, {"transforms", "solve", "recovery", "mpi", "precision", "stats"}),
     ],
     ids=["serial", "pipelined_mixed", "supervised_kill"],
 )

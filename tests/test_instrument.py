@@ -3,6 +3,7 @@
 import time
 
 import numpy as np
+import pytest
 
 from repro.instrument import RecoveryCounters, SectionTimers, SolveCounters
 
@@ -71,24 +72,47 @@ class TestSectionTimers:
 
     def test_recovery_sections_count_toward_total(self):
         """CHECKPOINT/RECOVERY are disjoint from the per-step sections,
-        so they belong in the wall-clock total (unlike nested SOLVE)."""
+        so they belong in the wall-clock total."""
         t = SectionTimers()
         with t.section(t.CHECKPOINT):
             pass
         with t.section(t.RECOVERY):
             pass
-        assert t.CHECKPOINT not in t.NESTED and t.RECOVERY not in t.NESTED
         assert t.total() == t.elapsed[t.CHECKPOINT] + t.elapsed[t.RECOVERY]
 
     def test_nested_sections_excluded_from_total(self):
-        """SOLVE runs inside ADVANCE; summing both would double-count."""
+        """SOLVE runs inside ADVANCE: its time is booked under SOLVE only,
+        so summing both counts every second once."""
         t = SectionTimers()
+        t0 = time.perf_counter()
         with t.section(t.ADVANCE):
+            time.sleep(0.002)
             with t.section(t.SOLVE):
-                time.sleep(0.002)
-        assert t.elapsed[t.SOLVE] > 0.0
-        assert t.total() == t.elapsed[t.ADVANCE]
-        assert t.SOLVE in t.NESTED
+                time.sleep(0.004)
+            with t.section(t.SOLVE):
+                time.sleep(0.004)
+        wall = time.perf_counter() - t0
+        assert t.elapsed[t.SOLVE] >= 0.008
+        assert 0.002 <= t.elapsed[t.ADVANCE] < 0.006  # self time only
+        assert t.calls[t.SOLVE] == 2 and t.calls[t.ADVANCE] == 1
+        assert t.total() == t.elapsed[t.ADVANCE] + t.elapsed[t.SOLVE]
+        assert t.total() <= wall
+
+    def test_three_deep_nesting_is_exclusive(self):
+        """Each level keeps only its own time; the levels sum to the outer
+        wall (nonlinear_products > transpose, fft)."""
+        t = SectionTimers()
+        t0 = time.perf_counter()
+        with t.section(t.NONLINEAR):
+            with t.section(t.TRANSPOSE):
+                with t.section(t.FFT):
+                    time.sleep(0.003)
+                time.sleep(0.001)
+        wall = time.perf_counter() - t0
+        assert t.elapsed[t.FFT] >= 0.003
+        assert 0.001 <= t.elapsed[t.TRANSPOSE] < 0.003
+        assert t.elapsed[t.NONLINEAR] < 0.001
+        assert t.total() == pytest.approx(wall, abs=1e-4)
 
 
 class TestSolveCounters:
