@@ -113,7 +113,7 @@ def test_table01(benchmark):
             FoldedLU(fb).solve(rhs)
 
         lu_warm = FoldedLU(fb)
-        eng = lu_warm.engine()
+        eng = lu_warm.engine
 
         t_netlib = time_call(netlib_one, repeats=1) * NBATCH
         t_r = time_call(mkl_r)
@@ -206,5 +206,5 @@ def test_table01(benchmark):
 
     # benchmark the production kernel: warm batched engine solve at bandwidth 15
     spec, fb, rhs = make_folded_batch(15, rng)
-    eng = FoldedLU(fb).engine()
+    eng = FoldedLU(fb).engine
     benchmark(lambda: eng.solve(rhs))

@@ -20,11 +20,13 @@ and hands it to all three substeps' solvers; within one substep the
 Green's functions depend on ``k²`` alone, so they are solved once per
 distinct value and expanded per mode.  Within a substep the solves are
 *fused*: omega_y shares the Helmholtz factors with phi, so
-:meth:`InfluenceSolver.advance` sweeps
-both right-hand sides in one blocked pass of the solve engine, and the
-Green's-function setup batches its two Helmholtz and two Poisson solves
-the same way.  Fixed-width sweeps make the fused results bit-for-bit
-identical to separate :meth:`solve` calls.
+:meth:`InfluenceSolver.advance` — the stepper's one solve path — sweeps
+both right-hand sides in one blocked pass of the solve engine (the
+stepper packs the real mean-mode profiles into the (0,0) omega_y
+member), and the Green's-function setup batches its two Helmholtz and
+two Poisson solves the same way.  Fixed-width sweeps make the fused
+results bit-for-bit identical to separate solves: :meth:`solve` (phi/v
+alone) stays as the oracle the tests compose the unfused substep from.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class InfluenceSolver:
         rhs = np.zeros((rows.nrows, self.ny, 2))
         rhs[:, -1, 0] = 1.0  # plus wall
         rhs[:, 0, 1] = 1.0  # minus wall
-        a_phi = self.helm_lu.engine().solve_rows(rhs)
+        a_phi = self.helm_lu.engine.solve_rows(rhs)
         phi_vals = ops.values(np.ascontiguousarray(a_phi.transpose(2, 0, 1)))
         phi_vals[:, :, 0] = 0.0
         phi_vals[:, :, -1] = 0.0
-        a_v = self.poisson_lu.engine().solve_rows(np.ascontiguousarray(phi_vals.transpose(1, 2, 0)))
+        a_v = self.poisson_lu.engine.solve_rows(np.ascontiguousarray(phi_vals.transpose(1, 2, 0)))
         # The wall stencils below are GEMVs, whose kernels may depend on
         # the batch length, so they run per mode, as the steps' do.
         self.a_v_plus = a_v[rows.members, :, 0]
@@ -149,6 +151,6 @@ class InfluenceSolver:
         for r in (ro, rp):
             r[:, 0] = 0.0
             r[:, -1] = 0.0
-        a_omega, a_phi = self.helm_lu.engine().solve_stack([ro, rp])
+        a_omega, a_phi = self.helm_lu.engine.solve_stack([ro, rp])
         a_v = self._v_from_phi(a_phi).reshape(shape_phi)
         return a_v, a_omega.reshape(shape_omega)

@@ -102,19 +102,3 @@ def evaluate_at(
         # kx = 0 is real by the reality symmetry; kx > 0 counts twice
         out[i] = contrib[0].real + 2.0 * np.real((contrib[1:] * phase_x[1:]).sum())
     return out
-
-
-def save_snapshot(dns, path) -> None:
-    """Write physical velocities + coordinates (post-processing format)."""
-    u, v, w = dns.physical_velocity()
-    g = dns.grid
-    np.savez_compressed(
-        path, u=u, v=v, w=w, x=g.x, z=g.z, y=g.y, time=dns.state.time,
-        re_tau=dns.config.re_tau, nu=dns.config.nu,
-    )
-
-
-def load_snapshot(path) -> dict:
-    """Read a snapshot back as a plain dict of arrays/floats."""
-    with np.load(path, allow_pickle=False) as data:
-        return {k: data[k].copy() if data[k].ndim else float(data[k]) for k in data.files}

@@ -76,6 +76,15 @@ def _elementwise_max(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
 
+def _message_totals(stats: tuple) -> dict:
+    """Summed snapshot of several communicators' ``MessageStats``."""
+    total = dict.fromkeys(stats[0].FIELDS, 0)
+    for st in stats:
+        for k, v in st.snapshot().items():
+            total[k] += v
+    return total
+
+
 class ChannelDNS:
     """Spectral channel DNS (Kim–Moin–Moser formulation): the one driver.
 
@@ -221,7 +230,11 @@ class ChannelDNS:
         :data:`repro.instrument.GROUPS`): group -> snapshot function."""
         groups = {"solve": self.stepper.solve_counters, **self.transforms.counter_groups()}
         if self.comm is not None:
-            groups["mpi"] = self.comm.stats.snapshot
+            # world collectives plus the transposes' exchanges, which run
+            # on the row and column sub-communicators' own contexts
+            comms = (self.comm, self.transforms.comm_a, self.transforms.comm_b)
+            stats = tuple({id(c.stats): c.stats for c in comms}.values())
+            groups["mpi"] = partial(_message_totals, stats)
         if self.streaming is not None:
             groups["stats"] = self.streaming.counters.snapshot
         return groups
@@ -278,9 +291,13 @@ class ChannelDNS:
 
     def divergence_norm(self) -> float:
         """Max collocated spectral divergence (machine-zero for this scheme)."""
+        return self._reduce(self._block_divergence(), max)
+
+    def _block_divergence(self) -> float:
+        """Max collocated spectral divergence of this rank's block (no
+        communicator call)."""
         s = self._require_state()
-        div = divergence(self.modes, self.stepper.ops, s.u, s.v, s.w)
-        return self._reduce(float(np.abs(div).max()), max)
+        return float(np.abs(divergence(self.modes, self.stepper.ops, s.u, s.v, s.w)).max())
 
     def kinetic_energy(self) -> float:
         """Volume-averaged kinetic energy (including the mean flow)."""

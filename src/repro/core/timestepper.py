@@ -9,11 +9,12 @@ terms implicit (Crank–Nicolson-like within each substep):
 
 with ``L = nu (d²/dy² - k²)`` and the classic coefficient triplets below.
 Each substep solves one Helmholtz system per state variable per
-wavenumber — the banded systems of paper eq. (3).  With the default
-``fused_solves=True`` the omega_y and phi systems (which share factors)
-ride one blocked sweep of the solve engine per substep; the unfused
-path issues the historical separate solves and is bit-for-bit identical.
-All implicit solves are timed under the nested ``SOLVE`` section.
+wavenumber — the banded systems of paper eq. (3).  The omega_y and phi
+systems share factors, so they ride one blocked sweep of the solve
+engine per substep; the real mean-mode profiles ``u00``/``w00`` ride the
+same sweep as the real and imaginary parts of the (0,0) omega_y member,
+whose ``k² = 0`` Helmholtz row is exactly their matrix.  All implicit
+solves are timed under the nested ``SOLVE`` section.
 
 The stepper operates on a :class:`~repro.core.modes.ModeSet` (full grid
 in serial, a pencil block per rank in parallel) with physical-space work
@@ -94,9 +95,9 @@ class IMEXStepper:
     """One full RK3 IMEX timestep of the KMM system.
 
     Factors every banded system once at construction — one Helmholtz set
-    for omega/phi and one mean-mode Helmholtz set per implicit
-    coefficient (three of each), plus one Poisson set for v that no
-    coefficient enters — then reuses the factors every step, the
+    per implicit coefficient (three), shared by omega_y, phi and the
+    mean-mode profiles, plus one Poisson set for v that no coefficient
+    enters — then reuses the factors every step, the
     production pattern the paper's custom solver is built for.  Each set
     holds one factor row per distinct ``k²`` of the block; :meth:`set_dt`
     refactors only the coefficient-dependent sets.
@@ -113,7 +114,6 @@ class IMEXStepper:
         backend=None,
         reduce_max: Callable[[tuple], tuple] | None = None,
         timers=None,
-        fused_solves: bool = True,
     ) -> None:
         self.grid = grid
         self.nu = float(nu)
@@ -128,7 +128,6 @@ class IMEXStepper:
             backend = SerialTransformBackend(grid)
         self.backend = backend
         self.reduce_max = reduce_max or (lambda x: x)
-        self.fused_solves = bool(fused_solves)
         self.timers = timers if timers is not None else SectionTimers()
         self.nonlinear = NonlinearTerms(self.modes, self.ops, backend)
         self._helm = HelmholtzOperator(grid.basis)
@@ -143,15 +142,10 @@ class IMEXStepper:
     def _build_solvers(self) -> None:
         """Factor the dt-dependent implicit systems: one Helmholtz set per
         RK implicit coefficient, with its Green's functions."""
-        helm = self._helm
-        self._influence = []
-        self._mean_lu = []
-        for i in range(3):
-            c = self.scheme.beta[i] * self.nu * self.dt
-            self._influence.append(InfluenceSolver(self.ops, helm, self._poisson_lu, c))
-            if self.modes.owns_mean:
-                # mean modes: k² = 0 Helmholtz, batched over (u00, w00)
-                self._mean_lu.append(helm.factor_helmholtz(np.zeros(2), c))
+        self._influence = [
+            InfluenceSolver(self.ops, self._helm, self._poisson_lu, beta * self.nu * self.dt)
+            for beta in self.scheme.beta
+        ]
 
     def set_dt(self, dt: float) -> None:
         """Change the time step, refactoring the dt-dependent systems."""
@@ -207,34 +201,12 @@ class IMEXStepper:
         tmp = np.multiply(ksq, rhs_w)
         lap -= tmp
         self._accumulate(rhs_w, lap, tmp, i, nl.hg, None if zeta_nl is None else zeta_nl.hg)
-        rhs_w = rhs_w.reshape(-1, self.grid.ny)
-
-        # -- phi / v advance (influence matrix) ------------------------------
-        rhs_phi = ops.laplacian_values(state.v, m.ksq)
-        # a_phi interpolates phi_vals: its values are already in hand
-        lap = ops.d2values(ops.coeffs(rhs_phi))
-        lap -= np.multiply(ksq, rhs_phi, out=tmp)
-        self._accumulate(rhs_phi, lap, tmp, i, nl.hv, None if zeta_nl is None else zeta_nl.hv)
-        del lap, tmp
-
-        if self.fused_solves:
-            # omega_y shares the Helmholtz factors with phi: one
-            # blocked sweep carries both right-hand sides.
-            with self.timers.section(self.timers.SOLVE):
-                new_v, new_omega = self._influence[i].advance(rhs_phi, rhs_w)
-        else:
-            rhs_w[:, 0] = 0.0
-            rhs_w[:, -1] = 0.0
-            with self.timers.section(self.timers.SOLVE):
-                new_omega = self._influence[i].helm_lu.solve(rhs_w)
-                new_v = self._influence[i].solve(rhs_phi)
-        new_omega = new_omega.reshape(state.omega_y.shape)
-        del rhs_w, rhs_phi
 
         # -- mean modes ------------------------------------------------------
+        # the (0,0) mode has no omega_y; its k² = 0 Helmholtz row is the
+        # mean profiles' matrix, so u00 rides that member as its real
+        # part and w00 as its imaginary part
         if mean is not None:
-            new_omega[mean] = 0.0
-            new_v[mean] = 0.0
             f = self.forcing
             rhs_u0 = ops.values(state.u00) + dt * (
                 sch.alpha[i] * nu * ops.d2values(state.u00)
@@ -246,11 +218,29 @@ class IMEXStepper:
             if zeta_nl is not None:
                 rhs_u0 += dt * sch.zeta[i] * (zeta_nl.h1_mean + f)
                 rhs_w0 += dt * sch.zeta[i] * zeta_nl.h3_mean
-            rhs_mean = np.stack([rhs_u0, rhs_w0])
-            rhs_mean[:, 0] = 0.0
-            rhs_mean[:, -1] = 0.0
-            with self.timers.section(self.timers.SOLVE):
-                state.u00, state.w00 = self._mean_lu[i].solve(rhs_mean)
+            row = rhs_w[mean]
+            row.real, row.imag = rhs_u0, rhs_w0
+        rhs_w = rhs_w.reshape(-1, self.grid.ny)
+
+        # -- phi / v advance (influence matrix) ------------------------------
+        rhs_phi = ops.laplacian_values(state.v, m.ksq)
+        # a_phi interpolates phi_vals: its values are already in hand
+        lap = ops.d2values(ops.coeffs(rhs_phi))
+        lap -= np.multiply(ksq, rhs_phi, out=tmp)
+        self._accumulate(rhs_phi, lap, tmp, i, nl.hv, None if zeta_nl is None else zeta_nl.hv)
+        del lap, tmp
+
+        # omega_y shares the Helmholtz factors with phi: one blocked
+        # sweep carries both right-hand sides
+        with self.timers.section(self.timers.SOLVE):
+            new_v, new_omega = self._influence[i].advance(rhs_phi, rhs_w)
+        new_omega = new_omega.reshape(state.omega_y.shape)
+        del rhs_w, rhs_phi
+        if mean is not None:
+            state.u00 = new_omega[mean].real.copy()
+            state.w00 = new_omega[mean].imag.copy()
+            new_omega[mean] = 0.0
+            new_v[mean] = 0.0
 
         state.v = new_v
         state.omega_y = new_omega
@@ -281,17 +271,15 @@ class IMEXStepper:
 
     def solve_counters(self) -> dict:
         """Aggregated :class:`~repro.instrument.SolveCounters` snapshot
-        over the engines of the omega/phi Helmholtz LUs and, where owned,
-        the mean-mode LUs.  The shared Poisson LU's sweeps are left out
-        (the ``linalg.solve`` spans see them; these counters never have).
-        Reads only engines that already exist, so it never allocates —
-        safe to call from the telemetry hot path."""
+        over the engine of every factor set the stepper holds: the three
+        Helmholtz sets and the shared Poisson set, so the ``solves``
+        count is every engine solve the ``linalg.solve`` spans see.
+        Reads counters only, so it never allocates — safe to call from
+        the telemetry hot path."""
         total = dict.fromkeys(SolveCounters.FIELDS, 0)
-        lus = [inf.helm_lu for inf in self._influence] + list(self._mean_lu)
-        for lu in lus:
-            for eng in lu.engines():
-                for k in total:
-                    total[k] += getattr(eng.counters, k)
+        for lu in [self._poisson_lu] + [inf.helm_lu for inf in self._influence]:
+            for k in total:
+                total[k] += getattr(lu.engine.counters, k)
         return total
 
     def cfl_number(self) -> float:
@@ -301,8 +289,13 @@ class IMEXStepper:
         elementwise global max on a decomposed run) *before* they are
         combined, so the value is the same whichever rank holds which
         maximum."""
+        return self._cfl(self.reduce_max(self.last_cfl_speeds))
+
+    def _cfl(self, speeds: tuple[float, float, float]) -> float:
+        """CFL number of the component maxima ``speeds``: of this block's
+        own when they are ``last_cfl_speeds`` (no communicator call)."""
         g = self.grid
-        umax, vmax, wmax = self.reduce_max(self.last_cfl_speeds)
+        umax, vmax, wmax = speeds
         dx = g.lx / g.nxq
         dz = g.lz / g.nzq
         dy_min = float(np.diff(g.y).min())

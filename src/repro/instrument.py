@@ -50,7 +50,6 @@ class SectionTimers:
     FFT = "fft"
     ADVANCE = "ns_advance"
     NONLINEAR = "nonlinear_products"
-    REORDER = "reorder"
     SOLVE = "solve"
     #: fault-tolerance sections: checkpoint writes and rollback/restart
     #: work of the run supervisor (disjoint from the per-step sections)
@@ -66,7 +65,7 @@ class SectionTimers:
     #: every canonical name, in the order the operator's guide lists them
     NAMES = (
         TRANSPOSE, FFT, ADVANCE, NONLINEAR, SOLVE,
-        REORDER, CHECKPOINT, RECOVERY, ELASTIC, STATS,
+        CHECKPOINT, RECOVERY, ELASTIC, STATS,
     )
 
     def __init__(self) -> None:

@@ -13,9 +13,11 @@ condition rows of the B-spline collocation systems.  The custom solver
   complex (ZGBTRF) or splitting the vectors (DGBTRS on re/im);
 * is *batched* over the Fourier-wavenumber axis, the Python/NumPy
   equivalent of the paper's hand-unrolled cache-resident loops;
-* sweeps through the blocked :mod:`repro.linalg.engine`, which processes
-  panels of rows per Python iteration with pre-inverted diagonal blocks
-  and persistent (zero-allocation) workspaces.
+* sweeps through the blocked :mod:`repro.linalg.engine` — one engine per
+  factor set, built with its factors — which processes panels of rows
+  per Python iteration with pre-inverted diagonal blocks and persistent
+  (zero-allocation) workspaces; every entry point streams its columns
+  through one load/sweep/store routine at a fixed width of four.
 
 Helmholtz/Poisson collocation assembly lives in
 :mod:`repro.linalg.helmholtz`.  The reference solvers mirroring the
@@ -26,18 +28,14 @@ is the only place ``scipy.linalg`` is loaded.
 """
 
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
-from repro.linalg.custom import FoldedLU, solve_corner_banded
-from repro.linalg.engine import BandedSolveEngine, default_block
-from repro.linalg.helmholtz import HelmholtzOperator, helmholtz_system, poisson_system
+from repro.linalg.custom import FoldedLU
+from repro.linalg.engine import BandedSolveEngine
+from repro.linalg.helmholtz import HelmholtzOperator
 
 __all__ = [
     "BandedSolveEngine",
     "BandedSystemSpec",
     "FoldedBanded",
     "FoldedLU",
-    "default_block",
     "HelmholtzOperator",
-    "helmholtz_system",
-    "poisson_system",
-    "solve_corner_banded",
 ]

@@ -10,9 +10,9 @@ Python-level loop trip counts depend only on ``n`` and the bandwidth, not
 on the batch size.
 
 Solves run on the blocked :class:`~repro.linalg.engine.BandedSolveEngine`
-built lazily from the factors: panels of rows per Python iteration
-instead of one row each, and complex right-hand sides swept as (re, im)
-column pairs **directly against the real factors** — the optimisation
+that each factor set builds together with its factors (one engine per
+set): panels of rows per Python iteration instead of one row each, and
+complex right-hand sides swept as (re, im) column pairs **directly against the real factors** — the optimisation
 the paper contrasts with LAPACK's "promote the matrix to complex or
 split the vectors" choices.  No dtype promotion happens anywhere on the
 solve path; :meth:`FoldedLU.solve` on a complex vector is bit-for-bit
@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.engine import BandedSolveEngine, default_block
-from repro.linalg.structure import BandedSystemSpec, FoldedBanded, SharedRows
+from repro.linalg.engine import BandedSolveEngine
+from repro.linalg.structure import FoldedBanded, SharedRows
 
 
 class FoldedLU:
@@ -45,9 +45,9 @@ class FoldedLU:
 
     Factoring is done once at construction; :meth:`solve` may then be
     called repeatedly (the DNS factors once per RK coefficient and solves
-    every substep).  The first solve builds the blocked sweep engine
-    from the factors; subsequent solves reuse it with zero workspace
-    allocations.
+    every substep).  The blocked sweep engine is built together with the
+    factors, one per factor set; every solve reuses it with zero
+    workspace allocations.
 
     ``matrix`` holds the *distinct* matrices; ``rows`` says which of them
     each batch member uses (:class:`~repro.linalg.structure.SharedRows`,
@@ -61,7 +61,6 @@ class FoldedLU:
         self,
         matrix: FoldedBanded,
         check: bool = False,
-        block: int | None = None,
         rows: SharedRows | None = None,
     ) -> None:
         self.spec = matrix.spec
@@ -72,9 +71,9 @@ class FoldedLU:
             raise ValueError(
                 f"rows name {self.rows.nrows} distinct matrices, the matrix holds {matrix.nbatch}"
             )
-        self._block = block
-        self._engines: dict[int, BandedSolveEngine] = {}
         self._factor(check=check)
+        #: the blocked sweep engine over these factors, built with them
+        self.engine = BandedSolveEngine(self)
 
     @property
     def nbatch(self) -> int:
@@ -130,24 +129,10 @@ class FoldedLU:
     # solving (blocked engine)
     # ------------------------------------------------------------------
 
-    def engine(self, block: int | None = None) -> BandedSolveEngine:
-        """The blocked sweep engine over these factors (built lazily,
-        cached per panel height; ``None`` takes the construction-time
-        block, else :func:`~repro.linalg.engine.default_block`)."""
-        b = int(block or self._block or default_block(self.spec.n))
-        if b not in self._engines:
-            self._engines[b] = BandedSolveEngine(self, block=b)
-        return self._engines[b]
-
-    def engines(self) -> tuple[BandedSolveEngine, ...]:
-        """Every engine built so far (never triggers a build — telemetry
-        must be able to read counters without allocating workspace)."""
-        return tuple(self._engines.values())
-
     def nbytes(self) -> int:
-        """Bytes this factor set holds: the folded factors plus every
-        built engine's panels and workspace."""
-        return self.data.nbytes + sum(e.panel_bytes() + e.workspace_bytes() for e in self.engines())
+        """Bytes this factor set holds: the folded factors plus its
+        engine's panels and workspace."""
+        return self.data.nbytes + self.engine.panel_bytes() + self.engine.workspace_bytes()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for each batch member.
@@ -156,12 +141,12 @@ class FoldedLU:
         and may be real or complex; complex input is swept directly
         against the real factors as one (re, im) column pair.
         """
-        return self.engine().solve(rhs)
+        return self.engine.solve(rhs)
 
     def solve_many(self, cols: np.ndarray) -> np.ndarray:
         """Solve a real multi-RHS stack ``(nbatch, n, k)`` in paired
         blocked sweeps (see :meth:`BandedSolveEngine.solve_many`)."""
-        return self.engine().solve_many(cols)
+        return self.engine.solve_many(cols)
 
     def solve_reference(self, rhs: np.ndarray) -> np.ndarray:
         """Unblocked row-at-a-time sweeps (the pre-engine arithmetic).
@@ -231,81 +216,3 @@ class FoldedLU:
             hi = min(jlo[i] + spec.window, spec.n)
             total += 2 * max(0, hi - (i + 1)) + 1  # backward + divide
         return int(total)
-
-
-def solve_corner_banded(
-    dense: np.ndarray,
-    rhs: np.ndarray,
-    spec: BandedSystemSpec | None = None,
-) -> np.ndarray:
-    """Convenience one-shot solve of (batched) dense corner-banded systems.
-
-    Infers a pure-band spec when none is given.  Right-hand-side shapes
-    are normalized explicitly:
-
-    * ``dense (n, n)``, ``rhs (n,)`` → ``x (n,)``;
-    * ``dense (n, n)``, ``rhs (k, n)`` → ``x (k, n)``, k right-hand
-      sides against the one matrix;
-    * ``dense (nbatch, n, n)``, ``rhs (n,)`` → ``x (nbatch, n)``, the
-      shared rhs solved against every batch member;
-    * ``dense (nbatch, n, n)``, ``rhs (nbatch, n)`` → ``x (nbatch, n)``.
-
-    Anything else raises ``ValueError``.
-    """
-    dense = np.asarray(dense, dtype=float)
-    single = dense.ndim == 2
-    if single:
-        dense = dense[None]
-    rhs = np.asarray(rhs)
-    if spec is None:
-        spec = infer_spec(dense)
-    nbatch = dense.shape[0]
-    lu = FoldedLU(FoldedBanded.from_dense(dense, spec))
-
-    if rhs.ndim == 1:
-        if rhs.shape != (spec.n,):
-            raise ValueError(f"rhs shape {rhs.shape} does not match n={spec.n}")
-        x = lu.solve(np.ascontiguousarray(np.broadcast_to(rhs, (nbatch, spec.n))))
-        return x[0] if single else x
-    if rhs.ndim == 2:
-        if single and rhs.shape[1] == spec.n:
-            # k right-hand sides against the one matrix: one fused stack
-            xs = lu.engine().solve_stack([np.ascontiguousarray(r)[None] for r in rhs])
-            return np.concatenate(xs, axis=0)
-        if rhs.shape != (nbatch, spec.n):
-            raise ValueError(
-                f"rhs shape {rhs.shape} does not match (nbatch={nbatch}, n={spec.n})"
-            )
-        return lu.solve(rhs)
-    raise ValueError(f"rhs must be 1-D or 2-D, got shape {rhs.shape}")
-
-
-def infer_spec(dense: np.ndarray) -> BandedSystemSpec:
-    """Smallest pure-band + corner structure containing all non-zeros.
-
-    Measures the interior bandwidth from rows away from the boundaries and
-    charges whatever sticks out near the boundaries to the corner extent.
-    All index arithmetic is vectorized — no per-non-zero Python loop.
-    """
-    dense = np.asarray(dense)
-    if dense.ndim == 2:
-        dense = dense[None]
-    n = dense.shape[1]
-    nz = np.any(dense != 0.0, axis=0)
-    i_idx, j_idx = np.nonzero(nz)
-    if i_idx.size == 0:
-        return BandedSystemSpec(n=n, kl=0, ku=0)
-    off = j_idx - i_idx
-    # Interior band: offsets of elements at least a window away from ends.
-    interior = (i_idx > n // 4) & (i_idx < n - n // 4)
-    if np.any(interior):
-        kl = int(max(0, -off[interior].min()))
-        ku = int(max(0, off[interior].max()))
-    else:
-        kl = int(max(0, -off.min()))
-        ku = int(max(0, off.max()))
-    # Elements beyond the band must be absorbed by a corner window.
-    over = off - ku
-    under = -off - kl
-    corner = int(max(0, over.max(initial=0), under.max(initial=0)))
-    return BandedSystemSpec(n=n, kl=kl, ku=ku, corner=corner)

@@ -10,7 +10,8 @@ table01_banded_solver.txt``).
 
 :class:`BandedSolveEngine` restructures the sweeps into *panels*: the
 unit lower factor L and upper factor U are block-bidiagonal when the
-rows are grouped into panels of ``block`` rows (every stored element of
+rows are grouped into panels of ``block`` rows (:data:`PANEL_ROWS`,
+capped at ``n``; every stored element of
 row ``i`` lies within ``coupling_width = W - 1`` columns of ``i``, which
 is why one coupling block per panel suffices).  At construction the
 engine extracts, per panel,
@@ -50,6 +51,16 @@ That single rule makes every entry point agree exactly, bit for bit:
 columns, and a fused ``solve_stack`` that carries several state
 variables through shared sweeps.
 
+**One column stream.**  The entry points — ``solve``, ``solve_many``,
+``solve_stack`` and the per-stored-matrix ``solve_rows`` — only
+validate and lay out their columns as slots (one real array, or the
+real or imaginary view of a complex one, beside the view its solution
+lands in); one private routine loads the slots :attr:`WIDTH` at a
+time, sweeps the member or row plan and stores the results.  No entry
+point calls another, so a span wrapped around each never nests.  Each
+:class:`~repro.linalg.custom.FoldedLU` builds its one engine together
+with its factors.
+
 **Zero allocations in steady state.**  All sweep scratch (the RHS stack
 ``X`` and the panel temporary ``T``) is allocated once at engine build
 and counted in :class:`~repro.instrument.SolveCounters`; outputs are
@@ -68,11 +79,11 @@ import numpy as np
 from repro.instrument import SolveCounters
 
 
-def default_block(n: int) -> int:
-    """Panel height: 16 rows balances Python iteration count against the
-    O(b·(b + W)) dense panel flops (measured optimum across the Table 1
-    bench point and DNS-sized systems; see benchmarks/)."""
-    return min(n, 16)
+#: Panel height: 16 rows balances Python iteration count against the
+#: O(b·(b + W)) dense panel flops (measured optimum across the Table 1
+#: bench point and DNS-sized systems, DESIGN.md §6c); an engine caps it
+#: at ``n``.
+PANEL_ROWS = 16
 
 
 class BandedSolveEngine:
@@ -84,23 +95,19 @@ class BandedSolveEngine:
         A factored :class:`~repro.linalg.custom.FoldedLU` (the engine
         reads its ``spec``, ``rows`` and folded factor data while it is
         built and keeps no reference to it: the factor set owns its
-        engines, and nothing it owns refers back).
-    block:
-        Panel height; ``None`` selects :func:`default_block`.
+        engine, and nothing it owns refers back).
     counters:
         A :class:`~repro.instrument.SolveCounters` to attach (a fresh
         one is created by default).
     """
 
-    def __init__(self, lu, block: int | None = None, counters: SolveCounters | None = None):
+    def __init__(self, lu, counters: SolveCounters | None = None):
         spec = lu.spec
         self.spec = spec
         self.n = spec.n
         self.rows = lu.rows
         self.nbatch = self.rows.nbatch
-        self.block = int(block) if block else default_block(spec.n)
-        if self.block < 1:
-            raise ValueError(f"block must be positive, got {self.block}")
+        self.block = min(PANEL_ROWS, spec.n)
         self.counters = counters if counters is not None else SolveCounters()
         self._build_panels(lu.data)
         self._alloc_workspace()
@@ -171,7 +178,7 @@ class BandedSolveEngine:
         the panel temporary ``T``, both at the fixed sweep width and one
         row per *member*, laid out in :attr:`SharedRows.order` (the
         sharers of a stored matrix adjacent)."""
-        nbatch, n, b = self.nbatch, self.n, min(self.block, self.n)
+        nbatch, n, b = self.nbatch, self.n, self.block
         self._x = np.zeros((nbatch, n, self.WIDTH))
         self._t = np.empty((nbatch, b, self.WIDTH))
         #: columns of X known to be exactly zero (zeros sweep to zeros,
@@ -179,16 +186,6 @@ class BandedSolveEngine:
         self._clear = [True] * self.WIDTH
         for arr in (self._x, self._t):
             self.counters.count_workspace(arr)
-        # the mode permutation rides the load/unload copies: member b
-        # sits at row pos[b] of X, row p of X holds member order[p]; an
-        # unpermuted batch keeps plain slice copies
-        order = self.rows.order
-        if np.array_equal(order, np.arange(nbatch)):
-            self._order = self._pos = slice(None)
-        else:
-            self._order = order
-            self._pos = np.empty_like(order)
-            self._pos[order] = np.arange(nbatch)
 
     def _plan_sweeps(self) -> None:
         """Pre-slice the panel GEMMs of both sweep layouts.
@@ -203,6 +200,12 @@ class BandedSolveEngine:
         run against a private copy of its panel, so sharing changes no
         bit.  The *row* layout sweeps the first ``nrows`` rows of ``X``
         once per stored matrix (:meth:`solve_rows`).
+
+        Each layout is ``(plan, xrows, load, store)`` for
+        :meth:`_stream`.  The mode permutation rides the member layout's
+        load/store copies: member b sits at row ``pos[b]`` of X, row p of
+        X holds member ``order[p]``; an unpermuted batch keeps plain
+        slice copies.
         """
         x, t = self._x, self._t
         n, width, b = self.n, self.WIDTH, t.shape[1]
@@ -213,7 +216,7 @@ class BandedSolveEngine:
             xc = x[p0:p1].reshape(r1 - r0, m, n, width)
             tc = t[p0:p1].reshape(r1 - r0, m, b, width)
             classes.append((r0, r1, xc, tc))
-        self._member_plan = [
+        member_plan = [
             (
                 [(mat[r0:r1, None], xc[:, :, lo:hi], tc[:, :, : e - s]) for r0, r1, xc, tc in classes],
                 x[:, s:e],
@@ -221,10 +224,18 @@ class BandedSolveEngine:
             )
             for s, e, mat, lo, hi in self._panels
         ]
-        self._row_plan = [
+        row_plan = [
             ([(mat, x[:nrows, lo:hi], t[:nrows, : e - s])], x[:nrows, s:e], t[:nrows, : e - s])
             for s, e, mat, lo, hi in self._panels
         ]
+        order = self.rows.order
+        if np.array_equal(order, np.arange(self.nbatch)):
+            order = pos = slice(None)
+        else:
+            pos = np.empty_like(order)
+            pos[order] = np.arange(self.nbatch)
+        self._members = (member_plan, slice(None), pos, order)
+        self._stored = (row_plan, slice(0, nrows), slice(0, nrows), slice(None))
 
     def workspace_bytes(self) -> int:
         """Bytes of engine-owned persistent sweep scratch."""
@@ -233,20 +244,6 @@ class BandedSolveEngine:
     def panel_bytes(self) -> int:
         """Bytes of the pre-inverted panels (one set per stored matrix)."""
         return sum(mat.nbytes for _, _, mat, _, _ in self._panels)
-
-    def _load_col(self, c: int, values) -> None:
-        self._x[self._pos, :, c] = values
-        self._clear[c] = False
-
-    def _store_col(self, dst: np.ndarray, c: int) -> None:
-        # one column at a time: numpy copies a trailing (re, im) pair of
-        # a complex view several times slower than two strided columns
-        dst[self._order] = self._x[:, :, c]
-
-    def _zero_col(self, c: int) -> None:
-        if not self._clear[c]:
-            self._x[:, :, c] = 0.0
-            self._clear[c] = True
 
     # ------------------------------------------------------------------
     # the blocked sweeps
@@ -284,25 +281,8 @@ class BandedSolveEngine:
             rhs = rhs[None, :]
         self._check_rhs(rhs)
         self.counters.solves += 1
-        if np.iscomplexobj(rhs):
-            self._load_col(0, rhs.real)
-            self._load_col(1, rhs.imag)
-            for c in range(2, self.WIDTH):
-                self._zero_col(c)
-            self._sweep(self._member_plan)
-            self.counters.columns += 2
-            out = np.empty((self.nbatch, self.n), dtype=complex)
-            pair = out.view(np.float64).reshape(self.nbatch, self.n, 2)
-            self._store_col(pair[:, :, 0], 0)
-            self._store_col(pair[:, :, 1], 1)
-        else:
-            self._load_col(0, rhs)
-            for c in range(1, self.WIDTH):
-                self._zero_col(c)
-            self._sweep(self._member_plan)
-            self.counters.columns += 1
-            out = np.empty((self.nbatch, self.n))
-            self._store_col(out, 0)
+        out = _like(rhs)
+        self._stream(_slots(rhs, out), self._members)
         return out[0] if squeeze else out
 
     def solve_many(self, cols: np.ndarray) -> np.ndarray:
@@ -324,18 +304,8 @@ class BandedSolveEngine:
                 f"cols shape {cols.shape} does not match (nbatch={self.nbatch}, n={self.n}, k)"
             )
         self.counters.solves += 1
-        k = cols.shape[2]
-        out = np.empty((self.nbatch, self.n, k))
-        for j in range(0, k, self.WIDTH):
-            take = min(self.WIDTH, k - j)
-            for c in range(take):
-                self._load_col(c, cols[:, :, j + c])
-            for c in range(take, self.WIDTH):
-                self._zero_col(c)
-            self._sweep(self._member_plan)
-            for c in range(take):
-                self._store_col(out[:, :, j + c], c)
-            self.counters.columns += take
+        out = np.empty(cols.shape)
+        self._stream(_column_slots(cols, out), self._members)
         return out
 
     def solve_rows(self, cols: np.ndarray) -> np.ndarray:
@@ -354,19 +324,8 @@ class BandedSolveEngine:
                 f"cols shape {cols.shape} does not match (nrows={nrows}, n={self.n}, k)"
             )
         self.counters.solves += 1
-        k = cols.shape[2]
-        out = np.empty((nrows, self.n, k))
-        x = self._x
-        for j in range(0, k, self.WIDTH):
-            take = min(self.WIDTH, k - j)
-            x[:nrows, :, :take] = cols[:, :, j : j + take]
-            for c in range(take):
-                self._clear[c] = False
-            for c in range(take, self.WIDTH):
-                self._zero_col(c)
-            self._sweep(self._row_plan)
-            out[:, :, j : j + take] = x[:nrows, :, :take]
-            self.counters.columns += take
+        out = np.empty(cols.shape)
+        self._stream(_column_slots(cols, out), self._stored)
         return out
 
     def solve_stack(self, parts) -> list[np.ndarray]:
@@ -386,43 +345,66 @@ class BandedSolveEngine:
         for p in parts:
             self._check_rhs(p)
         self.counters.solves += 1
-
-        # column stream: (part index, component) with component 0 = real
-        # part / real column, 1 = imaginary part.  Complex parts start at
-        # an even column so each keeps a contiguous (re, im) pair.
-        slots: list[tuple[int, int] | None] = []
-        for idx, p in enumerate(parts):
-            if np.iscomplexobj(p):
-                if len(slots) % 2:
-                    slots.append(None)
-                slots.append((idx, 0))
-                slots.append((idx, 1))
-            else:
-                slots.append((idx, 0))
-
-        outs = [
-            np.empty((self.nbatch, self.n), dtype=complex if np.iscomplexobj(p) else float)
-            for p in parts
-        ]
-        for g in range(0, len(slots), self.WIDTH):
-            group = slots[g : g + self.WIDTH]
-            for c in range(self.WIDTH):
-                slot = group[c] if c < len(group) else None
-                if slot is None:
-                    self._zero_col(c)
-                    continue
-                idx, comp = slot
-                p = parts[idx]
-                self._load_col(c, (p.real, p.imag)[comp] if np.iscomplexobj(p) else p)
-                self.counters.columns += 1
-            self._sweep(self._member_plan)
-            for c, slot in enumerate(group):
-                if slot is None:
-                    continue
-                idx, comp = slot
-                if np.iscomplexobj(outs[idx]):
-                    view = outs[idx].view(np.float64).reshape(self.nbatch, self.n, 2)
-                    self._store_col(view[:, :, comp], c)
-                else:
-                    self._store_col(outs[idx], c)
+        outs = [_like(p) for p in parts]
+        slots: list = []
+        for p, out in zip(parts, outs):
+            part = _slots(p, out)
+            if len(part) == 2 and len(slots) % 2:
+                slots.append(None)  # a complex pair starts at an even column
+            slots += part
+        self._stream(slots, self._members)
         return outs
+
+    # ------------------------------------------------------------------
+    # the one column stream behind every entry point
+    # ------------------------------------------------------------------
+
+    def _stream(self, slots: list, layout) -> None:
+        """Sweep ``slots`` :attr:`WIDTH` columns per blocked pass.
+
+        A slot is ``(src, dst)``: one real ``(rows, n)`` column (an array,
+        or the real or imaginary view of a complex one) to load into
+        ``X`` and the real view its solution is stored into; ``None`` is
+        a zero pad.  ``layout`` is ``(plan, xrows, load, store)``: the
+        sweep plan, the rows of ``X`` it covers, and the index the loads
+        scatter through and the stores scatter into — the mode
+        permutation in the member layout, nothing in the row layout.
+        """
+        plan, xrows, load, store = layout
+        x, clear, width = self._x, self._clear, self.WIDTH
+        for g in range(0, len(slots), width):
+            group = slots[g : g + width]
+            for c in range(width):
+                slot = group[c] if c < len(group) else None
+                if slot is not None:
+                    x[load, :, c] = slot[0]
+                    clear[c] = False
+                elif not clear[c]:
+                    x[:, :, c] = 0.0
+                    clear[c] = True
+            self._sweep(plan)
+            for c, slot in enumerate(group):
+                if slot is not None:
+                    # one column at a time: numpy copies a trailing (re, im)
+                    # pair of a complex view several times slower than two
+                    # strided columns
+                    slot[1][store] = x[xrows, :, c]
+                    self.counters.columns += 1
+
+
+def _like(rhs: np.ndarray) -> np.ndarray:
+    """A fresh solution array of ``rhs``' shape, complex or real."""
+    return np.empty(rhs.shape, dtype=complex if np.iscomplexobj(rhs) else float)
+
+
+def _slots(rhs: np.ndarray, out: np.ndarray) -> list:
+    """Column slots of one right-hand side: its (re, im) pair, or itself."""
+    if not np.iscomplexobj(rhs):
+        return [(rhs, out)]
+    pair = out.view(np.float64).reshape(*out.shape, 2)
+    return [(rhs.real, pair[..., 0]), (rhs.imag, pair[..., 1])]
+
+
+def _column_slots(cols: np.ndarray, out: np.ndarray) -> list:
+    """One slot per column of a real ``(rows, n, k)`` stack."""
+    return [(cols[:, :, j], out[:, :, j]) for j in range(cols.shape[2])]

@@ -16,7 +16,9 @@ batched over the wavenumber axis.  Both pencils depend on the mode only
 through ``k²``, so only the distinct values are assembled and factored;
 a :class:`~repro.linalg.structure.SharedRows` maps every mode back to
 its factor row (exact equality: each factor row is bit for bit the one
-the mode would have had alone).
+the mode would have had alone).  A factor set takes one scalar implicit
+weight ``c``; the stepper holds one Helmholtz set per RK coefficient,
+and the ``k² = 0`` row of each is also the mean profiles' matrix.
 """
 
 from __future__ import annotations
@@ -54,26 +56,16 @@ class HelmholtzOperator:
 
     # ------------------------------------------------------------------
 
-    def _bc_row(self, wall: int, deriv: int) -> np.ndarray:
-        """Folded boundary-condition row: ``deriv``-th derivative at a wall.
-
-        ``wall`` is 0 (y = -1, first collocation point) or -1 (y = +1).
-        """
-        row = self.folded_colloc(deriv)[0 if wall == 0 else -1]
-        return row
-
-    def assemble_helmholtz(self, ksq: np.ndarray, c: float | np.ndarray) -> FoldedBanded:
-        """Pencil of eq. (3): ``(1 + c k²) B - c D2`` with Dirichlet BC rows.
-
-        ``ksq`` has shape ``(nbatch,)``; ``c`` is scalar or ``(nbatch,)``.
-        """
+    def assemble_helmholtz(self, ksq: np.ndarray, c: float) -> FoldedBanded:
+        """Pencil of eq. (3): ``(1 + c k²) B - c D2`` with Dirichlet BC rows,
+        batched over ``ksq`` of shape ``(nbatch,)``."""
         ksq = np.atleast_1d(np.asarray(ksq, dtype=float))
-        c = np.broadcast_to(np.asarray(c, dtype=float), ksq.shape)
+        c = float(c)
         B = self.folded_colloc(0)
         D2 = self.folded_colloc(2)
-        data = (1.0 + c * ksq)[:, None, None] * B[None] - c[:, None, None] * D2[None]
-        data[:, 0, :] = self._bc_row(0, 0)
-        data[:, -1, :] = self._bc_row(-1, 0)
+        data = (1.0 + c * ksq)[:, None, None] * B[None] - c * D2[None]
+        data[:, 0, :] = B[0]  # Dirichlet rows: the values at either wall
+        data[:, -1, :] = B[-1]
         return FoldedBanded(self.spec, data)
 
     def assemble_poisson(self, ksq: np.ndarray) -> FoldedBanded:
@@ -82,44 +74,22 @@ class HelmholtzOperator:
         B = self.folded_colloc(0)
         D2 = self.folded_colloc(2)
         data = D2[None] - ksq[:, None, None] * B[None]
-        data[:, 0, :] = self._bc_row(0, 0)
-        data[:, -1, :] = self._bc_row(-1, 0)
+        data[:, 0, :] = B[0]  # Dirichlet rows: the values at either wall
+        data[:, -1, :] = B[-1]
         return FoldedBanded(self.spec, data)
 
-    def factor_helmholtz(
-        self, ksq: np.ndarray | SharedRows, c: float | np.ndarray, block: int | None = None
-    ) -> FoldedLU:
-        """Factored eq.-(3) pencil; ``block`` fixes the engine panel height.
-
-        Only distinct ``k²`` (distinct ``(k², c)`` pairs when ``c`` varies
-        per mode) are factored; ``ksq`` may be a :class:`SharedRows` built
-        from ``k²`` already, so several factor sets share one map.
-        """
-        if not np.ndim(c):
-            rows = _shared(ksq)
-            return FoldedLU(self.assemble_helmholtz(rows.keys, c), block=block, rows=rows)
-        rows = SharedRows(np.stack(np.broadcast_arrays(np.ravel(ksq), np.ravel(c)), axis=-1))
-        matrix = self.assemble_helmholtz(rows.keys[:, 0], rows.keys[:, 1])
-        return FoldedLU(matrix, block=block, rows=rows)
-
-    def factor_poisson(self, ksq: np.ndarray | SharedRows, block: int | None = None) -> FoldedLU:
-        """Factored eq.-(4) pencil over the distinct ``k²``; ``block``
-        fixes the engine panel height."""
+    def factor_helmholtz(self, ksq: np.ndarray | SharedRows, c: float) -> FoldedLU:
+        """Factored eq.-(3) pencil over the distinct ``k²``; ``ksq`` may be
+        a :class:`SharedRows` built from ``k²`` already, so several factor
+        sets share one map."""
         rows = _shared(ksq)
-        return FoldedLU(self.assemble_poisson(rows.keys), block=block, rows=rows)
+        return FoldedLU(self.assemble_helmholtz(rows.keys, c), rows=rows)
+
+    def factor_poisson(self, ksq: np.ndarray | SharedRows) -> FoldedLU:
+        """Factored eq.-(4) pencil over the distinct ``k²``."""
+        rows = _shared(ksq)
+        return FoldedLU(self.assemble_poisson(rows.keys), rows=rows)
 
 
 def _shared(ksq: np.ndarray | SharedRows) -> SharedRows:
     return ksq if isinstance(ksq, SharedRows) else SharedRows(np.ravel(ksq))
-
-
-def helmholtz_system(
-    basis: BSplineBasis, ksq: np.ndarray, c: float | np.ndarray, block: int | None = None
-) -> FoldedLU:
-    """One-shot factored Helmholtz pencil (see :class:`HelmholtzOperator`)."""
-    return HelmholtzOperator(basis).factor_helmholtz(ksq, c, block=block)
-
-
-def poisson_system(basis: BSplineBasis, ksq: np.ndarray, block: int | None = None) -> FoldedLU:
-    """One-shot factored Poisson pencil (see :class:`HelmholtzOperator`)."""
-    return HelmholtzOperator(basis).factor_poisson(ksq, block=block)

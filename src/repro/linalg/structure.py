@@ -92,11 +92,6 @@ class BandedSystemSpec:
         kup = self.ku + self.corner
         return self.n * (2 * klp + kup + 1)
 
-    def contains(self, i: int, j: int) -> bool:
-        """Whether element (i, j) lies inside the stored structure."""
-        lo = self.jlo[i]
-        return lo <= j < lo + self.window
-
 
 class FoldedBanded:
     """(Batch of) corner-banded matrices in folded row-window storage.
@@ -163,23 +158,6 @@ class FoldedBanded:
             lo = jlo[i]
             out[:, i, lo : lo + spec.window] = self.data[:, i, :]
         return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Batched matrix-vector product; ``x`` shaped ``(nbatch, n)`` (or ``(n,)``)."""
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = np.broadcast_to(x, (self.nbatch, self.spec.n))
-        jlo = self.spec.jlo
-        out = np.zeros((self.nbatch, self.spec.n), dtype=np.result_type(self.data, x))
-        W = self.spec.window
-        for i in range(self.spec.n):
-            lo = jlo[i]
-            out[:, i] = np.einsum("bm,bm->b", self.data[:, i, :], x[:, lo : lo + W])
-        return out[0] if squeeze and self.nbatch == 1 else out
-
-    def copy(self) -> "FoldedBanded":
-        return FoldedBanded(self.spec, self.data.copy())
 
 
 class SharedRows:

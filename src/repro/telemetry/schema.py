@@ -49,7 +49,13 @@ from repro.instrument import GROUPS, SectionTimers
 #: ``fft``/``transpose`` out of ``nonlinear_products``), so they add up
 #: to ``wall_s`` less a residual; serial runs gained ``fft`` sections and
 #: distributed runs the ``transforms`` group.
-SCHEMA_VERSION = 10
+#: v11 made ``cfl`` and ``divergence`` the values of the emitting rank's
+#: own block (recording makes no communicator call), made the ``solve``
+#: group count the shared Poisson set's engine too, made the ``mpi``
+#: group count the transposes' sub-communicators (it saw only world
+#: collectives, so no transpose traffic), and dropped the never-timed
+#: ``reorder`` section name.
+SCHEMA_VERSION = 11
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -84,13 +90,15 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     "wall_s": (True, "wall-clock seconds since the previous record (recorder overhead excluded)"),
     "cfl": (
         True,
-        "advective CFL number of the last substep (global max in SPMD runs); `null` when the "
-        "state has gone non-finite",
+        "advective CFL number of the last substep over the emitting rank's own block (no "
+        "communicator call; in SPMD runs the max over the rank streams is at most the global "
+        "CFL, which combines per-component maxima); `null` when the state has gone non-finite",
     ),
     "divergence": (
         True,
-        "max collocated spectral divergence, on the `divergence_every` cadence; `null` between "
-        "samples and when non-finite",
+        "max collocated spectral divergence of the emitting rank's own block, on the "
+        "`divergence_every` cadence (in SPMD runs the max over the rank streams is the global "
+        "norm); `null` between samples and when non-finite",
     ),
     "rank": (True, "emitting rank (0 in serial runs)"),
     "nranks": (True, "world size of the run (1 in serial runs)"),
@@ -108,9 +116,10 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     ),
     "solve": _group(
         "solve",
-        "aggregated over the engines of the omega/phi Helmholtz and mean-mode factor sets",
-        "the Poisson v-from-phi sweeps (one per substep) are not counted, so `solves` reads 6 "
-        "of the 9 engine solves of a serial step",
+        "aggregated over the engines of every factor set the stepper holds (three Helmholtz "
+        "sets and the shared Poisson set)",
+        "a step reads 6 `solves`: per substep one fused omega_y/phi sweep (the mean profiles "
+        "ride its (0,0) member) and one Poisson v-from-phi solve",
     ),
     "recovery": _group(
         "recovery",
@@ -119,9 +128,10 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
     ),
     "mpi": _group(
         "mpi",
-        "of SimMPI's `MessageStats`",
-        "the stats object is shared by the communicator context, so the numbers are world "
-        "totals (identical on every rank); absent in serial runs",
+        "of SimMPI's `MessageStats`, summed over the world communicator and the row and column "
+        "sub-communicators the transposes exchange on",
+        "each context's stats are shared by its members, so the numbers are the totals of the "
+        "communicators the emitting rank belongs to; absent in serial runs",
     ),
     "precision": _group(
         "precision",

@@ -1,4 +1,4 @@
-"""Spectral regridding / pointwise evaluation / snapshot IO tests."""
+"""Spectral regridding / pointwise evaluation tests."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ import pytest
 from repro.core import ChannelConfig, ChannelDNS
 from repro.core.grid import ChannelGrid
 from repro.core.operators import WallNormalOps
-from repro.core.regrid import (
-    evaluate_at,
-    load_snapshot,
-    regrid_state,
-    save_snapshot,
-)
+from repro.core.regrid import evaluate_at, regrid_state
 from repro.core.transforms import to_quadrature_grid
 from repro.core.velocity import divergence
 
@@ -115,16 +110,3 @@ class TestEvaluateAt:
         g = ChannelGrid(nx=16, ny=12, nz=16)
         with pytest.raises(ValueError):
             evaluate_at(g, np.zeros(g.spectral_shape, complex), np.zeros(2), np.zeros(3), np.zeros(2))
-
-
-class TestSnapshotIO:
-    def test_roundtrip(self, tmp_path):
-        dns = running_dns()
-        path = tmp_path / "snap.npz"
-        save_snapshot(dns, path)
-        snap = load_snapshot(path)
-        u, v, w = dns.physical_velocity()
-        np.testing.assert_array_equal(snap["u"], u)
-        assert snap["time"] == dns.state.time
-        assert snap["re_tau"] == dns.config.re_tau
-        assert snap["x"].shape == (dns.grid.nxq,)

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import ChannelConfig, ChannelDNS
+from repro.core.influence import InfluenceSolver
 from repro.core.initial import laminar_profile
 from repro.core.timestepper import ChannelState, SMR91
+from repro.linalg.custom import FoldedLU
+from repro.linalg.engine import BandedSolveEngine
+from repro.linalg.helmholtz import HelmholtzOperator
 
 
 class TestSMR91:
@@ -121,18 +125,35 @@ class TestInvariants:
         assert dns.state.time == pytest.approx(4 * cfg.dt)
 
 
+def unfused_advance(inf, rhs_phi, rhs_omega):
+    """A substep's solves one variable at a time, from public calls:
+    omega_y alone, phi/v alone (``InfluenceSolver.solve``), and the
+    (u00, w00) pair the stepper packs into the (0,0) omega_y member
+    against a k² = 0 factor set of its own, as real columns."""
+    ro = rhs_omega.reshape(inf.nmodes, inf.ny).copy()
+    ro[:, 0] = 0.0
+    ro[:, -1] = 0.0
+    a_omega = inf.helm_lu.solve(ro)
+    mean = ro[0]  # the serial block's (0,0) mode is its first member
+    mean_lu = HelmholtzOperator(inf.ops.grid.basis).factor_helmholtz(np.zeros(2), inf.c)
+    a_omega[0].real, a_omega[0].imag = mean_lu.solve(np.stack([mean.real, mean.imag]))
+    return inf.solve(rhs_phi), a_omega.reshape(rhs_omega.shape)
+
+
 class TestFusedSolves:
-    def test_fused_equals_unfused_bit_for_bit(self):
-        """The fused omega/phi sweep must not change the trajectory at all:
-        every state array identical after several full steps."""
+    def test_fused_equals_unfused_bit_for_bit(self, monkeypatch):
+        """The fused omega/phi sweep, with the mean profiles riding the
+        (0,0) omega_y member, must not change the trajectory at all:
+        every state array identical to separate solves after several
+        full steps."""
         cfg = ChannelConfig(nx=8, ny=17, nz=8, dt=5e-4, init_amplitude=0.3, seed=5)
         fused = ChannelDNS(cfg)
-        unfused = ChannelDNS(cfg)
-        unfused.stepper.fused_solves = False
-        assert fused.stepper.fused_solves
         fused.initialize()
-        unfused.initialize()
         fused.run(4)
+        assert fused.modes.mean_index == (0, 0)
+        monkeypatch.setattr(InfluenceSolver, "advance", unfused_advance)
+        unfused = ChannelDNS(cfg)
+        unfused.initialize()
         unfused.run(4)
         for name in ("v", "omega_y", "u00", "w00", "u", "w"):
             a = getattr(fused.state, name)
@@ -166,13 +187,29 @@ class TestFusedSolves:
         assert set(t.elapsed) == {t.ADVANCE, t.SOLVE, t.NONLINEAR, t.FFT}
 
 
+def factor_sets(obj) -> list:
+    """Every :class:`FoldedLU` reachable through the attributes, lists and
+    tuples of ``obj`` and the package objects it holds."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, FoldedLU):
+            found.append(o)
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif type(o).__module__.startswith("repro.") and hasattr(o, "__dict__"):
+            todo.extend(vars(o).values())
+    return found
+
+
 class TestFactorSets:
     """One Poisson set per stepper, one Helmholtz set per substep, every
     set over the distinct k² of the block only."""
 
     def test_three_helmholtz_one_poisson_over_distinct_ksq(self):
-        from repro.linalg.custom import FoldedLU
-
         cfg = ChannelConfig(nx=48, ny=17, nz=48, dt=2e-4)
         st = ChannelDNS(cfg).stepper
         ksq = st.modes.ksq.ravel()
@@ -192,9 +229,40 @@ class TestFactorSets:
             c = st.scheme.beta[i] * st.nu * st.dt
             for matrix in (st._helm.assemble_helmholtz(ksq, c), st._helm.assemble_poisson(ksq)):
                 lu = FoldedLU(matrix)
-                lu.engine()
                 per_mode += lu.nbytes()
         assert sum(lu.nbytes() for lu in [poisson, *helms]) <= 0.35 * per_mode
+
+    def test_holds_one_poisson_and_three_helmholtz_sets_only(self):
+        """No mean-mode factor sets: the (0,0) profiles ride the k² = 0
+        member of each Helmholtz set."""
+        st = ChannelDNS(ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4)).stepper
+        assert st.modes.owns_mean
+        held = factor_sets(st)
+        helms = [inf.helm_lu for inf in st._influence]
+        assert len(held) == 4
+        assert {id(lu) for lu in held} == {id(st._poisson_lu), *map(id, helms)}
+
+    def test_one_step_makes_six_engine_solves(self, monkeypatch):
+        """Per substep one fused omega_y/phi/mean sweep and one Poisson
+        solve; ``solve_counters`` sees every one of them."""
+        dns = ChannelDNS(ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, init_amplitude=0.3, seed=6))
+        dns.initialize()
+        dns.run(1)
+        calls = []
+        for name in ("solve", "solve_many", "solve_stack"):
+            fn = getattr(BandedSolveEngine, name)
+
+            def counted(self, *args, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(self, *args)
+
+            monkeypatch.setattr(BandedSolveEngine, name, counted)
+        before = dns.stepper.solve_counters()
+        dns.run(1)
+        after = dns.stepper.solve_counters()
+        assert sorted(calls) == ["solve"] * 3 + ["solve_stack"] * 3
+        assert after["solves"] - before["solves"] == 6
+        assert after["columns"] - before["columns"] == 18
 
     def test_set_dt_keeps_poisson_and_equals_fresh_stepper(self):
         cfg = ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, init_amplitude=0.3, seed=6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.custom import FoldedLU, infer_spec, solve_corner_banded
+from repro.linalg.custom import FoldedLU
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
 
 from tests.linalg.test_structure import corner_banded_matrix
@@ -138,19 +138,27 @@ class TestReferenceSweeps:
         assert np.array_equal(xc.imag, xm[:, :, 1])
 
 
+def lu_of(a, spec):
+    return FoldedLU(FoldedBanded.from_dense(a, spec))
+
+
 class TestConvenience:
+    """General corner-banded batches through :class:`FoldedLU` with an
+    explicit spec, in every right-hand-side shape the solver takes."""
+
     def test_solve_corner_banded_single(self, rng):
         a, spec = corner_banded_matrix(rng, nbatch=1)
         rhs = rng.standard_normal(spec.n)
-        x = solve_corner_banded(a[0], rhs)
+        x = lu_of(a[0], spec).solve(rhs)
+        assert x.shape == (spec.n,)
         np.testing.assert_allclose(x, np.linalg.solve(a[0], rhs), atol=1e-9)
 
     def test_shared_rhs_against_batched_dense(self, rng):
-        """Regression: a 1-D rhs against a batched dense used to mis-shape;
-        it must broadcast to every batch member."""
+        """One right-hand side broadcast (a read-only stride-0 view) to
+        every batch member."""
         a, spec = corner_banded_matrix(rng, nbatch=3)
         rhs = rng.standard_normal(spec.n)
-        x = solve_corner_banded(a, rhs)
+        x = lu_of(a, spec).solve(np.broadcast_to(rhs, (3, spec.n)))
         assert x.shape == (3, spec.n)
         for b in range(3):
             np.testing.assert_allclose(x[b], np.linalg.solve(a[b], rhs), atol=1e-9)
@@ -158,55 +166,27 @@ class TestConvenience:
     def test_multi_rhs_against_single_dense(self, rng):
         a, spec = corner_banded_matrix(rng, nbatch=1)
         rhs = rng.standard_normal((5, spec.n))
-        x = solve_corner_banded(a[0], rhs)
+        lu = lu_of(a[0], spec)
+        x = lu.solve_many(rhs.T[None])[0].T
         assert x.shape == (5, spec.n)
         for k in range(5):
             np.testing.assert_allclose(x[k], np.linalg.solve(a[0], rhs[k]), atol=1e-9)
+        outs = lu.engine.solve_stack([r[None] for r in rhs])
+        assert np.array_equal(np.concatenate(outs), x)
 
     def test_batched_rhs_against_batched_dense(self, rng):
         a, spec = corner_banded_matrix(rng, nbatch=4)
         rhs = rng.standard_normal((4, spec.n))
-        x = solve_corner_banded(a, rhs)
+        x = lu_of(a, spec).solve(rhs)
         for b in range(4):
             np.testing.assert_allclose(x[b], np.linalg.solve(a[b], rhs[b]), atol=1e-9)
 
     def test_bad_rhs_shapes_raise(self, rng):
         a, spec = corner_banded_matrix(rng, nbatch=3)
+        lu = lu_of(a, spec)
         with pytest.raises(ValueError):
-            solve_corner_banded(a, rng.standard_normal(spec.n - 1))
+            lu.solve(rng.standard_normal(spec.n - 1))
         with pytest.raises(ValueError):
-            solve_corner_banded(a, rng.standard_normal((2, spec.n)))  # 2 != nbatch
+            lu.solve(rng.standard_normal((2, spec.n)))  # 2 != nbatch
         with pytest.raises(ValueError):
-            solve_corner_banded(a, rng.standard_normal((3, spec.n, 2)))
-
-    def test_infer_spec_covers_matrix(self, rng):
-        a, spec = corner_banded_matrix(rng, n=40, kl=2, ku=3, corner=2)
-        inferred = infer_spec(a)
-        # inferred spec must at least permit a lossless fold
-        fb = FoldedBanded.from_dense(a, inferred)
-        np.testing.assert_array_equal(fb.to_dense(), a)
-
-    def test_infer_spec_matches_elementwise_loop(self, rng):
-        """The vectorized corner-extent computation agrees with the
-        original per-non-zero Python loop on random corner-banded systems."""
-        for _ in range(15):
-            n = int(rng.integers(16, 48))
-            kl = int(rng.integers(0, 4))
-            ku = int(rng.integers(0, 4))
-            corner = int(rng.integers(0, 4))
-            dense, _ = corner_banded_matrix(rng, n=n, kl=kl, ku=ku, corner=corner, nbatch=2)
-            spec = infer_spec(dense)
-            # per-element reference for the corner extent
-            nz = np.any(dense != 0.0, axis=0)
-            i_idx, j_idx = np.nonzero(nz)
-            ref_corner = 0
-            for i, j in zip(i_idx, j_idx):
-                if j - i > spec.ku:
-                    ref_corner = max(ref_corner, j - i - spec.ku)
-                elif i - j > spec.kl:
-                    ref_corner = max(ref_corner, i - j - spec.kl)
-            assert spec.corner == ref_corner
-            # lossless fold must hold for every batch member
-            np.testing.assert_array_equal(
-                FoldedBanded.from_dense(dense, spec).to_dense(), dense
-            )
+            lu.solve(rng.standard_normal((3, spec.n, 2)))

@@ -14,7 +14,8 @@ import scipy.linalg
 
 from repro.instrument import SolveCounters
 from repro.linalg.custom import FoldedLU
-from repro.linalg.engine import BandedSolveEngine, default_block
+from repro.linalg import engine as engine_mod
+from repro.linalg.engine import BandedSolveEngine
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded, SharedRows
 
 from tests.linalg.test_structure import corner_banded_matrix
@@ -33,14 +34,14 @@ class TestAgainstDense:
         kl = ku = (bandwidth - 1) // 2
         a, spec, lu = make_lu(rng, n=80, kl=kl, ku=ku, corner=corner, nbatch=3)
         rhs = rng.standard_normal((3, 80))
-        x = lu.engine().solve(rhs)
+        x = lu.engine.solve(rhs)
         ref = np.stack([np.linalg.solve(a[b], rhs[b]) for b in range(3)])
         np.testing.assert_allclose(x, ref, atol=1e-9)
 
     def test_complex_rhs(self, rng):
         a, spec, lu = make_lu(rng, corner=3)
         rhs = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
-        x = lu.engine().solve(rhs)
+        x = lu.engine.solve(rhs)
         ref = np.stack([np.linalg.solve(a[b], rhs[b]) for b in range(4)])
         np.testing.assert_allclose(x, ref, atol=1e-9)
         assert np.iscomplexobj(x)
@@ -49,15 +50,19 @@ class TestAgainstDense:
         """Engine and row-at-a-time reference sweeps agree to rounding."""
         a, spec, lu = make_lu(rng, n=50, corner=2)
         rhs = rng.standard_normal((4, 50))
-        np.testing.assert_allclose(lu.engine().solve(rhs), lu.solve_reference(rhs), atol=1e-11)
+        np.testing.assert_allclose(lu.engine.solve(rhs), lu.solve_reference(rhs), atol=1e-11)
 
-    def test_block_size_invariance(self, rng):
+    def test_block_size_invariance(self, rng, monkeypatch):
         """Every panel height gives the same answer (to rounding)."""
         a, spec, lu = make_lu(rng, n=70, corner=2)
         rhs = rng.standard_normal((4, 70))
-        ref = lu.engine(block=70).solve(rhs)
+        monkeypatch.setattr(engine_mod, "PANEL_ROWS", 70)
+        ref = BandedSolveEngine(lu).solve(rhs)
         for b in (1, 3, 8, 16, 33, 64):
-            np.testing.assert_allclose(lu.engine(block=b).solve(rhs), ref, atol=1e-11)
+            monkeypatch.setattr(engine_mod, "PANEL_ROWS", b)
+            eng = BandedSolveEngine(lu)
+            assert eng.block == b
+            np.testing.assert_allclose(eng.solve(rhs), ref, atol=1e-11)
 
     def test_solve_many_matches_columnwise(self, rng):
         a, spec, lu = make_lu(rng, n=40, corner=1, nbatch=2)
@@ -76,7 +81,7 @@ class TestAgainstScipy:
         kl = ku = (bandwidth - 1) // 2
         a, spec, lu = make_lu(rng, n=96, kl=kl, ku=ku, corner=corner, nbatch=3)
         rhs = rng.standard_normal((3, 96))
-        x = lu.engine().solve(rhs)
+        x = lu.engine.solve(rhs)
         # padded band covering the full-window boundary rows
         klp = kup = spec.window - 1
         for b in range(3):
@@ -106,7 +111,7 @@ class TestBitForBitContracts:
         rr1 = rng.standard_normal((4, 64))
         rc2 = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
         rr2 = rng.standard_normal((4, 64))
-        outs = lu.engine().solve_stack([rc1, rr1, rc2, rr2])
+        outs = lu.engine.solve_stack([rc1, rr1, rc2, rr2])
         assert np.array_equal(outs[0], lu.solve(rc1))
         assert np.array_equal(outs[1], lu.solve(rr1))
         assert np.array_equal(outs[2], lu.solve(rc2))
@@ -148,13 +153,13 @@ class TestZeroAllocation:
 
     def test_counters_report(self, rng):
         a, spec, lu = make_lu(rng, n=32)
-        eng = lu.engine()
+        eng = lu.engine
         eng.solve(rng.standard_normal((4, 32)))
         rep = eng.counters.report()
         assert "workspace_bytes=" in rep and "solves=" in rep
 
 
-def shared_lu(rng, mults=range(1, 13), n=40, block=None):
+def shared_lu(rng, mults=range(1, 13), n=40):
     """A factor set of ``len(mults)`` distinct matrices, matrix ``d``
     shared by ``mults[d]`` members in shuffled order, beside the per-member
     oracle: the same matrices copied out one per member, nothing shared."""
@@ -162,8 +167,8 @@ def shared_lu(rng, mults=range(1, 13), n=40, block=None):
     keys = rng.permutation(np.repeat(np.arange(len(mults)) * 0.5, list(mults)))
     rows = SharedRows(keys)
     distinct = np.rint(rows.keys * 2).astype(int)  # stored row -> matrix
-    shared = FoldedLU(FoldedBanded.from_dense(a[distinct], spec), block=block, rows=rows)
-    per_member = FoldedLU(FoldedBanded.from_dense(a[np.rint(keys * 2).astype(int)], spec), block=block)
+    shared = FoldedLU(FoldedBanded.from_dense(a[distinct], spec), rows=rows)
+    per_member = FoldedLU(FoldedBanded.from_dense(a[np.rint(keys * 2).astype(int)], spec))
     return shared, per_member
 
 
@@ -192,9 +197,6 @@ class TestSharedRows:
         lu = helm.factor_helmholtz(ksq, 0.01)
         assert lu.nbatch == 6 and lu.data.shape[0] == 3
         assert helm.factor_poisson(lu.rows).rows is lu.rows
-        # per-mode c keys on (k², c): equal k² with another c is another matrix
-        assert helm.factor_helmholtz(ksq, np.full(6, 0.01)).data.shape[0] == 3
-        assert helm.factor_helmholtz(ksq, np.arange(6.0)).data.shape[0] == 6
 
 
 class TestSharedFactors:
@@ -203,8 +205,11 @@ class TestSharedFactors:
     against a stride-0 broadcast of the shared panel."""
 
     @pytest.mark.parametrize("block", [None, 7])
-    def test_every_entry_point_bit_identical(self, rng, block):
-        shared, oracle = shared_lu(rng, block=block)
+    def test_every_entry_point_bit_identical(self, rng, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(engine_mod, "PANEL_ROWS", block)
+        shared, oracle = shared_lu(rng)
+        assert shared.engine.block == (block or 16)
         nb, n = oracle.nbatch, oracle.spec.n
         assert len(shared.rows.classes) == 12
         rr = rng.standard_normal((nb, n))
@@ -213,8 +218,8 @@ class TestSharedFactors:
         assert np.array_equal(shared.solve(rc), oracle.solve(rc))
         cols = rng.standard_normal((nb, n, 6))
         assert np.array_equal(shared.solve_many(cols), oracle.solve_many(cols))
-        got = shared.engine().solve_stack([rc, rr, rc.conj()])
-        want = oracle.engine().solve_stack([rc, rr, rc.conj()])
+        got = shared.engine.solve_stack([rc, rr, rc.conj()])
+        want = oracle.engine.solve_stack([rc, rr, rc.conj()])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -230,7 +235,7 @@ class TestSharedFactors:
         shared, _ = shared_lu(rng)
         rows = shared.rows
         cols = rng.standard_normal((rows.nrows, 40, 3))
-        per_row = shared.engine().solve_rows(cols)
+        per_row = shared.engine.solve_rows(cols)
         per_member = shared.solve_many(cols[rows.members])
         assert np.array_equal(per_row[rows.members], per_member)
 
@@ -243,7 +248,7 @@ class TestSharedFactors:
     def test_nbatch_counts_members_not_stored_matrices(self, rng):
         shared, oracle = shared_lu(rng)
         assert shared.nbatch == oracle.nbatch == 78
-        assert shared.engine().nbatch == 78
+        assert shared.engine.nbatch == 78
         assert shared.data.shape[0] == 12
         with pytest.raises(ValueError):
             shared.solve(rng.standard_normal((12, 40)))
@@ -253,8 +258,8 @@ class TestSharedFactors:
         counters = SolveCounters()
         eng = BandedSolveEngine(shared, counters=counters)
         assert counters.workspace_allocs == 2
-        assert eng.workspace_bytes() == oracle.engine().workspace_bytes()  # per member
-        assert eng.panel_bytes() * 78 == oracle.engine().panel_bytes() * 12
+        assert eng.workspace_bytes() == oracle.engine.workspace_bytes()  # per member
+        assert eng.panel_bytes() * 78 == oracle.engine.panel_bytes() * 12
         snap = counters.snapshot()
         rhc = rng.standard_normal((78, 40)) + 1j * rng.standard_normal((78, 40))
         for _ in range(3):
@@ -273,23 +278,19 @@ class TestSharedFactors:
 
 
 class TestValidation:
-    def test_default_block(self):
-        assert default_block(9) == 9
-        assert default_block(16) == 16
-        assert default_block(65) == 16
-        assert default_block(1024) == 16
-
-    def test_bad_block_raises(self, rng):
-        a, spec, lu = make_lu(rng, n=32)
-        with pytest.raises(ValueError):
-            BandedSolveEngine(lu, block=-2)
+    def test_default_block(self, rng):
+        """The panel height is the module's 16 rows, capped at ``n``."""
+        assert engine_mod.PANEL_ROWS == 16
+        for n, block in ((9, 9), (16, 16), (65, 16)):
+            a, spec, lu = make_lu(rng, n=n, nbatch=1)
+            assert lu.engine.block == block
 
     def test_rhs_shape_mismatch(self, rng):
         a, spec, lu = make_lu(rng, n=32)
         with pytest.raises(ValueError):
-            lu.engine().solve(rng.standard_normal((2, 32)))
+            lu.engine.solve(rng.standard_normal((2, 32)))
         with pytest.raises(ValueError):
-            lu.engine().solve_many(rng.standard_normal((4, 32)))
+            lu.engine.solve_many(rng.standard_normal((4, 32)))
 
     def test_solve_many_rejects_complex(self, rng):
         a, spec, lu = make_lu(rng, n=32)
@@ -299,12 +300,17 @@ class TestValidation:
     def test_single_vector_squeeze(self, rng):
         a, spec, lu = make_lu(rng, n=32, nbatch=1)
         rhs = rng.standard_normal(32)
-        x = lu.engine().solve(rhs)
+        x = lu.engine.solve(rhs)
         assert x.shape == (32,)
         np.testing.assert_allclose(x, np.linalg.solve(a[0], rhs), atol=1e-9)
 
-    def test_engine_cached_per_block(self, rng):
+    def test_one_engine_per_factor_set(self, rng):
+        """The factor set builds its one engine with its factors, and
+        every solve entry point of the set runs on it."""
         a, spec, lu = make_lu(rng, n=40)
-        assert lu.engine() is lu.engine()
-        assert lu.engine(block=8) is lu.engine(block=8)
-        assert lu.engine(block=8) is not lu.engine(block=16)
+        eng = lu.engine
+        assert eng.counters.workspace_allocs == 2 and eng.counters.solves == 0
+        assert lu.nbytes() == lu.data.nbytes + eng.panel_bytes() + eng.workspace_bytes()
+        lu.solve(rng.standard_normal((4, 40)))
+        lu.solve_many(rng.standard_normal((4, 40, 3)))
+        assert lu.engine is eng and eng.counters.solves == 2

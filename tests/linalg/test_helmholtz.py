@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg.helmholtz import HelmholtzOperator, helmholtz_system, poisson_system
+from repro.linalg.helmholtz import HelmholtzOperator
 
 
 @pytest.fixture
@@ -46,14 +46,13 @@ class TestHelmholtzSolve:
             np.testing.assert_allclose(basis.values_at_collocation(s), psi, atol=5e-6)
 
     def test_per_mode_c_values(self, basis, op):
-        """c may vary across the batch (different RK coefficients)."""
-        ksq = np.array([4.0, 4.0])
-        c = np.array([0.01, 0.05])
+        """Different RK coefficients: one factor set per c, as the
+        stepper holds them."""
         psi, d2psi = manufactured(basis)
-        rhs = np.stack([psi - ci * (d2psi - 4.0 * psi) for ci in c])
-        rhs[:, 0] = rhs[:, -1] = 0.0
-        sols = op.factor_helmholtz(ksq, c).solve(rhs)
-        for s in sols:
+        for c in (0.01, 0.05):
+            rhs = psi - c * (d2psi - 4.0 * psi)
+            rhs[0] = rhs[-1] = 0.0
+            s = op.factor_helmholtz(np.array([4.0]), c).solve(rhs[None])[0]
             np.testing.assert_allclose(basis.values_at_collocation(s), psi, atol=5e-6)
 
     def test_dirichlet_values_enter_via_rhs(self, basis, op):
@@ -84,13 +83,3 @@ class TestPoissonSolve:
         rhs[0] = rhs[-1] = 0.0
         a = op.factor_poisson(np.array([0.0])).solve(rhs[None])[0]
         np.testing.assert_allclose(basis.values_at_collocation(a), psi, atol=1e-10)
-
-
-class TestConvenienceWrappers:
-    def test_one_shot_helmholtz(self, basis):
-        lu = helmholtz_system(basis, np.array([4.0]), 0.01)
-        assert lu.spec.n == basis.n
-
-    def test_one_shot_poisson(self, basis):
-        lu = poisson_system(basis, np.array([4.0]))
-        assert lu.spec.n == basis.n

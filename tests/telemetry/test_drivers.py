@@ -9,7 +9,7 @@ from repro.core.supervisor import RunSupervisor, SupervisorPolicy
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.distributed import DistributedChannelDNS, run_supervised_spmd
 from repro.pencil.transpose import TransposeMethod
-from repro.telemetry import merge_traces, read_manifest, read_stream
+from repro.telemetry import TelemetryConfig, merge_traces, read_manifest, read_stream
 
 CFG = ChannelConfig(nx=16, ny=17, nz=16, dt=2e-4, seed=3, init_amplitude=0.5)
 
@@ -46,6 +46,37 @@ def test_distributed_per_rank_streams(tmp_path):
     )
     spans = [e for e in json.loads(merged.read_text())["traceEvents"] if e["ph"] == "X"]
     assert {e["pid"] for e in spans} == {0, 1, 2, 3}
+
+
+def test_record_step_makes_no_communicator_call(tmp_path):
+    """``cfl`` and ``divergence`` are the rank's own block values: a
+    record makes no collective, so no wait for a peer is booked as
+    recorder overhead.  The max over the rank streams is the global
+    divergence, and bounds the global CFL from below."""
+    tel = TelemetryConfig(directory=tmp_path / "tel", divergence_every=1)
+
+    def prog(comm):
+        dns = DistributedChannelDNS(comm, CFG, pa=2, pb=2, telemetry=tel)
+        dns.initialize()
+        dns.run(2)
+        comm.barrier()
+        before = comm.stats.messages
+        dns.recorder.record_step(dns, force=True)
+        comm.barrier()
+        moved = comm.stats.messages - before
+        cfl, div = dns.cfl_number(), dns.divergence_norm()
+        dns.finalize_telemetry()
+        return moved, cfl, div
+
+    out = run_spmd(4, prog)
+    assert [moved for moved, _, _ in out] == [0, 0, 0, 0]
+    last = [
+        [r for r in read_stream(tel.directory / f"telemetry-rank{rank:03d}.jsonl") if r["type"] == "step"][-1]
+        for rank in range(4)
+    ]
+    _, cfl, div = out[0]
+    assert max(r["divergence"] for r in last) == div
+    assert 0.0 < max(r["cfl"] for r in last) <= cfl
 
 
 def test_supervisor_mirrors_recovery_log(tmp_path):
